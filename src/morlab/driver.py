@@ -41,9 +41,9 @@ class GradientEstimate:
     combined: np.ndarray | None = None # sum_i weights_i * per_objective_i
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
-    """One telemetry row per actor iteration."""
+    """One telemetry row per actor iteration (slotted: a run keeps T of them)."""
 
     t: int
     reward_mean: np.ndarray

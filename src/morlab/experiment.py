@@ -345,9 +345,23 @@ def load_metrics_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 def summarize(run_dir: str | Path) -> dict:
     """Recompute per-metric statistics across completed seeds, deterministic in
-    the directory contents; incomplete seeds (no DONE marker) are skipped."""
+    the directory contents; incomplete seeds (no DONE marker) are skipped.
+
+    When the directory holds a ``config.ini``, only the seeds it names
+    (``base_seed`` up to ``base_seed + seeds - 1``) count; other seed files,
+    such as those left by an earlier run with more seeds, are reported with a
+    warning and left in place."""
     run_dir = Path(run_dir)
     csv_paths = sorted(run_dir.glob("seed_*.csv"), key=_seed_of)
+    config_path = run_dir / "config.ini"
+    if config_path.exists():
+        cfg = ExperimentConfig.from_ini(config_path)
+        wanted = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
+        for path in csv_paths:
+            if _seed_of(path) not in wanted:
+                warnings.warn(f"ignoring {path.name}: config.ini names seeds "
+                              f"{wanted.start}..{wanted.stop - 1}")
+        csv_paths = [path for path in csv_paths if _seed_of(path) in wanted]
     complete = []
     for path in csv_paths:
         if (run_dir / f"{path.stem}{DONE_SUFFIX}").exists():

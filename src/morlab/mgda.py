@@ -114,10 +114,12 @@ def solve_min_norm(gradients, cert_tol: float = _CERT_TOL):
     """
     W = _as_gradient_matrix(gradients)
     M = W.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = W[0] @ W[0] if M == 1 else W @ W.T
+    if not np.all(np.isfinite(G)):
+        raise ParameterError("inner products of the gradients overflow; rescale the gradients")
     if M == 1:
-        g = W[0]
-        return SimplexWeights(np.array([1.0])), float(g @ g)
-    G = W @ W.T
+        return SimplexWeights(np.array([1.0])), float(G)
     G = 0.5 * (G + G.T)
     if M == 2:
         denom = G[0, 0] + G[1, 1] - 2.0 * G[0, 1]   # ||g1 - g2||^2

@@ -5,6 +5,7 @@ distribution, value functions, objectives)."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,6 +66,9 @@ class TabularMomdp:
             raise ParameterError(f"discounts must have shape {(M,)}")
         if self.initial_distribution.shape != (S,):
             raise ParameterError(f"initial_distribution must have shape {(S,)}")
+        for name in ("transition", "reward", "discounts", "initial_distribution"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} entries must be finite")
         if np.any(self.transition < 0):
             raise ParameterError("transition entries must be non-negative")
         row_sums = self.transition.sum(axis=2)
@@ -86,6 +90,24 @@ class TabularMomdp:
         cum[:, :, -1] = 1.0
         return cum
 
+    @cached_property
+    def transition_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-zero pattern of ``transition``, cached for sparse sampling.
+
+        Returns (actions, next_states, real), each of shape (S, K) with K the
+        most non-zero (a, s') cells of any state. Row s lists its cells in
+        row-major (a, s') order and ``real`` marks them; the padding on the
+        right points at cell (0, 0).
+        """
+        S = self.n_states
+        nonzero = self.transition.reshape(S, -1) != 0
+        counts = nonzero.sum(axis=1)
+        real = np.arange(counts.max()) < counts[:, None]
+        cells = np.zeros(real.shape, dtype=np.int64)
+        cells[real] = np.flatnonzero(nonzero) % nonzero.shape[1]
+        actions, next_states = np.divmod(cells, S)
+        return actions, next_states, real
+
     def to_json_dict(self) -> dict:
         return {
             "n_states": self.n_states,
@@ -101,17 +123,21 @@ class TabularMomdp:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TabularMomdp":
-        return cls(
-            n_states=int(doc["n_states"]),
-            n_actions=int(doc["n_actions"]),
-            n_objectives=int(doc["n_objectives"]),
-            transition=np.asarray(doc["transition"], dtype=float),
-            reward=np.asarray(doc["reward"], dtype=float),
-            discounts=np.asarray(doc["discounts"], dtype=float),
-            initial_distribution=np.asarray(doc["initial_distribution"], dtype=float),
-            r_max=float(doc.get("r_max", 1.0)),
-            metadata=dict(doc.get("metadata", {})),
-        )
+        try:
+            fields = dict(
+                n_states=int(doc["n_states"]),
+                n_actions=int(doc["n_actions"]),
+                n_objectives=int(doc["n_objectives"]),
+                transition=np.asarray(doc["transition"], dtype=float),
+                reward=np.asarray(doc["reward"], dtype=float),
+                discounts=np.asarray(doc["discounts"], dtype=float),
+                initial_distribution=np.asarray(doc["initial_distribution"], dtype=float),
+                r_max=float(doc.get("r_max", 1.0)),
+                metadata=dict(doc.get("metadata", {})),
+            )
+        except KeyError as exc:
+            raise ParameterError(f"environment document lacks key {exc.args[0]!r}") from exc
+        return cls(**fields)
 
 
 def save_env_json(env: TabularMomdp, path: str):
@@ -151,6 +177,8 @@ class MarkovSampler:
             raise ParameterError(f"initial_state {initial_state} out of range")
         self.state = int(initial_state)
         self.trace: list | None = None
+        self._table_key: bytes | None = None
+        self._table: tuple[list, list, list] | None = None
 
     def sample_step(self, action: int) -> Transition:
         env = self.env
@@ -165,46 +193,60 @@ class MarkovSampler:
         self.state = ns
         return Transition(state=s, action=action, rewards=env.reward[:, s, action].copy(), next_state=ns)
 
-    def sample_policy_step(self, action_probs: np.ndarray) -> Transition:
-        """Draw an action from the (S, A) policy matrix, then step."""
-        s = self.state
-        u = self.rng.random()
-        cum = np.cumsum(action_probs[s])
-        a = int(np.searchsorted(cum, u * cum[-1], side="right"))
-        a = min(a, self.env.n_actions - 1)
-        return self.sample_step(a)
-
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
 
         Uses one uniform per step against the joint (action, next-state) law of
         the current state; returns index arrays so batch arithmetic stays
-        vectorized downstream.
+        vectorized downstream. The law's cumulative table is built once per
+        probability matrix and cached on its bytes, so the repeated batches of
+        one policy share it and any new or modified matrix rebuilds it.
+        """
+        probs = np.asarray(action_probs, dtype=float)
+        shape = (self.env.n_states, self.env.n_actions)
+        if probs.shape != shape:
+            raise ParameterError(f"action probabilities must have shape {shape}, got {probs.shape}")
+        key = probs.tobytes()
+        if key != self._table_key:
+            self._table = self._policy_table(probs)
+            self._table_key = key
+        cum_rows, action_rows, next_rows = self._table
+        states, actions, next_states = [], [], []
+        s = self.state
+        for u in self.rng.random(n).tolist():
+            k = bisect_right(cum_rows[s], u)
+            states.append(s)
+            actions.append(action_rows[s][k])
+            s = next_rows[s][k]
+            next_states.append(s)
+        if self.trace is not None:
+            self.trace.extend(zip(states, actions, next_states))
+        self.state = s
+        return (np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                np.array(next_states, dtype=np.int64))
+
+    def _policy_table(self, probs: np.ndarray) -> tuple[list, list, list]:
+        """Per-state cumulative joint law over the non-zero transition cells.
+
+        The row-wise sequential cumsum leaves out only cells whose transition
+        probability, and so whose joint probability, is exactly 0.0. Adding
+        0.0 leaves a float sum unchanged, so each entry equals the dense
+        (S, A*S) cumsum at its cell, and a right bisection picks the same cell
+        as ``np.searchsorted(..., side="right")`` over the dense row would.
+        The last real entry of each row is exactly 1.0 and every uniform is
+        below it, so the padding is never drawn.
         """
         env = self.env
-        S, A = env.n_states, env.n_actions
-        joint = action_probs[:, :, None] * env.transition
-        cum = joint.reshape(S, A * S).cumsum(axis=1)
+        if not np.all((probs >= 0) & (probs <= 1)):
+            raise ParameterError("action probabilities must lie in [0, 1]")
+        actions, next_states, real = env.transition_support
+        rows = np.arange(env.n_states)[:, None]
+        joint = np.where(real, probs[rows, actions] * env.transition[rows, actions, next_states], 0.0)
+        cum = joint.cumsum(axis=1)
+        if not np.all(cum[:, -1] > 0):
+            raise ParameterError("every state needs an action of positive probability")
         cum /= cum[:, -1:]
-        us = self.rng.random(n)
-        states = np.empty(n, dtype=np.int64)
-        actions = np.empty(n, dtype=np.int64)
-        next_states = np.empty(n, dtype=np.int64)
-        s = self.state
-        last = A * S - 1
-        for i in range(n):
-            j = int(np.searchsorted(cum[s], us[i], side="right"))
-            if j > last:
-                j = last
-            a, ns = divmod(j, S)
-            states[i] = s
-            actions[i] = a
-            next_states[i] = ns
-            s = ns
-        if self.trace is not None:
-            self.trace.extend(zip(states.tolist(), actions.tolist(), next_states.tolist()))
-        self.state = int(s)
-        return states, actions, next_states
+        return cum.tolist(), actions.tolist(), next_states.tolist()
 
 
 def sample_step(sampler: MarkovSampler, action: int) -> Transition:

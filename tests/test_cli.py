@@ -160,6 +160,20 @@ class TestRunExperiment:
             summary = summarize(out)
         assert summary["seeds"] == [100]
 
+    def test_rerun_with_fewer_seeds_ignores_stale_files(self, tmp_path):
+        text = BASE_CONFIG.replace("seeds = 2", "seeds = 3")
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        with pytest.warns(UserWarning) as record:
+            assert main(["run", str(cfg_path), "--out", str(out), "--seeds", "1"]) == 0
+        warned = " ".join(str(w.message) for w in record)
+        assert "seed_101.csv" in warned and "seed_102.csv" in warned
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seeds"] == [100]
+        for seed in (100, 101, 102):  # nothing is deleted
+            assert (out / f"seed_{seed}.csv").exists()
+
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
         out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)

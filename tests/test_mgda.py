@@ -56,6 +56,12 @@ class TestSolveMinNorm:
         with pytest.raises(ParameterError):
             solve_min_norm([np.array([np.inf, 0.0]), np.array([0.0, 1.0])])
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflowing_gram_rejected(self, m):
+        # finite gradients whose inner products overflow to inf
+        with pytest.raises(ParameterError, match="overflow"):
+            solve_min_norm(np.full((m, 5), 1e200))
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_lattice_oracle(self, m):
         rng = np.random.default_rng(1000 + m)

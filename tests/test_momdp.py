@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morlab import (
     AVERAGE,
@@ -21,7 +23,15 @@ from morlab import (
     uniform_policy,
 )
 
-from util import permute_momdp, permute_tabular_policy, random_momdp, random_policy, single_chain_env, two_state_env
+from util import (
+    dense_policy_batch,
+    permute_momdp,
+    permute_tabular_policy,
+    random_momdp,
+    random_policy,
+    single_chain_env,
+    two_state_env,
+)
 
 
 def fixed_policy_params(probs: np.ndarray) -> PolicyParams:
@@ -159,6 +169,22 @@ class TestValidation:
             TabularMomdp(2, 2, 2, env.transition, env.reward, np.array([1.0, 0.9]),
                          env.initial_distribution)
 
+    @pytest.mark.parametrize("field", ["transition", "reward", "discounts", "initial_distribution"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_arrays(self, field, value):
+        env = two_state_env()
+        arrays = {name: getattr(env, name).copy()
+                  for name in ("transition", "reward", "discounts", "initial_distribution")}
+        arrays[field].flat[0] = value
+        with pytest.raises(ParameterError, match="finite"):
+            TabularMomdp(2, 2, 2, **arrays)
+
+    def test_json_missing_key_raises_parameter_error(self):
+        doc = build_fishwood(0.3, 0.7).to_json_dict()
+        del doc["reward"]
+        with pytest.raises(ParameterError, match="reward"):
+            TabularMomdp.from_json_dict(doc)
+
     def test_json_round_trip(self, tmp_path):
         env = build_fishwood(0.3, 0.7)
         path = tmp_path / "env.json"
@@ -242,6 +268,110 @@ class TestSampling:
         sampler = MarkovSampler(env, seed=0)
         with pytest.raises(ParameterError):
             sampler.sample_step(7)
+
+
+def paired_samplers(env: TabularMomdp, seed: int = 7):
+    """Library sampler (tracing) and dense-reference sampler, seeded alike."""
+    fast = MarkovSampler(env, seed)
+    fast.trace = []
+    return fast, MarkovSampler(env, seed)
+
+
+def assert_same_batch(fast: MarkovSampler, ref: MarkovSampler, probs: np.ndarray, n: int):
+    """One batch from each sampler: indices, chain state, trace tail and RNG
+    state must all agree exactly."""
+    got = fast.sample_policy_batch(probs, n)
+    want = dense_policy_batch(ref, probs, n)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == (n,)
+        assert np.array_equal(g, w)
+    assert fast.state == ref.state
+    assert fast.trace[len(fast.trace) - n:] == list(zip(*(w.tolist() for w in want)))
+    assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+SAMPLER_ENVS = {"fishwood": lambda: build_fishwood(0.25, 0.65),
+                "resource_gathering": build_resource_gathering}
+
+
+class TestPolicyBatchMatchesDenseReference:
+    @pytest.mark.parametrize("env_name", sorted(SAMPLER_ENVS))
+    @pytest.mark.parametrize("n", [1, 50, 128, 500])
+    def test_alternating_policies(self, env_name, n):
+        env = SAMPLER_ENVS[env_name]()
+        rng = np.random.default_rng(n)
+        p1 = random_policy(rng, env.n_states, env.n_actions, scale=2.0).probability_matrix()
+        p2 = random_policy(rng, env.n_states, env.n_actions, scale=2.0).probability_matrix()
+        fast, ref = paired_samplers(env, seed=n + 11)
+        for probs in (p1, p1, p2, p1, p2, p2, p1):
+            assert_same_batch(fast, ref, probs, n)
+
+    def test_probabilities_modified_in_place(self):
+        env = build_resource_gathering()
+        rng = np.random.default_rng(4)
+        probs = random_policy(rng, env.n_states, env.n_actions).probability_matrix()
+        fast, ref = paired_samplers(env)
+        assert_same_batch(fast, ref, probs, 128)
+        probs[:] = random_policy(rng, env.n_states, env.n_actions).probability_matrix()
+        assert_same_batch(fast, ref, probs, 128)
+        probs[3] = [1.0, 0.0, 0.0, 0.0]
+        assert_same_batch(fast, ref, probs, 500)
+
+    @pytest.mark.parametrize("env_name", sorted(SAMPLER_ENVS))
+    def test_underflowed_action_probabilities(self, env_name):
+        env = SAMPLER_ENVS[env_name]()
+        rng = np.random.default_rng(800)
+        theta = rng.choice([-800.0, 0.0, 800.0], size=env.n_states * env.n_actions)
+        probs = PolicyParams(theta, env.n_states, env.n_actions).probability_matrix()
+        assert np.any(probs == 0.0)
+        fast, ref = paired_samplers(env)
+        for n in (1, 50, 500):
+            assert_same_batch(fast, ref, probs, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_states=st.integers(1, 6),
+        n_actions=st.integers(1, 4),
+        density=st.floats(0.05, 1.0),
+        model_seed=st.integers(0, 2**32 - 1),
+        sampler_seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 60), min_size=1, max_size=5),
+    )
+    def test_random_sparse_models(self, n_states, n_actions, density, model_seed, sampler_seed, sizes):
+        rng = np.random.default_rng(model_seed)
+        S, A = n_states, n_actions
+
+        def sparse_rows(shape):
+            x = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < density)
+            flat = x.reshape(-1, shape[-1])
+            for row in flat:  # keep at least one non-zero entry per row
+                row[rng.integers(shape[-1])] = rng.uniform(0.1, 1.0)
+            return x / x.sum(axis=-1, keepdims=True)
+
+        env = TabularMomdp(S, A, 1, sparse_rows((S, A, S)), np.zeros((1, S, A)),
+                           np.array([0.9]), np.full(S, 1.0 / S))
+        policies = (sparse_rows((S, A)), sparse_rows((S, A)))
+        fast, ref = paired_samplers(env, seed=sampler_seed)
+        for k, n in enumerate(sizes):
+            assert_same_batch(fast, ref, policies[k % 2], n)
+
+    def test_rejects_wrong_shape(self):
+        env = build_fishwood(0.25, 0.65)
+        sampler = MarkovSampler(env, seed=0)
+        for shape in ((env.n_states, env.n_actions + 1), (env.n_actions, env.n_states),
+                      (env.n_states * env.n_actions,)):
+            with pytest.raises(ParameterError):
+                sampler.sample_policy_batch(np.full(shape, 0.5), 10)
+
+    def test_rejects_invalid_probabilities(self):
+        env = build_fishwood(0.25, 0.65)
+        sampler = MarkovSampler(env, seed=0)
+        good = np.full((env.n_states, env.n_actions), 0.5)
+        for row in ([np.nan, 1.0], [-0.5, 1.0], [np.inf, 0.5], [1.5, 0.5], [0.0, 0.0]):
+            probs = good.copy()
+            probs[2] = row
+            with pytest.raises(ParameterError):
+                sampler.sample_policy_batch(probs, 10)
 
 
 class TestStationary:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from morlab import PolicyParams, TabularMomdp, compute_exact_objective
+from morlab import MarkovSampler, PolicyParams, TabularMomdp, compute_exact_objective
 
 
 def random_momdp(rng: np.random.Generator, n_states: int = 4, n_actions: int = 2,
@@ -27,6 +27,37 @@ def random_momdp(rng: np.random.Generator, n_states: int = 4, n_actions: int = 2
 def random_policy(rng: np.random.Generator, n_states: int, n_actions: int,
                   scale: float = 0.8) -> PolicyParams:
     return PolicyParams(rng.normal(0.0, scale, size=n_states * n_actions), n_states, n_actions)
+
+
+def dense_policy_batch(sampler: MarkovSampler, action_probs: np.ndarray, n: int):
+    """Reference for ``MarkovSampler.sample_policy_batch``: the dense (S, A*S)
+    joint cumsum rebuilt on every call, one ``np.searchsorted`` per step.
+
+    Advances ``sampler.rng`` and ``sampler.state`` exactly as the library
+    sampler must, so two samplers seeded alike can be compared draw for draw.
+    """
+    env = sampler.env
+    S, A = env.n_states, env.n_actions
+    joint = action_probs[:, :, None] * env.transition
+    cum = joint.reshape(S, A * S).cumsum(axis=1)
+    cum /= cum[:, -1:]
+    us = sampler.rng.random(n)
+    states = np.empty(n, dtype=np.int64)
+    actions = np.empty(n, dtype=np.int64)
+    next_states = np.empty(n, dtype=np.int64)
+    s = sampler.state
+    last = A * S - 1
+    for i in range(n):
+        j = int(np.searchsorted(cum[s], us[i], side="right"))
+        if j > last:
+            j = last
+        a, ns = divmod(j, S)
+        states[i] = s
+        actions[i] = a
+        next_states[i] = ns
+        s = ns
+    sampler.state = int(s)
+    return states, actions, next_states
 
 
 def two_state_env() -> TabularMomdp:
