@@ -9,8 +9,7 @@ from .critic import (
     compute_zeta_approx,
     expected_td_update,
     run_critic,
-    td_error_average,
-    td_error_discounted,
+    td_errors,
     theory_critic_step,
 )
 from .driver import (
@@ -46,16 +45,14 @@ from .momdp import (
     AVERAGE,
     DISCOUNTED,
     MarkovSampler,
+    PolicyEvaluation,
     TabularMomdp,
     Transition,
-    action_value_functions,
     build_fishwood,
     build_resource_gathering,
     compute_exact_objective,
     compute_stationary_distribution,
-    expected_rewards,
     load_env_json,
-    policy_transition_matrix,
     sample_step,
     save_env_json,
     value_functions,

@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, DataError, DivergenceError, ParameterError
+from .errors import ConfigError, ConvergenceError, DataError, DivergenceError, ModelError, ParameterError
 from .experiment import ExperimentConfig, run_experiment, summarize, write_summary
 from .opeval import DEFAULT_CAP, load_logged_data, ncis_scores
 from .policy import load_policy_json
@@ -73,11 +73,11 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return _cmd_summarize(args)
         return _cmd_ncis(args)
-    except (ConfigError, DataError, ParameterError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParameterError, ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+    except (DivergenceError, ConvergenceError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -6,20 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DivergenceError, ModelError, ParameterError
-from .momdp import (
-    AVERAGE,
-    MarkovSampler,
-    TabularMomdp,
-    Transition,
-    check_setting,
-    compute_stationary_distribution,
-    expected_rewards,
-    policy_transition_matrix,
-    value_functions,
-)
+from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams
 
 _DIVERGENCE_LIMIT = 1e12
@@ -78,35 +67,33 @@ class TdFixedPoint:
     setting: str
 
 
-def td_error_average(w: np.ndarray, mu_prev: float, transition: Transition,
-                     objective: int, features: FeatureMap, step_size: float):
-    """One average-setting TD error; returns (delta, updated reward tracker)."""
-    r = float(transition.rewards[objective])
-    mu = (1.0 - step_size) * mu_prev + step_size * r
-    phi_s = features.state_vector(transition.state)
-    phi_n = features.state_vector(transition.next_state)
-    delta = r - mu + float(phi_n @ w) - float(phi_s @ w)
-    return delta, mu
+def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batch,
+              setting: str, mu: np.ndarray, step_size: float):
+    """TD errors of all M objectives along one chained batch, weights held fixed.
 
+    ``batch`` is the (states, actions, next_states) triple drawn by
+    ``MarkovSampler.sample_policy_batch``; ``weights`` has shape (M, d2). In
+    the average setting the reward trackers start at ``mu`` and follow
+    mu_t = (1 - beta) mu_{t-1} + beta r_t with beta = ``step_size``, and each
+    sample's error uses the tracker its own reward has just updated; the
+    discounted setting leaves ``mu`` as it is.
 
-def td_error_discounted(w: np.ndarray, transition: Transition, objective: int,
-                        features: FeatureMap, discount: float) -> float:
-    """One discounted-setting TD error."""
-    r = float(transition.rewards[objective])
-    phi_s = features.state_vector(transition.state)
-    phi_n = features.state_vector(transition.next_state)
-    return r + discount * float(phi_n @ w) - float(phi_s @ w)
-
-
-def _reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float) -> np.ndarray:
-    """Exact per-sample path of mu_t = (1-beta) mu_{t-1} + beta r_t along a batch.
-
-    rewards: (M, D); mu0: (M,). Returns the (M, D) tracker values.
+    Returns (delta, rewards, trackers): the (M, D) TD errors, the (M, D)
+    rewards and the (M,) trackers after the batch.
     """
-    beta = step_size
-    zi = ((1.0 - beta) * mu0)[:, None]
-    path, _ = lfilter([beta], [1.0, -(1.0 - beta)], rewards, axis=1, zi=zi)
-    return path
+    s_arr, a_arr, ns_arr = batch
+    phi = features.matrix
+    r = env.reward[:, s_arr, a_arr]               # (M, D)
+    v_s = phi[s_arr] @ weights.T                  # (D, M)
+    v_n = phi[ns_arr] @ weights.T
+    if setting != AVERAGE:
+        return r + env.discounts[:, None] * v_n.T - v_s.T, r, mu
+    # the tracker recursion as a one-tap IIR filter; imported here so that
+    # discounted runs never load scipy.signal
+    from scipy.signal import lfilter
+    keep = 1.0 - step_size
+    path, _ = lfilter([step_size], [1.0, -keep], r, axis=1, zi=(keep * mu)[:, None])
+    return r - path + (v_n - v_s).T, r, path[:, -1].copy()
 
 
 def run_critic(
@@ -129,7 +116,6 @@ def run_critic(
     after every iteration.
     """
     check_setting(setting)
-    env = sampler.env
     beta = critic.step_size
     D = critic.batch_size
     probs = policy.probability_matrix()
@@ -137,17 +123,9 @@ def run_critic(
     w = critic.weights.copy()
     mu = critic.avg_reward.copy()
     for k in range(1, critic.n_iterations + 1):
-        s_arr, a_arr, ns_arr = sampler.sample_policy_batch(probs, D)
-        r = env.reward[:, s_arr, a_arr]               # (M, D)
-        v_s = phi[s_arr] @ w.T                        # (D, M)
-        v_n = phi[ns_arr] @ w.T
-        if setting == AVERAGE:
-            mu_path = _reward_tracker_path(r, mu, beta)
-            delta = r - mu_path + (v_n - v_s).T
-            mu = mu_path[:, -1].copy()
-        else:
-            delta = r + env.discounts[:, None] * v_n.T - v_s.T
-        w = w + (beta / D) * (delta @ phi[s_arr])
+        batch = sampler.sample_policy_batch(probs, D)
+        delta, _, mu = td_errors(sampler.env, features, w, batch, setting, mu, beta)
+        w = w + (beta / D) * (delta @ phi[batch[0]])
         if not np.all(np.isfinite(w)) or np.abs(w).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"critic weights diverged at inner iteration {k}", iteration=k
@@ -157,8 +135,7 @@ def run_critic(
     return replace(critic, weights=w, avg_reward=mu), sampler.state
 
 
-def compute_td_fixed_point(env: TabularMomdp, policy: PolicyParams,
-                           features: FeatureMap, setting: str) -> TdFixedPoint:
+def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -> TdFixedPoint:
     """Exact A, b, w* = -A^{-1} b, and the margin/bound constants.
 
     All expectations are enumerated over (s, a, s') weighted by
@@ -169,29 +146,28 @@ def compute_td_fixed_point(env: TabularMomdp, policy: PolicyParams,
     margin lambda_A and the norm bounds are the same for either orientation of
     the outer product.
     """
-    check_setting(setting)
-    d = compute_stationary_distribution(env, policy)
-    P = policy_transition_matrix(env, policy)
+    env, setting = evaluation.env, evaluation.setting
+    d = evaluation.d
     phi = features.matrix
     d2 = features.dim
     M = env.n_objectives
     weighted_phi = d[:, None] * phi
-    next_phi = P @ phi                                # E[phi(s') | s]
-    r_bar = expected_rewards(env, policy)             # (M, S)
+    next_phi = evaluation.P @ phi                     # E[phi(s') | s]
+    r_bar = evaluation.r                              # (M, S)
     A = np.empty((M, d2, d2))
     b = np.empty((M, d2))
     if setting == AVERAGE:
         A[:] = weighted_phi.T @ (next_phi - phi)
-        J = r_bar @ d
+        J = evaluation.values[1]
         b[:] = ((r_bar - J[:, None]) * d) @ phi
     else:
         for i in range(M):
             A[i] = weighted_phi.T @ (env.discounts[i] * next_phi - phi)
         b[:] = (r_bar * d) @ phi
-    lambda_A = np.inf
-    for i in range(M):
-        top = np.linalg.eigvalsh(A[i] + A[i].T)[-1]
-        lambda_A = min(lambda_A, -top)
+    # the slices are identical when the discounts are, or do not enter: one
+    # eigendecomposition then serves all M
+    same = setting == AVERAGE or np.all(env.discounts == env.discounts[0])
+    lambda_A = min(-np.linalg.eigvalsh(a + a.T)[-1] for a in (A[:1] if same else A))
     if lambda_A <= _LAMBDA_FLOOR:
         raise ModelError(
             "TD matrix is not negative definite for this (environment, policy, features) "
@@ -214,38 +190,40 @@ def theory_critic_step(fixed_point: TdFixedPoint) -> float:
                4.0 / fixed_point.lambda_A)
 
 
-def expected_td_update(env: TabularMomdp, policy: PolicyParams, features: FeatureMap,
-                       w: np.ndarray, objective: int, setting: str) -> np.ndarray:
-    """Exact enumeration of E[delta * phi(s)] at the given weights.
+def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
+                       w: np.ndarray, objective: int) -> np.ndarray:
+    """(S, A) array d(s) pi(a|s) E[delta | s, a] at the weights w of one objective.
 
-    In the average setting the reward tracker is held at its limit, the exact
-    objective value. Zero at w = w* by the fixed-point property.
+    The conditional TD error is enumerated over next states; in the average
+    setting the reward tracker is held at its limit, the exact objective value.
     """
-    check_setting(setting)
-    d = compute_stationary_distribution(env, policy)
-    probs = policy.probability_matrix()
-    phi = features.matrix
-    values = phi @ w                               # (S,)
+    env = evaluation.env
+    if not 0 <= objective < env.n_objectives:
+        raise ParameterError(f"objective {objective} out of range")
+    values = features.matrix @ w                   # (S,)
     next_values = np.einsum("sax,x->sa", env.transition, values)
     r = env.reward[objective]                      # (S, A)
-    if setting == AVERAGE:
-        r_bar = expected_rewards(env, policy)
-        J = float(r_bar[objective] @ d)
-        delta_bar = r - J + next_values - values[:, None]
+    if evaluation.setting == AVERAGE:
+        delta_bar = r - evaluation.values[1][objective] + next_values - values[:, None]
     else:
         delta_bar = r + env.discounts[objective] * next_values - values[:, None]
-    weights = d[:, None] * probs                   # (S, A)
-    return ((weights * delta_bar).sum(axis=1)) @ phi
+    return evaluation.d[:, None] * evaluation.probs * delta_bar
 
 
-def compute_zeta_approx(env: TabularMomdp, policy: PolicyParams,
-                        fixed_point: TdFixedPoint, features: FeatureMap,
-                        setting: str) -> float:
+def expected_td_update(evaluation: PolicyEvaluation, features: FeatureMap,
+                       w: np.ndarray, objective: int) -> np.ndarray:
+    """Exact enumeration of E[delta * phi(s)] at the given weights.
+
+    Zero at w = w* by the fixed-point property.
+    """
+    return expected_td_errors(evaluation, features, w, objective).sum(axis=1) @ features.matrix
+
+
+def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
+                        features: FeatureMap) -> float:
     """Worst-objective stationary-weighted squared gap between the exact value
     function and its fixed-point linear approximation."""
-    check_setting(setting)
-    d = compute_stationary_distribution(env, policy)
-    V, _ = value_functions(env, policy, setting)
+    V, _ = evaluation.values
     approx = fixed_point.w_star @ features.matrix.T    # (M, S)
-    gaps = ((V - approx) ** 2) @ d
+    gaps = ((V - approx) ** 2) @ evaluation.d
     return float(gaps.max())

@@ -11,21 +11,14 @@ import numpy as np
 from .critic import (
     CriticState,
     compute_td_fixed_point,
+    expected_td_errors,
     run_critic,
+    td_errors,
     theory_critic_step,
-    _reward_tracker_path,
 )
 from .errors import DivergenceError, ParameterError
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
-from .momdp import (
-    AVERAGE,
-    MarkovSampler,
-    TabularMomdp,
-    check_setting,
-    compute_exact_objective,
-    compute_stationary_distribution,
-    expected_rewards,
-)
+from .momdp import MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
 
 FEATURE_KINDS = ("default", "complete")
@@ -140,17 +133,9 @@ def estimate_objective_gradients(
     check_setting(setting)
     env = sampler.env
     M = env.n_objectives
-    probs = policy.probability_matrix()
-    phi = features.matrix
-    s_arr, a_arr, ns_arr = sampler.sample_policy_batch(probs, batch_size)
-    r = env.reward[:, s_arr, a_arr]                  # (M, B)
-    v_s = phi[s_arr] @ critic_weights.T              # (B, M)
-    v_n = phi[ns_arr] @ critic_weights.T
-    if setting == AVERAGE:
-        mu_path = _reward_tracker_path(r, np.zeros(M), mu_step)
-        delta = r - mu_path + (v_n - v_s).T
-    else:
-        delta = r + env.discounts[:, None] * v_n.T - v_s.T
+    batch = sampler.sample_policy_batch(policy.probability_matrix(), batch_size)
+    delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
+    s_arr, a_arr, _ = batch
     grads = np.empty((M, policy.dim))
     bucket = np.zeros((env.n_states, env.n_actions))
     for i in range(M):
@@ -161,36 +146,20 @@ def estimate_objective_gradients(
     return estimate, sampler.state
 
 
-def expected_td_gradient(env: TabularMomdp, policy: PolicyParams, features: FeatureMap,
-                         w: np.ndarray, objective: int, setting: str) -> np.ndarray:
+def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
+                         w: np.ndarray, objective: int) -> np.ndarray:
     """Exact enumeration limit of the sampled gradient estimate at weights w.
 
     Weights (s, a) by the stationary joint law and uses the conditional TD
     error expectation; the average-setting reward tracker is held at the exact
     objective value.
     """
-    check_setting(setting)
-    d = compute_stationary_distribution(env, policy)
-    probs = policy.probability_matrix()
-    phi = features.matrix
-    values = phi @ w
-    next_values = np.einsum("sax,x->sa", env.transition, values)
-    r = env.reward[objective]
-    if setting == AVERAGE:
-        J = float(expected_rewards(env, policy)[objective] @ d)
-        delta_bar = r - J + next_values - values[:, None]
-    else:
-        delta_bar = r + env.discounts[objective] * next_values - values[:, None]
-    coeff = d[:, None] * probs * delta_bar
-    return policy.score_weighted_sum(coeff)
+    return evaluation.policy.score_weighted_sum(expected_td_errors(evaluation, features, w, objective))
 
 
-def pareto_stationarity_gap(env: TabularMomdp, policy: PolicyParams, setting: str) -> float:
+def pareto_stationarity_gap(evaluation: PolicyEvaluation) -> float:
     """min over simplex weights of ||sum_i lam_i grad J_i||^2 on exact gradients."""
-    grads = np.stack([
-        exact_policy_gradient(env, policy, i, setting) for i in range(env.n_objectives)
-    ])
-    _, min_norm_sq = solve_min_norm(grads)
+    _, min_norm_sq = solve_min_norm(exact_policy_gradient(evaluation))
     return min_norm_sq
 
 
@@ -216,7 +185,7 @@ def run_moac(
         config.critic_step_size, config.critic_batch_size, config.critic_iterations,
     )
     if config.theory_compliant:
-        fp0 = compute_td_fixed_point(env, policy, features, setting)
+        fp0 = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
         limit = theory_critic_step(fp0)
         if config.critic_step_size > limit + 1e-12:
             raise ParameterError(
@@ -232,8 +201,16 @@ def run_moac(
         oracle_now = config.oracle_diagnostics and (
             t == 1 or t == T or t % config.oracle_every == 0
         )
-        fp_t = compute_td_fixed_point(env, policy, features, setting) if oracle_now else None
-        critic, _ = run_critic(sampler, policy, critic, features, setting)
+        if oracle_now:
+            evaluation = PolicyEvaluation(env, policy, setting)
+            fp_t = compute_td_fixed_point(evaluation, features)
+        try:
+            critic, _ = run_critic(sampler, policy, critic, features, setting)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"critic weights diverged at actor iteration {t}, "
+                f"inner critic iteration {exc.iteration}", iteration=t,
+            ) from exc
         estimate, _ = estimate_objective_gradients(
             sampler, policy, critic.weights, config.actor_batch_size,
             setting, features, mu_step=config.actor_step_size,
@@ -248,8 +225,8 @@ def run_moac(
         gap = None
         if oracle_now:
             critic_err = ((critic.weights - fp_t.w_star) ** 2).sum(axis=1)
-            j_exact = compute_exact_objective(env, policy, setting)
-            gap = pareto_stationarity_gap(env, policy, setting)
+            j_exact = evaluation.values[1]
+            gap = pareto_stationarity_gap(evaluation)
         records.append(MetricsRecord(
             t=t,
             reward_mean=estimate.reward_mean,
@@ -291,16 +268,16 @@ def estimate_gradient_lipschitz(
     """
     check_setting(setting)
     rng = np.random.default_rng(seed)
-    d1 = env.n_states * env.n_actions
+    S, A = env.n_states, env.n_actions
+
+    def gradients(theta):
+        return exact_policy_gradient(PolicyEvaluation(env, PolicyParams(theta, S, A), setting))
+
     worst = 0.0
     for _ in range(n_probes):
-        center = rng.normal(0.0, 1.0, size=d1)
-        step = rng.normal(0.0, 1.0, size=d1)
+        center = rng.normal(0.0, 1.0, size=S * A)
+        step = rng.normal(0.0, 1.0, size=S * A)
         step *= radius / np.linalg.norm(step)
-        pa = PolicyParams(center, env.n_states, env.n_actions)
-        pb = PolicyParams(center + step, env.n_states, env.n_actions)
-        for i in range(env.n_objectives):
-            ga = exact_policy_gradient(env, pa, i, setting)
-            gb = exact_policy_gradient(env, pb, i, setting)
-            worst = max(worst, float(np.linalg.norm(ga - gb) / np.linalg.norm(step)))
+        diff = gradients(center) - gradients(center + step)
+        worst = max(worst, float(max(map(np.linalg.norm, diff)) / np.linalg.norm(step)))
     return worst

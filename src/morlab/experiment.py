@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import MetricsRecord, MoacConfig, MoacResult, run_moac
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, ConvergenceError, DivergenceError, ModelError
 from .mgda import MomentumSchedule
 from .momdp import TabularMomdp, build_fishwood, build_resource_gathering, load_env_json
 
@@ -281,10 +281,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     try:
         result = run_moac(env, moac_config(cfg, seed))
     except DivergenceError as exc:
-        raise DivergenceError(
-            f"seed {seed} diverged at iteration {exc.iteration}",
-            iteration=exc.iteration, seed=seed,
-        ) from exc
+        raise DivergenceError(f"seed {seed}: {exc}", iteration=exc.iteration, seed=seed) from exc
+    except ModelError as exc:
+        raise ModelError(f"seed {seed}: {exc}") from exc
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"seed {seed}: {exc}", residual=exc.residual) from exc
     csv_path = out_dir / f"seed_{seed}.csv"
     write_metrics_csv(csv_path, result, env.n_objectives, cfg.oracle)
     if cfg.jsonl:
@@ -308,7 +309,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]
     if max_workers is None:
         env_workers = os.environ.get(WORKERS_ENV_VAR)
-        max_workers = int(env_workers) if env_workers else min(len(seeds), os.cpu_count() or 1)
+        try:
+            max_workers = int(env_workers) if env_workers else min(len(seeds), os.cpu_count() or 1)
+        except ValueError as exc:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env_workers!r}") from exc
     max_workers = max(1, min(max_workers, len(seeds)))
     if max_workers == 1:
         for seed in seeds:

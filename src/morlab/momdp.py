@@ -422,20 +422,6 @@ def build_resource_gathering(discount: float = 0.9, attack_prob: float = 0.1) ->
 # Exact chain quantities
 # ---------------------------------------------------------------------------
 
-def policy_transition_matrix(env: TabularMomdp, policy) -> np.ndarray:
-    """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)."""
-    probs = policy.probability_matrix()
-    if probs.shape != (env.n_states, env.n_actions):
-        raise ParameterError("policy dimensions do not match the environment")
-    return np.einsum("sa,sax->sx", probs, env.transition)
-
-
-def expected_rewards(env: TabularMomdp, policy) -> np.ndarray:
-    """(M, S) per-state expected one-step reward under the policy."""
-    probs = policy.probability_matrix()
-    return np.einsum("sa,msa->ms", probs, env.reward)
-
-
 def _check_irreducible(P: np.ndarray):
     n_comp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
     if n_comp != 1:
@@ -449,15 +435,14 @@ def _stationary_residual(d: np.ndarray, P: np.ndarray) -> float:
     return float(np.max(np.abs(d @ P - d)))
 
 
-def compute_stationary_distribution(env: TabularMomdp, policy, tol: float = 1e-10) -> np.ndarray:
-    """Stationary distribution of the induced chain, d^T P = d^T, sum(d) = 1.
+def compute_stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Stationary distribution of the (S, S) kernel P, d^T P = d^T, sum(d) = 1.
 
     Direct linear solve with a few exact power-polish steps; falls back to
     power iteration (tol 1e-12, capped at 1e6 sweeps) if the solve fails.
     """
-    P = policy_transition_matrix(env, policy)
     _check_irreducible(P)
-    n = env.n_states
+    n = P.shape[0]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -494,47 +479,75 @@ def compute_stationary_distribution(env: TabularMomdp, policy, tol: float = 1e-1
     return d
 
 
-def value_functions(env: TabularMomdp, policy, setting: str):
-    """Exact per-objective state values.
+class PolicyEvaluation:
+    """Exact chain quantities of one policy in one reward setting.
 
-    Returns (V, J): V has shape (M, S), J shape (M,). Discounted: V solves
-    (I - gamma_i P_pi) V = r_pi exactly and J = <initial_distribution, V>.
-    Average: V is the differential value from the Poisson equation, pinned by
-    sum_s d(s) V(s) = 0, and J is the stationary per-step reward.
+    The action probabilities ``probs`` (S, A), the state kernel ``P``
+    (P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)) and the expected one-step reward
+    ``r`` (M, S) are built on construction. The stationary distribution ``d``,
+    the value functions ``values`` and the ``advantages`` are solved once, on
+    first use, so a quantity no caller asks for is never solved (a discounted
+    objective, for instance, never needs ``d``).
     """
-    check_setting(setting)
-    P = policy_transition_matrix(env, policy)
-    r_bar = expected_rewards(env, policy)
-    S, M = env.n_states, env.n_objectives
-    V = np.empty((M, S))
-    if setting == DISCOUNTED:
-        for i in range(M):
-            V[i] = np.linalg.solve(np.eye(S) - env.discounts[i] * P, r_bar[i])
-        J = V @ env.initial_distribution
-    else:
-        d = compute_stationary_distribution(env, policy)
-        J = r_bar @ d
+
+    def __init__(self, env: TabularMomdp, policy, setting: str):
+        self.env = env
+        self.policy = policy
+        self.setting = check_setting(setting)
+        self.probs = policy.probability_matrix()
+        if self.probs.shape != (env.n_states, env.n_actions):
+            raise ParameterError("policy dimensions do not match the environment")
+        self.P = np.einsum("sa,sax->sx", self.probs, env.transition)
+        self.r = np.einsum("sa,msa->ms", self.probs, env.reward)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """(S,) stationary distribution of ``P``; ModelError if reducible."""
+        return compute_stationary_distribution(self.P)
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact per-objective (V, J): V has shape (M, S), J shape (M,).
+
+        Discounted: V solves (I - gamma_i P_pi) V = r_pi exactly and
+        J = <initial_distribution, V>. Average: V is the differential value
+        from the Poisson equation, pinned by sum_s d(s) V(s) = 0, and J is the
+        stationary per-step reward.
+        """
+        env, P, r = self.env, self.P, self.r
+        S, M = env.n_states, env.n_objectives
+        if self.setting == DISCOUNTED:
+            V = np.empty((M, S))
+            for i in range(M):
+                V[i] = np.linalg.solve(np.eye(S) - env.discounts[i] * P, r[i])
+            return V, V @ env.initial_distribution
+        d = self.d
+        J = r @ d
         # (I - P + 1 d^T) is invertible for irreducible chains and its solution
         # already satisfies the d-weighted pinning
         A = np.eye(S) - P + np.outer(np.ones(S), d)
-        V = np.linalg.solve(A, (r_bar - J[:, None]).T).T
+        V = np.linalg.solve(A, (r - J[:, None]).T).T
         V -= (V @ d)[:, None]
-    return V, J
+        return V, J
+
+    @cached_property
+    def advantages(self) -> np.ndarray:
+        """(M, S, A) exact advantages Q(s, a) - V(s)."""
+        env = self.env
+        V, J = self.values
+        PV = np.einsum("sax,mx->msa", env.transition, V)
+        if self.setting == DISCOUNTED:
+            Q = env.reward + env.discounts[:, None, None] * PV
+        else:
+            Q = env.reward - J[:, None, None] + PV
+        return Q - V[:, :, None]
+
+
+def value_functions(env: TabularMomdp, policy, setting: str):
+    """Exact per-objective (V, J); see :attr:`PolicyEvaluation.values`."""
+    return PolicyEvaluation(env, policy, setting).values
 
 
 def compute_exact_objective(env: TabularMomdp, policy, setting: str) -> np.ndarray:
     """(M,) exact objective vector J(theta) in the requested reward setting."""
-    _, J = value_functions(env, policy, setting)
-    return J
-
-
-def action_value_functions(env: TabularMomdp, policy, setting: str):
-    """Exact per-objective Q, V, J. Q has shape (M, S, A)."""
-    check_setting(setting)
-    V, J = value_functions(env, policy, setting)
-    PV = np.einsum("sax,mx->msa", env.transition, V)
-    if setting == DISCOUNTED:
-        Q = env.reward + env.discounts[:, None, None] * PV
-    else:
-        Q = env.reward - J[:, None, None] + PV
-    return Q, V, J
+    return PolicyEvaluation(env, policy, setting).values[1]

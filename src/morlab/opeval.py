@@ -37,8 +37,8 @@ class LoggedDataset:
             raise DataError("actions and behavior_probs must match the number of records")
         if self.rewards.ndim != 2 or self.rewards.shape[0] != n:
             raise DataError("rewards must have shape (n_records, n_objectives)")
-        if np.any(self.behavior_probs <= 0.0):
-            raise DataError("every logged action must have positive behavior probability")
+        if not np.all((self.behavior_probs > 0.0) & (self.behavior_probs <= 1.0)):
+            raise DataError("every behavior probability must be finite and lie in (0, 1]")
 
     def __len__(self):
         return self.states.shape[0]
@@ -63,6 +63,10 @@ def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DE
     if not cap > 0:
         raise ParameterError("cap must be positive")
     probs = candidate.probability_matrix()
+    S, A = probs.shape
+    if not (np.all((dataset.states >= 0) & (dataset.states < S))
+            and np.all((dataset.actions >= 0) & (dataset.actions < A))):
+        raise DataError(f"logged states and actions must index the candidate's {S} states and {A} actions")
     ratios = probs[dataset.states, dataset.actions] / dataset.behavior_probs
     weights = np.minimum(cap, ratios)
     total = weights.sum()

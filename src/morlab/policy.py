@@ -8,14 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .momdp import (
-    DISCOUNTED,
-    TabularMomdp,
-    action_value_functions,
-    check_setting,
-    compute_stationary_distribution,
-    policy_transition_matrix,
-)
+from .momdp import DISCOUNTED, PolicyEvaluation, TabularMomdp
 
 TABULAR = "tabular"
 LINEAR = "linear"
@@ -162,44 +155,32 @@ def score_function(policy: PolicyParams, state: int, action: int) -> np.ndarray:
     return policy.score_weighted_sum(coeff)
 
 
-def exact_policy_gradient(
-    env: TabularMomdp,
-    policy: PolicyParams,
-    objective: int,
-    setting: str,
-    state_weighting: str = "stationary",
-) -> np.ndarray:
-    """Exact-enumeration policy gradient for one objective.
+def exact_policy_gradient(evaluation: PolicyEvaluation,
+                          state_weighting: str = "stationary") -> np.ndarray:
+    """Exact-enumeration policy gradients of all M objectives, shape (M, dim).
 
     The per-pair contribution is score(s, a) weighted by pi(a|s) and the exact
-    advantage Q(s, a) - V(s) from the corresponding linear solve. States are
-    weighted by the stationary distribution of the induced chain by default;
-    this is the exact gradient of the average-reward objective and, in the
-    discounted setting, the direction the sampled TD actor estimates.
+    advantage Q(s, a) - V(s) of the evaluation. States are weighted by the
+    stationary distribution of the induced chain by default; this is the exact
+    gradient of the average-reward objective and, in the discounted setting,
+    the direction the sampled TD actor estimates.
 
     ``state_weighting="visitation"`` instead weights states by the discounted
     visitation measure initial^T (I - gamma P)^{-1}, which is the exact
     gradient of the discounted start-state objective (the two weightings agree
     in the average setting, where the visitation measure is stationary).
     """
-    check_setting(setting)
-    if not 0 <= objective < env.n_objectives:
-        raise ParameterError(f"objective {objective} out of range")
     if state_weighting not in ("stationary", "visitation"):
         raise ParameterError(f"unknown state_weighting {state_weighting!r}")
-    if state_weighting == "visitation" and setting == DISCOUNTED:
-        gamma = env.discounts[objective]
-        P = policy_transition_matrix(env, policy)
-        weights = np.linalg.solve(
-            (np.eye(env.n_states) - gamma * P).T, env.initial_distribution
-        )
+    env, policy = evaluation.env, evaluation.policy
+    if state_weighting == "visitation" and evaluation.setting == DISCOUNTED:
+        eye = np.eye(env.n_states)
+        weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)
+                            for gamma in env.discounts])
     else:
-        weights = compute_stationary_distribution(env, policy)
-    Q, V, _ = action_value_functions(env, policy, setting)
-    adv = Q[objective] - V[objective][:, None]
-    probs = policy.probability_matrix()
-    coeff = weights[:, None] * probs * adv
-    return policy.score_weighted_sum(coeff)
+        weights = evaluation.d[None, :]
+    coeff = weights[:, :, None] * evaluation.probs * evaluation.advantages
+    return np.stack([policy.score_weighted_sum(c) for c in coeff])
 
 
 def save_policy_json(policy: PolicyParams, path: str):

@@ -22,11 +22,11 @@ from morlab import (
     MarkovSampler,
     MoacConfig,
     MomentumSchedule,
+    PolicyEvaluation,
     build_fishwood,
     build_resource_gathering,
     complete_feature_map,
     compute_exact_objective,
-    compute_stationary_distribution,
     compute_td_fixed_point,
     default_feature_map,
     duality_gap,
@@ -103,7 +103,7 @@ def test_criterion_2_td_fixed_point():
             env = random_momdp(rng, n_states=n_states, n_actions=2, n_objectives=2)
             policy = random_policy(rng, n_states, 2)
             features = default_feature_map(n_states)
-            fp = compute_td_fixed_point(env, policy, features, setting)
+            fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
             for i in range(2):
                 residual = np.max(np.abs(fp.A[i] @ fp.w_star[i] + fp.b[i]))
                 assert residual <= 1e-10
@@ -139,7 +139,7 @@ def test_criterion_3_critic_convergence():
     env = two_state_env()
     features = default_feature_map(2)
     policy = uniform_policy(env)
-    fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
+    fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), features)
     beta = theory_critic_step(fp)
     initial = float((fp.w_star ** 2).sum())
 
@@ -178,10 +178,10 @@ def test_criterion_4a_compatible_features_enumeration():
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
         policy = random_policy(rng, 4, 2)
         features = complete_feature_map(4)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        for i in range(2):
-            limit = expected_td_gradient(env, policy, features, fp.w_star[i], i, DISCOUNTED)
-            epg = exact_policy_gradient(env, policy, i, DISCOUNTED)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        for i, epg in enumerate(exact_policy_gradient(evaluation)):
+            limit = expected_td_gradient(evaluation, features, fp.w_star[i], i)
             worst = max(worst, float(np.max(np.abs(limit - epg))))
             assert np.max(np.abs(limit - epg)) <= 1e-8
     elapsed = time.monotonic() - start
@@ -196,8 +196,7 @@ def test_criterion_4b_finite_difference_average():
     for _ in range(3):
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
         policy = random_policy(rng, 4, 2)
-        for i in range(2):
-            g = exact_policy_gradient(env, policy, i, AVERAGE)
+        for i, g in enumerate(exact_policy_gradient(PolicyEvaluation(env, policy, AVERAGE))):
             fd = finite_difference_gradient(env, policy.theta, i, AVERAGE)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, rel)
@@ -220,8 +219,7 @@ def test_criterion_4c_finite_difference_discounted():
     env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
     policy = random_policy(rng, 4, 2)
     rels = []
-    for i in range(2):
-        g = exact_policy_gradient(env, policy, i, DISCOUNTED)
+    for i, g in enumerate(exact_policy_gradient(PolicyEvaluation(env, policy, DISCOUNTED))):
         fd = finite_difference_gradient(env, policy.theta, i, DISCOUNTED)
         rels.append(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
     print(f"\n[criterion 4c] discounted FD mismatch (relative): {[f'{r:.3f}' for r in rels]} "
@@ -357,7 +355,7 @@ def test_criterion_8_ncis_self_consistency():
     data = generate_logged_data(env, behavior, n=n, seed=424242)
     scores = ncis_scores(data, behavior, cap=10.0)
     J = compute_exact_objective(env, behavior, AVERAGE)
-    d = compute_stationary_distribution(env, behavior)
+    d = PolicyEvaluation(env, behavior, AVERAGE).d
     weights = d[:, None] * behavior.probability_matrix()
     for i in range(2):
         second_moment = float((weights * env.reward[i] ** 2).sum())

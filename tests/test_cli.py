@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morlab import ConfigError, build_fishwood, generate_logged_data, save_logged_data, save_policy_json, uniform_policy
+from morlab import (
+    ConfigError,
+    ConvergenceError,
+    TabularMomdp,
+    build_fishwood,
+    generate_logged_data,
+    save_env_json,
+    save_logged_data,
+    save_policy_json,
+    uniform_policy,
+)
 from morlab.cli import main
 from morlab.experiment import (
     DONE_SUFFIX,
@@ -227,6 +237,39 @@ class TestCliCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert "seed 100" in err
+        assert "actor iteration 1" in err and "inner critic iteration" in err
+
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MORLAB_WORKERS", "abc")
+        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "w")])
+        assert code == 2
+        assert "MORLAB_WORKERS" in capsys.readouterr().err
+
+    def test_reducible_chain_under_oracle_exits_2(self, tmp_path, capsys):
+        # every action keeps the state, so no policy has a unique stationary law
+        env = TabularMomdp(2, 2, 1, np.stack([np.eye(2), np.eye(2)], axis=1),
+                           np.ones((1, 2, 2)), np.array([0.9]), np.array([0.5, 0.5]))
+        save_env_json(env, str(tmp_path / "env.json"))
+        text = BASE_CONFIG.replace("oracle = false", "oracle = true")
+        text = text.replace("kind = fishwood", f"kind = file\npath = {tmp_path / 'env.json'}")
+        code = main(["run", str(write_config(tmp_path, text)), "--out", str(tmp_path / "r"),
+                     "--seeds", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "reducible" in err and "seed 100" in err
+
+    def test_qp_without_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
+        import morlab.driver
+
+        def no_certificate(gradients):
+            raise ConvergenceError("min-norm solver stopped without certificate", residual=1.0)
+
+        monkeypatch.setattr(morlab.driver, "solve_min_norm", no_certificate)
+        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "q"),
+                     "--seeds", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "certificate" in err and "seed 100" in err
 
     def test_ncis_command(self, tmp_path, capsys):
         env = build_fishwood(0.4, 0.5)

@@ -10,54 +10,85 @@ from morlab import (
     DivergenceError,
     MarkovSampler,
     ModelError,
+    ParameterError,
+    PolicyEvaluation,
     TabularMomdp,
-    Transition,
     compute_td_fixed_point,
     compute_zeta_approx,
     complete_feature_map,
     default_feature_map,
     expected_td_update,
     run_critic,
-    td_error_average,
-    td_error_discounted,
+    td_errors,
     theory_critic_step,
     uniform_policy,
-    value_functions,
 )
 
-from util import random_momdp, random_policy, two_state_env
+from util import random_momdp, random_policy, reward_tracker_path, single_chain_env, two_state_env
+
+
+def one_step(n_states, reward, next_state, w, features, setting, mu_prev=0.0, step_size=0.1,
+             discount=0.9):
+    """TD error and tracker of a one-sample batch 0 -> next_state paying ``reward``."""
+    rewards = np.zeros((1, n_states, 1))
+    rewards[0, 0, 0] = reward
+    env = single_chain_env(np.full((n_states, n_states), 1.0 / n_states), rewards, discount)
+    batch = (np.array([0]), np.array([0]), np.array([next_state]))
+    delta, r, mu = td_errors(env, features, np.array([w], dtype=float), batch, setting,
+                             np.array([mu_prev]), step_size)
+    assert r.tolist() == [[reward]]
+    return float(delta[0, 0]), float(mu[0])
 
 
 class TestTdErrors:
     def test_average_plugin(self):
         # r=1, mu_prev=0, beta=0.1, equal state values => mu=0.1, delta=0.9
-        features = default_feature_map(2)
-        tr = Transition(state=0, action=0, rewards=np.array([1.0]), next_state=0)
-        delta, mu = td_error_average(np.zeros(1), 0.0, tr, 0, features, 0.1)
+        delta, mu = one_step(2, 1.0, 0, [0.0], default_feature_map(2), AVERAGE, 0.0, 0.1)
         assert mu == pytest.approx(0.1)
         assert delta == pytest.approx(0.9)
 
     def test_average_constant_reward_tracked(self):
         c = 0.6
-        features = default_feature_map(3)
-        w = np.array([0.4, -0.2])
-        tr = Transition(state=0, action=0, rewards=np.array([c]), next_state=1)
-        delta, mu = td_error_average(w, c, tr, 0, features, 0.3)
+        w = [0.4, -0.2]
+        delta, mu = one_step(3, c, 1, w, default_feature_map(3), AVERAGE, c, 0.3)
         assert mu == pytest.approx(c)
         assert delta == pytest.approx(w[1] - w[0])
 
     def test_discounted_plugin(self):
         # r=1, gamma=0.9, phi(s')w=2, phi(s)w=1 => delta=1.8
-        features = complete_feature_map(2)
-        w = np.array([1.0, 2.0])
-        tr = Transition(state=0, action=0, rewards=np.array([1.0]), next_state=1)
-        delta = td_error_discounted(w, tr, 0, features, 0.9)
+        delta, mu = one_step(2, 1.0, 1, [1.0, 2.0], complete_feature_map(2), DISCOUNTED,
+                             mu_prev=0.25, discount=0.9)
         assert delta == pytest.approx(1.8)
+        assert mu == 0.25   # the discounted setting leaves the tracker alone
 
     def test_discounted_zero_weights(self):
-        features = default_feature_map(2)
-        tr = Transition(state=0, action=0, rewards=np.array([0.7]), next_state=1)
-        assert td_error_discounted(np.zeros(1), tr, 0, features, 0.95) == pytest.approx(0.7)
+        delta, _ = one_step(2, 0.7, 1, [0.0], default_feature_map(2), DISCOUNTED, discount=0.95)
+        assert delta == pytest.approx(0.7)
+
+    def test_average_trackers_match_recursion_reference(self):
+        # the one-tap IIR filter reproduces the plain recursion bit for bit,
+        # so the TD errors and the final trackers do too
+        rng = np.random.default_rng(2026)
+        for trial in range(300):
+            M = int(rng.integers(1, 5))
+            S = int(rng.integers(2, 7))
+            D = int(rng.integers(1, 201))
+            env = random_momdp(rng, n_states=S, n_actions=2, n_objectives=M)
+            features = default_feature_map(S)
+            w = rng.normal(0.0, 1.0, size=(M, features.dim))
+            batch = tuple(rng.integers(0, n, size=D) for n in (S, 2, S))
+            mu0 = rng.normal(0.0, 1.0, size=M)
+            beta = (0.1, 0.5, 20.0, float(rng.uniform(0.0, 1.0)))[trial % 4]
+            delta, r, mu = td_errors(env, features, w, batch, AVERAGE, mu0, beta)
+            s_arr, a_arr, ns_arr = batch
+            phi = features.matrix
+            ref_r = env.reward[:, s_arr, a_arr]
+            path = reward_tracker_path(ref_r, mu0, beta)
+            ref_delta = ref_r - path + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
+            assert np.array_equal(r, ref_r)
+            assert np.array_equal(delta, ref_delta, equal_nan=True)
+            assert np.array_equal(mu, path[:, -1], equal_nan=True)
+            assert np.array_equal(delta @ phi[s_arr], ref_delta @ phi[s_arr], equal_nan=True)
 
 
 class TestFixedPoint:
@@ -68,7 +99,7 @@ class TestFixedPoint:
             env = random_momdp(rng, n_states=5, n_actions=2, n_objectives=2)
             policy = random_policy(rng, 5, 2)
             features = default_feature_map(5)
-            fp = compute_td_fixed_point(env, policy, features, setting)
+            fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
             for i in range(2):
                 residual = fp.A[i] @ fp.w_star[i] + fp.b[i]
                 assert np.max(np.abs(residual)) <= 1e-10
@@ -81,7 +112,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(200)
         env = random_momdp(rng, n_states=4, n_actions=3, n_objectives=2)
         policy = random_policy(rng, 4, 3)
-        fp = compute_td_fixed_point(env, policy, default_feature_map(4), setting)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), default_feature_map(4))
         for _ in range(100):
             w = rng.normal(size=fp.A.shape[-1])
             for i in range(env.n_objectives):
@@ -93,24 +124,27 @@ class TestFixedPoint:
         policy = random_policy(rng, 5, 2)
         features = default_feature_map(5)
         for setting in (AVERAGE, DISCOUNTED):
-            fp = compute_td_fixed_point(env, policy, features, setting)
+            evaluation = PolicyEvaluation(env, policy, setting)
+            fp = compute_td_fixed_point(evaluation, features)
             for i in range(2):
-                upd = expected_td_update(env, policy, features, fp.w_star[i], i, setting)
+                upd = expected_td_update(evaluation, features, fp.w_star[i], i)
                 assert np.max(np.abs(upd)) <= 1e-10
+            for objective in (-1, 2):
+                with pytest.raises(ParameterError):
+                    expected_td_update(evaluation, features, fp.w_star[0], objective)
 
     def test_discounted_one_hot_features_solve_represented_bellman_rows(self):
         # with one-hot features over all-but-last states, the fixed point is
         # exact on represented states: it solves their Bellman equations with
         # the zeroed state's value clamped at 0 (independent direct solve)
-        from morlab import expected_rewards, policy_transition_matrix
         rng = np.random.default_rng(400)
         env = random_momdp(rng, n_states=5, n_actions=2, n_objectives=2,
                            discounts=[0.9, 0.8])
         policy = random_policy(rng, 5, 2)
         features = default_feature_map(5)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        P = policy_transition_matrix(env, policy)
-        r_bar = expected_rewards(env, policy)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        P, r_bar = evaluation.P, evaluation.r
         for i in range(2):
             gamma = env.discounts[i]
             sub = np.eye(4) - gamma * P[:4, :4]
@@ -124,8 +158,9 @@ class TestFixedPoint:
                            discounts=[0.9, 0.8])
         policy = random_policy(rng, 5, 2)
         features = complete_feature_map(5)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        V, _ = value_functions(env, policy, DISCOUNTED)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        V, _ = evaluation.values
         assert np.max(np.abs(fp.w_star - V)) <= 1e-8
 
     def test_average_full_one_hot_rejected(self):
@@ -133,14 +168,14 @@ class TestFixedPoint:
         env = two_state_env()
         policy = uniform_policy(env)
         with pytest.raises(ModelError):
-            compute_td_fixed_point(env, policy, complete_feature_map(2), AVERAGE)
+            compute_td_fixed_point(PolicyEvaluation(env, policy, AVERAGE), complete_feature_map(2))
 
     def test_heterogeneous_discounts_give_distinct_matrices(self):
         rng = np.random.default_rng(500)
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2,
                            discounts=[0.95, 0.6])
         policy = random_policy(rng, 4, 2)
-        fp = compute_td_fixed_point(env, policy, default_feature_map(4), DISCOUNTED)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), default_feature_map(4))
         assert not np.allclose(fp.A[0], fp.A[1])
 
 
@@ -150,20 +185,21 @@ class TestZetaApprox:
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
         policy = random_policy(rng, 4, 2)
         features = complete_feature_map(4)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        zeta = compute_zeta_approx(env, policy, fp, features, DISCOUNTED)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        zeta = compute_zeta_approx(evaluation, fp, features)
         assert zeta <= 1e-16
 
     def test_default_features_match_enumeration(self):
-        from morlab import compute_stationary_distribution
         rng = np.random.default_rng(700)
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
         policy = random_policy(rng, 4, 2)
         features = default_feature_map(4)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        zeta = compute_zeta_approx(env, policy, fp, features, DISCOUNTED)
-        d = compute_stationary_distribution(env, policy)
-        V, _ = value_functions(env, policy, DISCOUNTED)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        zeta = compute_zeta_approx(evaluation, fp, features)
+        d = evaluation.d
+        V, _ = evaluation.values
         expected = max(
             float(d @ (V[i] - features.matrix @ fp.w_star[i]) ** 2) for i in range(2)
         )
@@ -179,14 +215,14 @@ class TestRunCritic:
         # replicate the batch's sampled transition with an equal-seeded sampler
         probe = MarkovSampler(env, seed=77)
         s_arr, a_arr, ns_arr = probe.sample_policy_batch(policy.probability_matrix(), 1)
-        tr = Transition(int(s_arr[0]), int(a_arr[0]), env.reward[:, s_arr[0], a_arr[0]], int(ns_arr[0]))
+        s, a = int(s_arr[0]), int(a_arr[0])
         sampler = MarkovSampler(env, seed=77)
         critic = CriticState.zeros(2, 1, step_size=0.2, batch_size=1, n_iterations=1)
         updated, final_state = run_critic(sampler, policy, critic, features, DISCOUNTED)
-        assert final_state == tr.next_state
+        assert final_state == int(ns_arr[0])
         for i in range(2):
-            delta = td_error_discounted(np.zeros(1), tr, i, features, env.discounts[i])
-            expected = 0.2 * delta * features.state_vector(tr.state)
+            delta = env.reward[i, s, a]   # zero weights: the TD error is the reward
+            expected = 0.2 * delta * features.state_vector(s)
             assert np.allclose(updated.weights[i], expected, atol=1e-15)
 
     def test_zero_reward_keeps_weights_zero(self):
@@ -217,7 +253,7 @@ class TestRunCritic:
         env = two_state_env()
         features = default_feature_map(2)
         policy = uniform_policy(env)
-        fp = compute_td_fixed_point(env, policy, features, setting)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
         # the analysis only upper-bounds beta; the average setting needs a
         # moderate step or the reward-tracker coupling dominates the floor
         beta = theory_critic_step(fp) if setting == DISCOUNTED else min(0.1, theory_critic_step(fp))
@@ -234,7 +270,7 @@ class TestRunCritic:
         env = two_state_env()
         features = default_feature_map(2)
         policy = uniform_policy(env)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), features)
         beta = theory_critic_step(fp)
         for seed in range(1000):
             critic = CriticState.zeros(2, 1, step_size=beta, batch_size=10, n_iterations=20)
@@ -253,7 +289,7 @@ class TestRunCritic:
         env = two_state_env()
         features = default_feature_map(2)
         policy = uniform_policy(env)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), features)
         critic = CriticState.zeros(2, 1, step_size=0.1, batch_size=8, n_iterations=25)
         trace = []
         run_critic(MarkovSampler(env, seed=3), policy, critic, features, DISCOUNTED,

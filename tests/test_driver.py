@@ -11,6 +11,7 @@ from morlab import (
     MarkovSampler,
     MoacConfig,
     MomentumSchedule,
+    PolicyEvaluation,
     build_fishwood,
     complete_feature_map,
     compute_td_fixed_point,
@@ -25,7 +26,6 @@ from morlab import (
     solve_min_norm,
     theory_actor_step,
     uniform_policy,
-    value_functions,
 )
 
 from util import random_momdp, random_policy, two_state_env
@@ -67,7 +67,8 @@ class TestGradientEstimates:
         env = two_state_env()
         features = default_feature_map(2)
         policy = uniform_policy(env)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
+        evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
         B = 100_000
         sampler = MarkovSampler(env, seed=7)
         est, _ = estimate_objective_gradients(
@@ -75,7 +76,7 @@ class TestGradientEstimates:
         )
         budget = 3.0 * (2.0 * env.r_max + 2.0 * fp.r_w_bound) / np.sqrt(B)
         for i in range(2):
-            limit = expected_td_gradient(env, policy, features, fp.w_star[i], i, DISCOUNTED)
+            limit = expected_td_gradient(evaluation, features, fp.w_star[i], i)
             assert np.linalg.norm(est.per_objective[i] - limit) <= budget
 
     def test_enumeration_limit_equals_exact_gradient_with_complete_features(self):
@@ -85,15 +86,17 @@ class TestGradientEstimates:
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
         policy = random_policy(rng, 4, 2)
         features = complete_feature_map(4)
-        fp = compute_td_fixed_point(env, policy, features, DISCOUNTED)
-        V_avg, _ = value_functions(env, policy, AVERAGE)
+        disc = PolicyEvaluation(env, policy, DISCOUNTED)
+        avg = PolicyEvaluation(env, policy, AVERAGE)
+        fp = compute_td_fixed_point(disc, features)
+        V_avg, _ = avg.values
+        epg_disc = exact_policy_gradient(disc)
+        epg_avg = exact_policy_gradient(avg)
         for i in range(2):
-            delta_disc = expected_td_gradient(env, policy, features, fp.w_star[i], i, DISCOUNTED)
-            epg_disc = exact_policy_gradient(env, policy, i, DISCOUNTED)
-            assert np.max(np.abs(delta_disc - epg_disc)) <= 1e-8
-            delta_avg = expected_td_gradient(env, policy, features, V_avg[i], i, AVERAGE)
-            epg_avg = exact_policy_gradient(env, policy, i, AVERAGE)
-            assert np.max(np.abs(delta_avg - epg_avg)) <= 1e-8
+            delta_disc = expected_td_gradient(disc, features, fp.w_star[i], i)
+            assert np.max(np.abs(delta_disc - epg_disc[i])) <= 1e-8
+            delta_avg = expected_td_gradient(avg, features, V_avg[i], i)
+            assert np.max(np.abs(delta_avg - epg_avg[i])) <= 1e-8
 
     def test_average_setting_uses_fresh_trackers(self):
         env = two_state_env()
@@ -112,8 +115,9 @@ class TestParetoGap:
         env = random_momdp(rng, n_states=3, n_actions=2, n_objectives=1)
         policy = random_policy(rng, 3, 2)
         for setting in (AVERAGE, DISCOUNTED):
-            g = exact_policy_gradient(env, policy, 0, setting)
-            gap = pareto_stationarity_gap(env, policy, setting)
+            evaluation = PolicyEvaluation(env, policy, setting)
+            g = exact_policy_gradient(evaluation)[0]
+            gap = pareto_stationarity_gap(evaluation)
             assert gap == pytest.approx(float(g @ g), rel=1e-10, abs=1e-15)
 
     def test_complementary_rewards_give_zero_gap(self):
@@ -127,10 +131,10 @@ class TestParetoGap:
                            base.initial_distribution)
         policy = random_policy(rng, 3, 2)
         for setting in (AVERAGE, DISCOUNTED):
-            g0 = exact_policy_gradient(env, policy, 0, setting)
-            g1 = exact_policy_gradient(env, policy, 1, setting)
+            evaluation = PolicyEvaluation(env, policy, setting)
+            g0, g1 = exact_policy_gradient(evaluation)
             assert np.allclose(g0, -g1, atol=1e-10)
-            assert pareto_stationarity_gap(env, policy, setting) <= 1e-12
+            assert pareto_stationarity_gap(evaluation) <= 1e-12
 
     def test_objective_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -141,8 +145,8 @@ class TestParetoGap:
         perm = [2, 0, 1]
         env2 = TabularMomdp(4, 2, 3, env.transition, env.reward[perm],
                             env.discounts[perm], env.initial_distribution)
-        g1 = pareto_stationarity_gap(env, policy, DISCOUNTED)
-        g2 = pareto_stationarity_gap(env2, policy, DISCOUNTED)
+        g1 = pareto_stationarity_gap(PolicyEvaluation(env, policy, DISCOUNTED))
+        g2 = pareto_stationarity_gap(PolicyEvaluation(env2, policy, DISCOUNTED))
         assert g1 == pytest.approx(g2, rel=1e-8, abs=1e-15)
 
 
@@ -233,6 +237,18 @@ class TestRunMoac:
             run_moac(env, small_config(critic_step_size=1e9, critic_iterations=50,
                                        actor_iterations=3))
         assert err.value.iteration is not None
+
+    def test_critic_divergence_names_actor_and_critic_iterations(self):
+        # the critic fails at its first inner step of actor iteration 3; the
+        # report must carry t = 3 (a run of 2 iterations still completes)
+        config = dict(setting=AVERAGE, critic_step_size=3.0, critic_iterations=2)
+        run_moac(two_state_env(), small_config(actor_iterations=2, **config))
+        with pytest.raises(DivergenceError) as err:
+            run_moac(two_state_env(), small_config(actor_iterations=15, **config))
+        assert err.value.iteration == 3
+        assert err.value.__cause__.iteration == 1
+        assert "actor iteration 3" in str(err.value)
+        assert "inner critic iteration 1" in str(err.value)
 
     def test_chain_hand_off_is_single_trajectory(self):
         # one unbroken chain across critic and actor phases: re-consume the

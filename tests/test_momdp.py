@@ -11,14 +11,13 @@ from morlab import (
     MarkovSampler,
     ModelError,
     ParameterError,
+    PolicyEvaluation,
     PolicyParams,
     TabularMomdp,
     build_fishwood,
     build_resource_gathering,
     compute_exact_objective,
-    compute_stationary_distribution,
     load_env_json,
-    policy_transition_matrix,
     save_env_json,
     uniform_policy,
 )
@@ -91,7 +90,7 @@ class TestBuilders:
 
     def test_resource_gathering_uniform_chain_ergodic(self):
         env = build_resource_gathering()
-        P = policy_transition_matrix(env, uniform_policy(env))
+        P = PolicyEvaluation(env, uniform_policy(env), AVERAGE).P
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
         n_comp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
@@ -378,14 +377,14 @@ class TestStationary:
     def test_doubly_stochastic_two_states(self):
         P = np.array([[0.4, 0.6], [0.6, 0.4]])
         env = single_chain_env(P)
-        d = compute_stationary_distribution(env, uniform_policy(env))
+        d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
         assert np.allclose(d, [0.5, 0.5], atol=1e-12)
 
     def test_two_state_balance(self):
         # dP = d  =>  d = (5/6, 1/6) for this chain
         P = np.array([[0.9, 0.1], [0.5, 0.5]])
         env = single_chain_env(P)
-        d = compute_stationary_distribution(env, uniform_policy(env))
+        d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
         assert np.allclose(d, [5.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
     def test_residual_bound_for_built_envs(self):
@@ -393,8 +392,8 @@ class TestStationary:
         for env in (build_fishwood(0.3, 0.7), build_resource_gathering(), two_state_env()):
             for _ in range(20):
                 policy = random_policy(rng, env.n_states, env.n_actions)
-                d = compute_stationary_distribution(env, policy)
-                P = policy_transition_matrix(env, policy)
+                evaluation = PolicyEvaluation(env, policy, AVERAGE)
+                d, P = evaluation.d, evaluation.P
                 assert np.max(np.abs(d @ P - d)) <= 1e-10
                 assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -402,7 +401,26 @@ class TestStationary:
         P = np.eye(2)  # two absorbing states
         env = single_chain_env(P)
         with pytest.raises(ModelError):
-            compute_stationary_distribution(env, uniform_policy(env))
+            PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
+
+    def test_discounted_objective_does_not_need_stationarity(self):
+        # d is solved only on demand: the discounted values of a reducible
+        # chain stay well defined
+        env = single_chain_env(np.eye(2), rewards=[[[1.0], [0.5]]], discount=0.5)
+        evaluation = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED)
+        V, J = evaluation.values
+        assert np.allclose(V, [[2.0, 1.0]], atol=1e-12)
+        assert J == pytest.approx([1.5], abs=1e-12)
+        assert np.array_equal(compute_exact_objective(env, uniform_policy(env), DISCOUNTED), J)
+        with pytest.raises(ModelError):
+            evaluation.d
+
+    def test_policy_shape_mismatch_rejected(self):
+        env = two_state_env()
+        with pytest.raises(ParameterError):
+            PolicyEvaluation(env, PolicyParams(np.zeros(6), 3, 2), AVERAGE)
+        with pytest.raises(ParameterError):
+            PolicyEvaluation(env, uniform_policy(env), "episodic")
 
 
 class TestExactObjective:

@@ -8,10 +8,10 @@ from morlab import (
     DataError,
     LoggedDataset,
     ParameterError,
+    PolicyEvaluation,
     PolicyParams,
     build_fishwood,
     compute_exact_objective,
-    compute_stationary_distribution,
     generate_logged_data,
     load_logged_data,
     ncis_score,
@@ -73,6 +73,27 @@ class TestNcisScore:
             LoggedDataset(states=np.array([0]), actions=np.array([0]),
                           rewards=np.array([[1.0]]), behavior_probs=np.array([0.0]))
 
+    @pytest.mark.parametrize("pb", [1.5, np.nan, np.inf, -0.25])
+    def test_behavior_probability_outside_unit_interval_rejected(self, pb):
+        with pytest.raises(DataError):
+            LoggedDataset(states=np.array([0, 0]), actions=np.array([0, 1]),
+                          rewards=np.array([[1.0], [0.0]]), behavior_probs=np.array([0.5, pb]))
+
+    def test_behavior_probability_one_accepted(self):
+        dataset = LoggedDataset(states=np.array([0]), actions=np.array([1]),
+                                rewards=np.array([[1.0]]), behavior_probs=np.array([1.0]))
+        assert ncis_scores(dataset, logit_policy(np.array([[0.5, 0.5]]))).tolist() == [1.0]
+
+    @pytest.mark.parametrize("state, action", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_index_outside_candidate_rejected(self, state, action):
+        # a state of -1 must not wrap to the last state, nor one past the end
+        # escape as a raw IndexError
+        dataset = LoggedDataset(states=np.array([0, state]), actions=np.array([1, action]),
+                                rewards=np.array([[1.0], [0.0]]), behavior_probs=np.array([0.5, 0.5]))
+        candidate = logit_policy(np.array([[0.5, 0.5], [0.25, 0.75]]))
+        with pytest.raises(DataError, match="index"):
+            ncis_scores(dataset, candidate)
+
     def test_bad_cap_rejected(self):
         dataset = LoggedDataset(states=np.array([0]), actions=np.array([0]),
                                 rewards=np.array([[1.0]]), behavior_probs=np.array([0.5]))
@@ -101,7 +122,7 @@ class TestGeneratedLogs:
         behavior = uniform_policy(env)
         n = 100_000
         data = generate_logged_data(env, behavior, n=n, seed=17)
-        d = compute_stationary_distribution(env, behavior)
+        d = PolicyEvaluation(env, behavior, AVERAGE).d
         freqs = np.bincount(data.states, minlength=env.n_states) / n
         for s in range(env.n_states):
             sigma = np.sqrt(d[s] * (1 - d[s]) / n)
@@ -123,7 +144,7 @@ class TestGeneratedLogs:
         scores = ncis_scores(data, behavior, cap=10.0)
         J = compute_exact_objective(env, behavior, AVERAGE)
         # exact per-step reward variance under the stationary law
-        d = compute_stationary_distribution(env, behavior)
+        d = PolicyEvaluation(env, behavior, AVERAGE).d
         probs = behavior.probability_matrix()
         weights = d[:, None] * probs
         for i in range(2):

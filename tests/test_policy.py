@@ -8,6 +8,7 @@ from morlab import (
     DISCOUNTED,
     FeatureMap,
     ParameterError,
+    PolicyEvaluation,
     PolicyParams,
     action_probabilities,
     complete_feature_map,
@@ -139,7 +140,7 @@ class TestExactGradient:
         env = TabularMomdp(4, 2, 2, env.transition, R, env.discounts, env.initial_distribution)
         policy = random_policy(rng, 4, 2)
         for setting in (AVERAGE, DISCOUNTED):
-            g = exact_policy_gradient(env, policy, 0, setting)
+            g = exact_policy_gradient(PolicyEvaluation(env, policy, setting))[0]
             assert np.max(np.abs(g)) <= 1e-10
 
     def test_average_matches_finite_differences(self):
@@ -147,8 +148,8 @@ class TestExactGradient:
         for _ in range(3):
             env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
             policy = random_policy(rng, 4, 2)
-            for i in range(2):
-                g = exact_policy_gradient(env, policy, i, AVERAGE)
+            grads = exact_policy_gradient(PolicyEvaluation(env, policy, AVERAGE))
+            for i, g in enumerate(grads):
                 fd = finite_difference_gradient(env, policy.theta, i, AVERAGE)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
@@ -159,21 +160,22 @@ class TestExactGradient:
         for _ in range(3):
             env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
             policy = random_policy(rng, 4, 2)
-            for i in range(2):
-                g = exact_policy_gradient(env, policy, i, DISCOUNTED, state_weighting="visitation")
+            grads = exact_policy_gradient(PolicyEvaluation(env, policy, DISCOUNTED),
+                                          state_weighting="visitation")
+            for i, g in enumerate(grads):
                 fd = finite_difference_gradient(env, policy.theta, i, DISCOUNTED)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
     def test_discounted_stationary_equals_scaled_gradient_at_stationary_start(self):
         # started from its own stationary distribution, the stationary-weighted
         # direction is exactly (1 - gamma) times the true gradient
-        from morlab import TabularMomdp, compute_stationary_distribution
+        from morlab import TabularMomdp
         rng = np.random.default_rng(31)
         env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=1, discounts=[0.85])
         policy = random_policy(rng, 4, 2)
-        d = compute_stationary_distribution(env, policy)
+        d = PolicyEvaluation(env, policy, DISCOUNTED).d
         env2 = TabularMomdp(4, 2, 1, env.transition, env.reward, env.discounts, d)
-        g_stat = exact_policy_gradient(env2, policy, 0, DISCOUNTED)
+        g_stat = exact_policy_gradient(PolicyEvaluation(env2, policy, DISCOUNTED))[0]
         fd = finite_difference_gradient(env2, policy.theta, 0, DISCOUNTED)
         assert np.allclose(g_stat, (1 - env.discounts[0]) * fd, atol=1e-7)
 
@@ -185,8 +187,8 @@ class TestExactGradient:
         env2 = permute_momdp(env, perm)
         policy2 = permute_tabular_policy(policy, perm)
         for setting in (AVERAGE, DISCOUNTED):
-            g1 = exact_policy_gradient(env, policy, 0, setting).reshape(5, 2)
-            g2 = exact_policy_gradient(env2, policy2, 0, setting).reshape(5, 2)
+            g1 = exact_policy_gradient(PolicyEvaluation(env, policy, setting))[0].reshape(5, 2)
+            g2 = exact_policy_gradient(PolicyEvaluation(env2, policy2, setting))[0].reshape(5, 2)
             # block for relabeled state perm[s] must equal the original block s
             assert np.allclose(g2[perm], g1, atol=1e-10)
 

@@ -7,6 +7,8 @@ every stochastic or optimized code path has a second opinion.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from morlab import MarkovSampler, PolicyParams, TabularMomdp, compute_exact_objective
@@ -120,10 +122,17 @@ def lattice_min_norm(gram: np.ndarray, step: float = 1e-3) -> float:
     n = int(round(1.0 / step))
     if M == 1:
         return float(G[0, 0])
-    if M == 2:
-        return _lattice_min_tail2(G, np.zeros((1, 0)), np.array([n]), n)[0]
+    lead, budget = _lattice_outer(M, n)
+    return float(_lattice_min_tail2(G, lead, budget, n).min())
 
-    if M == 3:
+
+@lru_cache(maxsize=None)
+def _lattice_outer(M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading lattice counts (as floats) and the counts left for the final
+    pair, built once per (M, n) and shared read-only by every call."""
+    if M == 2:
+        outer = np.zeros((1, 0), dtype=np.int64)
+    elif M == 3:
         outer = np.arange(n + 1, dtype=np.int64)[:, None]     # lambda_1 grid
     else:
         counts = np.arange(n + 1, 0, -1)                      # b-range size per a
@@ -131,25 +140,25 @@ def lattice_min_norm(gram: np.ndarray, step: float = 1e-3) -> float:
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         b = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offsets, counts)
         outer = np.column_stack((a, b))                       # (lambda_1, lambda_2) grid
-    budget = n - outer.sum(axis=1)
-    vals = _lattice_min_tail2(G, outer, budget, n)
-    return float(vals.min())
+    lead = outer.astype(float)
+    budget = (n - outer.sum(axis=1)).astype(float)
+    lead.flags.writeable = False
+    budget.flags.writeable = False
+    return lead, budget
 
 
-def _lattice_min_tail2(G: np.ndarray, outer: np.ndarray, budget: np.ndarray, n: int) -> np.ndarray:
+def _lattice_min_tail2(G: np.ndarray, lead: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
     """Minimum over the last two lattice coordinates given fixed leading ones.
 
-    outer: (K, M-2) integer grid counts; budget: (K,) remaining counts s for
-    the final pair (x, s - x). Works in counts and rescales by 1/n at the end.
+    lead: (K, M-2) grid counts; s: (K,) remaining counts for the final pair
+    (x, s - x). Works in counts and rescales by 1/n at the end.
     """
     M = G.shape[0]
-    K = outer.shape[0]
-    lead = outer.astype(float)
+    K = lead.shape[0]
     # q(x) = c2 x^2 + c1 x + c0 over x in [0, s], with lam = (lead, x, s - x)
     g_aa = G[M - 2, M - 2]
     g_bb = G[M - 1, M - 1]
     g_ab = G[M - 2, M - 1]
-    s = budget.astype(float)
     c2 = g_aa + g_bb - 2.0 * g_ab
     if M > 2:
         lin_a = lead @ G[: M - 2, M - 2]
@@ -171,6 +180,22 @@ def _lattice_min_tail2(G: np.ndarray, outer: np.ndarray, budget: np.ndarray, n: 
         val = (c2 * x + c1) * x + c0
         best = np.minimum(best, val)
     return best / float(n * n)
+
+
+def reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float) -> np.ndarray:
+    """Reference for the average-setting reward trackers of ``td_errors``: the
+    per-sample path of mu_t = (1-beta) mu_{t-1} + beta r_t along a batch, one
+    sample at a time.
+
+    rewards: (M, D); mu0: (M,). Returns the (M, D) tracker values.
+    """
+    beta = step_size
+    mu = np.array(mu0, dtype=float)
+    path = np.empty(rewards.shape)
+    for t in range(rewards.shape[1]):
+        mu = (1.0 - beta) * mu + beta * rewards[:, t]
+        path[:, t] = mu
+    return path
 
 
 def permute_momdp(env: TabularMomdp, perm: np.ndarray) -> TabularMomdp:
