@@ -164,20 +164,23 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
         for i in range(M):
             A[i] = weighted_phi.T @ (env.discounts[i] * next_phi - phi)
         b[:] = (r_bar * d) @ phi
-    # the slices are identical when the discounts are, or do not enter: one
-    # eigendecomposition then serves all M
-    same = setting == AVERAGE or np.all(env.discounts == env.discounts[0])
-    lambda_A = min(-np.linalg.eigvalsh(a + a.T)[-1] for a in (A[:1] if same else A))
-    if lambda_A <= _LAMBDA_FLOOR:
-        raise ModelError(
-            "TD matrix is not negative definite for this (environment, policy, features) "
-            f"triple: margin {lambda_A:.2e} <= {_LAMBDA_FLOOR:.0e}"
-        )
+    # objectives with equal discounts (all M in the average setting) share one
+    # slice of A: one eigendecomposition and one stacked solve per group
+    keys = np.zeros(M) if setting == AVERAGE else env.discounts
+    lambda_A = np.inf
     w_star = np.empty((M, d2))
-    for i in range(M):
-        w = np.linalg.solve(A[i], -b[i])
-        w -= np.linalg.solve(A[i], A[i] @ w + b[i])   # one refinement pass
-        w_star[i] = w
+    for key in np.unique(keys):
+        group = np.flatnonzero(keys == key)
+        a, rhs = A[group[0]], b[group].T
+        lambda_A = min(lambda_A, -np.linalg.eigvalsh(a + a.T)[-1])
+        if lambda_A <= _LAMBDA_FLOOR:
+            raise ModelError(
+                "TD matrix is not negative definite for this (environment, policy, features) "
+                f"triple: margin {lambda_A:.2e} <= {_LAMBDA_FLOOR:.0e}"
+            )
+        w = np.linalg.solve(a, -rhs)
+        w -= np.linalg.solve(a, a @ w + rhs)          # one refinement pass
+        w_star[group] = w.T
     r_w = (4.0 if setting == AVERAGE else 2.0) * env.r_max / lambda_A
     c_a = max(float(np.linalg.norm(A[i], "fro")) for i in range(M)) + 1e-6
     return TdFixedPoint(A=A, b=b, w_star=w_star, lambda_A=lambda_A,

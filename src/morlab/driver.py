@@ -16,9 +16,9 @@ from .critic import (
     td_errors,
     theory_critic_step,
 )
-from .errors import DivergenceError, ParameterError
+from .errors import ConvergenceError, DivergenceError, ModelError, ParameterError
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
-from .momdp import MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
+from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
 
 FEATURE_KINDS = ("default", "complete")
@@ -79,6 +79,9 @@ class MoacConfig:
             self.actor_step_size = theory_actor_step(self.lipschitz_estimate)
         if not self.actor_step_size > 0 or not self.critic_step_size > 0:
             raise ParameterError("step sizes must be positive")
+        if self.setting == AVERAGE and self.actor_step_size > 1:
+            # the actor's reward tracker advances with this step: no running mean above 1
+            raise ParameterError("actor_step_size must be at most 1 in the average setting")
         if self.oracle_every < 1:
             raise ParameterError("oracle_every must be >= 1")
         if self.features not in FEATURE_KINDS:
@@ -127,8 +130,8 @@ def estimate_objective_gradients(
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the
     batch and advanced with the actor step size. Per-sample score vectors are
-    folded into per-(state, action) buckets first, so the projection onto the
-    parameter space happens once per objective.
+    folded into per-(objective, state, action) buckets first, so the
+    projection onto the parameter space happens once for all M objectives.
     """
     check_setting(setting)
     env = sampler.env
@@ -136,12 +139,9 @@ def estimate_objective_gradients(
     batch = sampler.sample_policy_batch(policy.probability_matrix(), batch_size)
     delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
     s_arr, a_arr, _ = batch
-    grads = np.empty((M, policy.dim))
-    bucket = np.zeros((env.n_states, env.n_actions))
-    for i in range(M):
-        bucket[:] = 0.0
-        np.add.at(bucket, (s_arr, a_arr), delta[i])
-        grads[i] = policy.score_weighted_sum(bucket / batch_size)
+    buckets = np.zeros((M, env.n_states, env.n_actions))
+    np.add.at(buckets, (slice(None), s_arr, a_arr), delta)
+    grads = policy.score_weighted_sum(buckets / batch_size)
     estimate = GradientEstimate(per_objective=grads, reward_mean=r.mean(axis=1))
     return estimate, sampler.state
 
@@ -201,32 +201,36 @@ def run_moac(
         oracle_now = config.oracle_diagnostics and (
             t == 1 or t == T or t % config.oracle_every == 0
         )
-        if oracle_now:
-            evaluation = PolicyEvaluation(env, policy, setting)
-            fp_t = compute_td_fixed_point(evaluation, features)
         try:
-            critic, _ = run_critic(sampler, policy, critic, features, setting)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"critic weights diverged at actor iteration {t}, "
-                f"inner critic iteration {exc.iteration}", iteration=t,
-            ) from exc
-        estimate, _ = estimate_objective_gradients(
-            sampler, policy, critic.weights, config.actor_batch_size,
-            setting, features, mu_step=config.actor_step_size,
-        )
-        lam_hat, _ = solve_min_norm(estimate.per_objective)
+            if oracle_now:
+                evaluation = PolicyEvaluation(env, policy, setting)
+                fp_t = compute_td_fixed_point(evaluation, features)
+            try:
+                critic, _ = run_critic(sampler, policy, critic, features, setting)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"critic weights diverged at actor iteration {t}, "
+                    f"inner critic iteration {exc.iteration}", iteration=t,
+                ) from exc
+            estimate, _ = estimate_objective_gradients(
+                sampler, policy, critic.weights, config.actor_batch_size,
+                setting, features, mu_step=config.actor_step_size,
+            )
+            lam_hat, _ = solve_min_norm(estimate.per_objective)
+            critic_err = j_exact = gap = None
+            if oracle_now:
+                critic_err = ((critic.weights - fp_t.w_star) ** 2).sum(axis=1)
+                j_exact = evaluation.values[1]
+                gap = pareto_stationarity_gap(evaluation)
+        except ModelError as exc:
+            raise ModelError(f"actor iteration {t}: {exc}") from exc
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"actor iteration {t}: {exc}", residual=exc.residual) from exc
         eta = config.momentum.eta(t)
         lam = momentum_update(lam, lam_hat, eta)
         combined = lam.values @ estimate.per_objective
         estimate.weights = lam.values.copy()
         estimate.combined = combined
-        critic_err = j_exact = None
-        gap = None
-        if oracle_now:
-            critic_err = ((critic.weights - fp_t.w_star) ** 2).sum(axis=1)
-            j_exact = evaluation.values[1]
-            gap = pareto_stationarity_gap(evaluation)
         records.append(MetricsRecord(
             t=t,
             reward_mean=estimate.reward_mean,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -422,8 +422,17 @@ def build_resource_gathering(discount: float = 0.9, attack_prob: float = 0.1) ->
 # Exact chain quantities
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _component_count(shape: tuple[int, int], pattern: bytes) -> int:
+    """Strong components of the graph with boolean adjacency ``pattern`` of ``shape``."""
+    adjacency = np.frombuffer(pattern, dtype=bool).reshape(shape)
+    return connected_components(csr_matrix(adjacency), directed=True, connection="strong")[0]
+
+
 def _check_irreducible(P: np.ndarray):
-    n_comp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
+    # a softmax policy never changes the non-zero pattern of P_pi, so the
+    # graph search runs once per pattern
+    n_comp = _component_count(P.shape, (P > 0).tobytes())
     if n_comp != 1:
         raise ModelError(
             f"induced chain is reducible ({n_comp} strongly connected components); "

@@ -127,12 +127,13 @@ class PolicyParams:
         The softmax score for (s, a) only touches the logit block of state s,
         so the sum collapses to coeff[s, :] - (sum_a coeff[s, a]) * pi(.|s) per
         block; linear policies additionally mix blocks through the features.
+        A stacked (M, S, A) ``coeff`` gives all M sums, shape (M, dim), at once.
         """
         probs = self.probability_matrix()
-        block = coeff - probs * coeff.sum(axis=1, keepdims=True)
-        if self.kind == TABULAR:
-            return block.ravel()
-        return (self.state_features.T @ block).ravel()
+        block = coeff - probs * coeff.sum(axis=-1, keepdims=True)
+        if self.kind == LINEAR:
+            block = self.state_features.T @ block
+        return block.reshape(coeff.shape[:-2] + (-1,))
 
 
 def uniform_policy(env: TabularMomdp) -> PolicyParams:
@@ -172,7 +173,7 @@ def exact_policy_gradient(evaluation: PolicyEvaluation,
     """
     if state_weighting not in ("stationary", "visitation"):
         raise ParameterError(f"unknown state_weighting {state_weighting!r}")
-    env, policy = evaluation.env, evaluation.policy
+    env = evaluation.env
     if state_weighting == "visitation" and evaluation.setting == DISCOUNTED:
         eye = np.eye(env.n_states)
         weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)
@@ -180,7 +181,7 @@ def exact_policy_gradient(evaluation: PolicyEvaluation,
     else:
         weights = evaluation.d[None, :]
     coeff = weights[:, :, None] * evaluation.probs * evaluation.advantages
-    return np.stack([policy.score_weighted_sum(c) for c in coeff])
+    return evaluation.policy.score_weighted_sum(coeff)
 
 
 def save_policy_json(policy: PolicyParams, path: str):

@@ -256,7 +256,7 @@ class TestCliCommands:
                      "--seeds", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "reducible" in err and "seed 100" in err
+        assert "reducible" in err and "seed 100" in err and "actor iteration 1" in err
 
     def test_qp_without_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
         import morlab.driver
@@ -269,7 +269,7 @@ class TestCliCommands:
                      "--seeds", "1"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "certificate" in err and "seed 100" in err
+        assert "certificate" in err and "seed 100" in err and "actor iteration 1" in err
 
     def test_ncis_command(self, tmp_path, capsys):
         env = build_fishwood(0.4, 0.5)

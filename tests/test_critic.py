@@ -1,7 +1,11 @@
 """TD errors, the mini-batch critic loop, and the exact fixed-point oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morlab import (
     AVERAGE,
@@ -12,7 +16,10 @@ from morlab import (
     ModelError,
     ParameterError,
     PolicyEvaluation,
+    PolicyParams,
     TabularMomdp,
+    build_fishwood,
+    build_resource_gathering,
     compute_td_fixed_point,
     compute_zeta_approx,
     complete_feature_map,
@@ -24,7 +31,14 @@ from morlab import (
     uniform_policy,
 )
 
-from util import random_momdp, random_policy, reward_tracker_path, single_chain_env, two_state_env
+from util import (
+    random_momdp,
+    random_policy,
+    reward_tracker_path,
+    single_chain_env,
+    td_fixed_point_reference,
+    two_state_env,
+)
 
 
 def one_step(n_states, reward, next_state, w, features, setting, mu_prev=0.0, step_size=0.1,
@@ -177,6 +191,66 @@ class TestFixedPoint:
         policy = random_policy(rng, 4, 2)
         fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), default_feature_map(4))
         assert not np.allclose(fp.A[0], fp.A[1])
+
+
+def _discount_variants():
+    """resource_gathering and fishwood with equal, partly equal and distinct
+    discounts: one, two and M groups of identical TD slices."""
+    rg = build_resource_gathering()
+    return {
+        "rg-equal": rg,
+        "rg-paired": replace(rg, discounts=np.array([0.9, 0.8, 0.9])),
+        "rg-distinct": replace(rg, discounts=np.array([0.95, 0.9, 0.8])),
+        "fw-equal": build_fishwood(0.3, 0.7),
+        "fw-distinct": build_fishwood(0.3, 0.7, discount=(0.9, 0.8)),
+    }
+
+
+_TD_ENVS = _discount_variants()
+_EPS = np.finfo(float).eps
+
+
+class TestGroupedFixedPoint:
+    """The grouped solve of w* (one factorization per distinct TD slice)
+    against the per-objective reference solves."""
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    @pytest.mark.parametrize("env_name", sorted(_TD_ENVS))
+    def test_matches_per_objective_solves(self, env_name, setting):
+        env = _TD_ENVS[env_name]
+        features = default_feature_map(env.n_states)
+        rng = np.random.default_rng(910)
+        policies = [uniform_policy(env)] + [
+            random_policy(rng, env.n_states, env.n_actions, scale=0.5) for _ in range(4)
+        ]
+        for policy in policies:
+            fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
+            ref = td_fixed_point_reference(fp.A, fp.b)
+            for w, w_ref in zip(fp.w_star, ref):
+                assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        env_name=st.sampled_from(sorted(_TD_ENVS)),
+        setting=st.sampled_from([AVERAGE, DISCOUNTED]),
+        policy_seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 1.0),
+    )
+    def test_random_policies_no_worse_than_reference(self, env_name, setting, policy_seed, scale):
+        env = _TD_ENVS[env_name]
+        rng = np.random.default_rng(policy_seed)
+        theta = rng.normal(0.0, 1.0, size=env.n_states * env.n_actions) * scale
+        policy = PolicyParams(theta, env.n_states, env.n_actions)
+        fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting),
+                                    default_feature_map(env.n_states))
+        ref = td_fixed_point_reference(fp.A, fp.b)
+        for A, b, w, w_ref in zip(fp.A, fp.b, fp.w_star, ref):
+            # two backward-stable solves agree to cond(A) * eps; the residual
+            # may differ from the reference's by at most one rounding of A w
+            assert np.linalg.norm(w - w_ref) <= np.linalg.cond(A) * _EPS * np.linalg.norm(w_ref)
+            scale_Aw = np.linalg.norm(A, 2) * np.linalg.norm(w_ref)
+            assert (np.linalg.norm(A @ w + b)
+                    <= np.linalg.norm(A @ w_ref + b) + _EPS * scale_Aw)
 
 
 class TestZetaApprox:

@@ -6,13 +6,18 @@ import pytest
 from morlab import (
     AVERAGE,
     DISCOUNTED,
+    ConvergenceError,
     CriticState,
     DivergenceError,
     MarkovSampler,
+    ModelError,
     MoacConfig,
     MomentumSchedule,
+    ParameterError,
     PolicyEvaluation,
+    TabularMomdp,
     build_fishwood,
+    build_resource_gathering,
     complete_feature_map,
     compute_td_fixed_point,
     default_feature_map,
@@ -250,6 +255,42 @@ class TestRunMoac:
         assert "actor iteration 3" in str(err.value)
         assert "inner critic iteration 1" in str(err.value)
 
+    def test_oracle_and_qp_errors_name_actor_iteration(self, monkeypatch):
+        import morlab.driver
+
+        # every action keeps the state: the first oracle step finds the chain reducible
+        stuck = TabularMomdp(2, 2, 1, np.stack([np.eye(2), np.eye(2)], axis=1),
+                             np.ones((1, 2, 2)), np.array([0.9]), np.array([0.5, 0.5]))
+        with pytest.raises(ModelError, match="actor iteration 1: .*reducible"):
+            run_moac(stuck, small_config(oracle_diagnostics=True))
+
+        real_solve = morlab.driver.solve_min_norm
+        calls = []
+
+        def fails_third_call(gradients):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ConvergenceError("min-norm solver stopped without certificate", residual=0.25)
+            return real_solve(gradients)
+
+        monkeypatch.setattr(morlab.driver, "solve_min_norm", fails_third_call)
+        with pytest.raises(ConvergenceError, match="actor iteration 3: .*certificate") as err:
+            run_moac(two_state_env(), small_config())
+        assert err.value.residual == 0.25
+
+    def test_average_actor_step_above_one_rejected(self):
+        # the actor's average-setting reward tracker advances with the actor
+        # step; at 20 it explodes within one batch, and the run used to fail
+        # later in the QP with an overflow instead of rejecting the config
+        env = build_fishwood(0.25, 0.65)
+        with pytest.raises(ParameterError, match="actor_step_size"):
+            run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_batch_size=128))
+        with pytest.raises(ParameterError, match="actor_step_size"):
+            small_config(setting=AVERAGE, actor_step_size=None, theory_compliant=True,
+                         lipschitz_estimate=0.1)
+        run_moac(env, small_config(setting=AVERAGE, actor_step_size=1.0, actor_iterations=3))
+        run_moac(env, small_config(setting=DISCOUNTED, actor_step_size=20.0, actor_iterations=3))
+
     def test_chain_hand_off_is_single_trajectory(self):
         # one unbroken chain across critic and actor phases: re-consume the
         # stream with a traced sampler through the same call pattern
@@ -270,7 +311,6 @@ class TestRunMoac:
 
     def test_theory_compliant_mode_validates_critic_step(self):
         env = two_state_env()
-        from morlab import ParameterError
         with pytest.raises(ParameterError):
             run_moac(env, small_config(critic_step_size=50.0, theory_compliant=True))
 
@@ -323,3 +363,45 @@ class TestTrends:
             crossings[label] = float(np.median(per_seed))
         print(f"\nmomentum ordering (median half-crossing iteration): {crossings}")
         assert all(v >= 1 for v in crossings.values())
+
+
+class TestOracleCost:
+    """Work counts of the exact oracle on resource_gathering (M = 3, average
+    setting): one factorization per distinct TD slice, one strong-components
+    search per non-zero pattern of P_pi."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        real = getattr(owner, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    def test_one_oracle_step_makes_four_dense_solves(self, monkeypatch):
+        env = build_resource_gathering()
+        evaluation = PolicyEvaluation(env, uniform_policy(env), AVERAGE)
+        solves = self.counting(monkeypatch, np.linalg, "solve")
+        compute_td_fixed_point(evaluation, default_feature_map(env.n_states))
+        evaluation.values
+        pareto_stationarity_gap(evaluation)
+        # stationary distribution, Poisson equation, and one solve plus one
+        # refinement for the three identical TD slices
+        assert len(solves) == 4
+
+    def test_run_searches_the_graph_once(self, monkeypatch):
+        import morlab.momdp
+
+        searches = self.counting(monkeypatch, morlab.momdp, "connected_components")
+        morlab.momdp._component_count.cache_clear()
+        config = MoacConfig(setting=AVERAGE, actor_iterations=20, actor_batch_size=32,
+                            actor_step_size=0.5, momentum=MomentumSchedule("power", 1.0),
+                            critic_step_size=0.3, critic_iterations=2, critic_batch_size=50,
+                            seed=3, oracle_diagnostics=True, oracle_every=1)
+        res = run_moac(build_resource_gathering(), config)
+        assert all(rec.pareto_gap is not None for rec in res.records)
+        assert len(searches) == 1

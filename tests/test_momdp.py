@@ -17,6 +17,7 @@ from morlab import (
     build_fishwood,
     build_resource_gathering,
     compute_exact_objective,
+    compute_stationary_distribution,
     load_env_json,
     save_env_json,
     uniform_policy,
@@ -414,6 +415,33 @@ class TestStationary:
         assert np.array_equal(compute_exact_objective(env, uniform_policy(env), DISCOUNTED), J)
         with pytest.raises(ModelError):
             evaluation.d
+
+    def test_reducible_kernel_raises_on_every_call(self):
+        # the irreducibility verdict is cached per non-zero pattern; a
+        # reducible kernel must still be rejected every time it comes back,
+        # also with other values on the same pattern
+        reducible = (np.eye(3), np.array([[0.3, 0.7, 0.0], [0.0, 1.0, 0.0], [0.2, 0.2, 0.6]]),
+                     np.array([[0.6, 0.4, 0.0], [0.0, 1.0, 0.0], [0.5, 0.1, 0.4]]))
+        cycle = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
+        for _ in range(3):
+            for P in reducible:
+                with pytest.raises(ModelError, match="reducible"):
+                    compute_stationary_distribution(P)
+                assert np.allclose(compute_stationary_distribution(cycle), 1.0 / 3.0, atol=1e-12)
+
+    def test_pattern_cache_stays_bounded(self):
+        from morlab.momdp import _component_count
+
+        n = 8
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        maxsize = _component_count.cache_info().maxsize
+        assert maxsize is not None
+        for mask in range(2 * maxsize + 5):  # distinct self-loop patterns
+            P = cycle + np.diag([(mask >> k) & 1 for k in range(n)])
+            P /= P.sum(axis=1, keepdims=True)
+            d = compute_stationary_distribution(P)
+            assert np.allclose(d @ P, d, atol=1e-12)
+            assert _component_count.cache_info().currsize <= maxsize
 
     def test_policy_shape_mismatch_rejected(self):
         env = two_state_env()

@@ -107,6 +107,20 @@ class TestScoreFunction:
             fd = (lp(tp) - lp(tm)) / (2 * h)
             assert fd == pytest.approx(score_function(policy, s, a)[j], rel=1e-5, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["tabular", "linear"])
+    def test_stacked_coefficients_match_per_objective_sums(self, kind):
+        rng = np.random.default_rng(6)
+        S, A, p = 93, 4, 7
+        X = rng.normal(size=(S, p)) if kind == "linear" else None
+        dim = p * A if kind == "linear" else S * A
+        policy = PolicyParams(rng.normal(size=dim), S, A, kind=kind, state_features=X)
+        for M in (1, 2, 3):
+            coeff = rng.normal(size=(M, S, A))
+            coeff[:, ::5] = 0.0
+            stacked = policy.score_weighted_sum(coeff)
+            assert stacked.shape == (M, dim)
+            assert np.array_equal(stacked, np.stack([policy.score_weighted_sum(c) for c in coeff]))
+
 
 class TestFeatureMaps:
     def test_default_map_satisfies_conditions(self):

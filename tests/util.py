@@ -198,6 +198,20 @@ def reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float) 
     return path
 
 
+def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference for ``w_star`` of ``compute_td_fixed_point``: one dense solve
+    plus one refinement solve per objective, each slice of A on its own.
+
+    A: (M, d2, d2); b: (M, d2). Returns the (M, d2) solutions of A_i w + b_i = 0.
+    """
+    w_star = np.empty(b.shape)
+    for i in range(b.shape[0]):
+        w = np.linalg.solve(A[i], -b[i])
+        w -= np.linalg.solve(A[i], A[i] @ w + b[i])
+        w_star[i] = w
+    return w_star
+
+
 def permute_momdp(env: TabularMomdp, perm: np.ndarray) -> TabularMomdp:
     """Relabel states by perm (new index = perm[old index])."""
     S = env.n_states
