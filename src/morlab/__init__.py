@@ -1,24 +1,16 @@
 """Multi-objective reinforcement-learning laboratory: tabular MOMDPs, a
 mini-batch TD critic, a momentum-stabilized min-norm multi-gradient actor, and
-exact-solution oracles that make the stochastic parts checkable."""
+exact-solution oracles that make the stochastic parts checkable.
 
-from .critic import (
-    CriticState,
-    TdFixedPoint,
-    compute_td_fixed_point,
-    compute_zeta_approx,
-    expected_td_update,
-    run_critic,
-    td_errors,
-    theory_critic_step,
-)
+The building blocks of a run (the sampler, the critic loop, the gradient
+estimate, the simplex-weight helpers) live in their modules."""
+
+from .critic import compute_td_fixed_point, compute_zeta_approx, expected_td_update, theory_critic_step
 from .driver import (
-    GradientEstimate,
     MetricsRecord,
     MoacConfig,
     MoacResult,
     estimate_gradient_lipschitz,
-    estimate_objective_gradients,
     expected_td_gradient,
     pareto_stationarity_gap,
     run_moac,
@@ -33,48 +25,28 @@ from .errors import (
     MorlabError,
     ParameterError,
 )
-from .mgda import (
-    MomentumSchedule,
-    SimplexWeights,
-    duality_gap,
-    momentum_update,
-    solve_min_norm,
-    uniform_weights,
-)
+from .mgda import MomentumSchedule, duality_gap, solve_min_norm
 from .momdp import (
     AVERAGE,
     DISCOUNTED,
-    MarkovSampler,
     PolicyEvaluation,
     TabularMomdp,
-    Transition,
     build_fishwood,
     build_resource_gathering,
     compute_exact_objective,
     compute_stationary_distribution,
     load_env_json,
-    sample_step,
     save_env_json,
-    value_functions,
 )
-from .opeval import (
-    LoggedDataset,
-    generate_logged_data,
-    load_logged_data,
-    ncis_score,
-    ncis_scores,
-    save_logged_data,
-)
+from .opeval import LoggedDataset, generate_logged_data, load_logged_data, ncis_scores, save_logged_data
 from .policy import (
     FeatureMap,
     PolicyParams,
-    action_probabilities,
     complete_feature_map,
     default_feature_map,
     exact_policy_gradient,
     load_policy_json,
     save_policy_json,
-    score_function,
     uniform_policy,
 )
 

@@ -104,8 +104,8 @@ def run_critic(
     setting: str,
     fixed_point: TdFixedPoint | None = None,
     error_trace: list | None = None,
-) -> tuple[CriticState, int]:
-    """Run the inner TD loop and return (updated critic, final chain state).
+) -> CriticState:
+    """Run the inner TD loop and return the updated critic.
 
     Each iteration draws one batch of chained Markovian samples under the
     policy, evaluates all M TD errors against that same batch with the
@@ -132,7 +132,7 @@ def run_critic(
             )
         if fixed_point is not None and error_trace is not None:
             error_trace.append(float(((w - fixed_point.w_star) ** 2).sum()))
-    return replace(critic, weights=w, avg_reward=mu), sampler.state
+    return replace(critic, weights=w, avg_reward=mu)
 
 
 def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -> TdFixedPoint:

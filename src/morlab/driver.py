@@ -24,16 +24,6 @@ from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feat
 FEATURE_KINDS = ("default", "complete")
 
 
-@dataclass
-class GradientEstimate:
-    """Per-objective sampled gradient directions and their combination."""
-
-    per_objective: np.ndarray          # (M, d1)
-    reward_mean: np.ndarray            # (M,) batch reward means
-    weights: np.ndarray | None = None  # simplex weights used for the combination
-    combined: np.ndarray | None = None # sum_i weights_i * per_objective_i
-
-
 @dataclass(slots=True)
 class MetricsRecord:
     """One telemetry row per actor iteration (slotted: a run keeps T of them)."""
@@ -84,6 +74,8 @@ class MoacConfig:
             raise ParameterError("actor_step_size must be at most 1 in the average setting")
         if self.oracle_every < 1:
             raise ParameterError("oracle_every must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.features not in FEATURE_KINDS:
             raise ParameterError(f"features must be one of {FEATURE_KINDS}")
         if not isinstance(self.momentum, MomentumSchedule):
@@ -124,8 +116,10 @@ def estimate_objective_gradients(
     setting: str,
     features: FeatureMap,
     mu_step: float,
-) -> tuple[GradientEstimate, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw one actor batch and average delta * score per objective.
+
+    Returns the (M, dim) gradient estimates and the (M,) batch reward means.
 
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the
@@ -141,9 +135,7 @@ def estimate_objective_gradients(
     s_arr, a_arr, _ = batch
     buckets = np.zeros((M, env.n_states, env.n_actions))
     np.add.at(buckets, (slice(None), s_arr, a_arr), delta)
-    grads = policy.score_weighted_sum(buckets / batch_size)
-    estimate = GradientEstimate(per_objective=grads, reward_mean=r.mean(axis=1))
-    return estimate, sampler.state
+    return policy.score_weighted_sum(buckets / batch_size), r.mean(axis=1)
 
 
 def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
@@ -206,17 +198,17 @@ def run_moac(
                 evaluation = PolicyEvaluation(env, policy, setting)
                 fp_t = compute_td_fixed_point(evaluation, features)
             try:
-                critic, _ = run_critic(sampler, policy, critic, features, setting)
+                critic = run_critic(sampler, policy, critic, features, setting)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"critic weights diverged at actor iteration {t}, "
                     f"inner critic iteration {exc.iteration}", iteration=t,
                 ) from exc
-            estimate, _ = estimate_objective_gradients(
+            grads, reward_mean = estimate_objective_gradients(
                 sampler, policy, critic.weights, config.actor_batch_size,
                 setting, features, mu_step=config.actor_step_size,
             )
-            lam_hat, _ = solve_min_norm(estimate.per_objective)
+            lam_hat, _ = solve_min_norm(grads)
             critic_err = j_exact = gap = None
             if oracle_now:
                 critic_err = ((critic.weights - fp_t.w_star) ** 2).sum(axis=1)
@@ -228,12 +220,10 @@ def run_moac(
             raise ConvergenceError(f"actor iteration {t}: {exc}", residual=exc.residual) from exc
         eta = config.momentum.eta(t)
         lam = momentum_update(lam, lam_hat, eta)
-        combined = lam.values @ estimate.per_objective
-        estimate.weights = lam.values.copy()
-        estimate.combined = combined
+        combined = lam.values @ grads
         records.append(MetricsRecord(
             t=t,
-            reward_mean=estimate.reward_mean,
+            reward_mean=reward_mean,
             grad_norm_sq=float(combined @ combined),
             lam=lam.values.copy(),
             eta=eta,

@@ -10,6 +10,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,50 +23,78 @@ WORKERS_ENV_VAR = "MORLAB_WORKERS"
 DONE_SUFFIX = ".DONE"
 _FLOAT_FMT = "%.17g"
 
-_ENV_KINDS = ("fishwood", "resource_gathering", "file")
+REQUIRED = object()   # default of a key that a config must give
 
-# section -> key -> (type tag, required, default); "output"/"path" stay strings
-_SCHEMA = {
-    "experiment": {
-        "name": ("str", False, "experiment"),
-        "seeds": ("int", True, None),
-        "output": ("str", False, ""),
-        "oracle": ("bool", False, False),
-        "oracle_every": ("int", False, 10),
-        "jsonl": ("bool", False, False),
-    },
-    "environment": {
-        "kind": ("str", True, None),
-        "fish_proba": ("float", False, 0.25),
-        "wood_proba": ("float", False, 0.65),
-        "discount": ("float", False, 0.9),
-        "attack_prob": ("float", False, 0.1),
-        "path": ("str", False, ""),
-    },
-    "moac": {
-        "setting": ("str", True, None),
-        "iterations": ("int", True, None),
-        "batch_size": ("int", True, None),
-        "step_size": ("float", True, None),
-        "momentum": ("str", True, None),
-        "base_seed": ("int", False, 0),
-        "lipschitz": ("float", False, 10.0),
-        "theory_compliant": ("bool", False, False),
-    },
-    "critic": {
-        "step_size": ("float", True, None),
-        "iterations": ("int", True, None),
-        "batch_size": ("int", True, None),
-        "features": ("str", False, "default"),
-    },
-}
 
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": lambda s: {"true": True, "false": False}[s.lower()],
-}
+def _parse_bool(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+class Key(NamedTuple):
+    """One INI key: where it lives, how it parses, what it sets and feeds."""
+
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    default: object
+    field: str                   # ExperimentConfig field; "env_params" holds [environment] values
+    target: str | tuple | None   # MoacConfig field, or the environment kinds that take the key
+
+
+# the one place an experiment key is defined; to_ini writes them in this order
+KEYS = (
+    Key("experiment", "name", str, "experiment", "name", None),
+    Key("experiment", "seeds", int, REQUIRED, "seeds", None),
+    Key("experiment", "output", str, "", "output", None),
+    Key("experiment", "oracle", _parse_bool, False, "oracle", "oracle_diagnostics"),
+    Key("experiment", "oracle_every", int, 10, "oracle_every", "oracle_every"),
+    Key("experiment", "jsonl", _parse_bool, False, "jsonl", None),
+    Key("environment", "kind", str, REQUIRED, "env_kind", None),
+    Key("environment", "fish_proba", float, 0.25, "env_params", ("fishwood",)),
+    Key("environment", "wood_proba", float, 0.65, "env_params", ("fishwood",)),
+    Key("environment", "discount", float, 0.9, "env_params", ("fishwood", "resource_gathering")),
+    Key("environment", "attack_prob", float, 0.1, "env_params", ("resource_gathering",)),
+    Key("environment", "path", str, REQUIRED, "env_params", ("file",)),
+    Key("moac", "setting", str, REQUIRED, "setting", "setting"),
+    Key("moac", "iterations", int, REQUIRED, "iterations", "actor_iterations"),
+    Key("moac", "batch_size", int, REQUIRED, "batch_size", "actor_batch_size"),
+    Key("moac", "step_size", float, REQUIRED, "step_size", "actor_step_size"),
+    Key("moac", "momentum", str, REQUIRED, "momentum", "momentum"),
+    Key("moac", "base_seed", int, 0, "base_seed", None),
+    Key("moac", "lipschitz", float, 10.0, "lipschitz", "lipschitz_estimate"),
+    Key("moac", "theory_compliant", _parse_bool, False, "theory_compliant", "theory_compliant"),
+    Key("critic", "step_size", float, REQUIRED, "critic_step_size", "critic_step_size"),
+    Key("critic", "iterations", int, REQUIRED, "critic_iterations", "critic_iterations"),
+    Key("critic", "batch_size", int, REQUIRED, "critic_batch_size", "critic_batch_size"),
+    Key("critic", "features", str, "default", "features", "features"),
+)
+_KINDS = tuple(dict.fromkeys(kind for row in KEYS if isinstance(row.target, tuple)
+                             for kind in row.target))
+
+
+def _ini_parser() -> configparser.ConfigParser:
+    # no interpolation: a '%' in a name or path is just a character
+    return configparser.ConfigParser(interpolation=None)
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _read(parser: configparser.ConfigParser, row: Key):
+    if parser.has_option(row.section, row.key):
+        raw = parser.get(row.section, row.key)
+        try:
+            return row.parse(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"[{row.section}] bad value for '{row.key}': {raw!r}") from exc
+    if row.default is not REQUIRED:
+        return row.default
+    if not parser.has_section(row.section):
+        raise ConfigError(f"missing required section [{row.section}]")
+    raise ConfigError(f"[{row.section}] missing required key '{row.key}'")
 
 
 @dataclass
@@ -95,7 +124,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, path: str | Path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = _ini_parser()
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -103,123 +132,55 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error: {exc}") from exc
-        values: dict[str, dict] = {}
+        known = {(row.section, row.key) for row in KEYS}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in {s for s, _ in known}:
                 raise ConfigError(f"unknown section [{section}]")
-        for section, keys in _SCHEMA.items():
-            if section not in parser and any(req for _, req, _ in keys.values()):
-                raise ConfigError(f"missing required section [{section}]")
-            raw = dict(parser[section]) if section in parser else {}
-            for key in raw:
-                if key not in keys:
+            for key in parser[section]:
+                if (section, key) not in known:
                     raise ConfigError(f"[{section}] unknown key '{key}'")
-            out = {}
-            for key, (kind, required, default) in keys.items():
-                if key in raw:
-                    try:
-                        out[key] = _PARSERS[kind](raw[key])
-                    except (ValueError, KeyError) as exc:
-                        raise ConfigError(f"[{section}] bad value for '{key}': {raw[key]!r}") from exc
-                elif required:
-                    raise ConfigError(f"[{section}] missing required key '{key}'")
-                else:
-                    out[key] = default
-            values[section] = out
-        env = values["environment"]
-        kind = env["kind"]
-        if kind not in _ENV_KINDS:
-            raise ConfigError(f"[environment] kind must be one of {_ENV_KINDS}")
-        env_params = {}
-        if kind == "fishwood":
-            env_params = {"fish_proba": env["fish_proba"], "wood_proba": env["wood_proba"],
-                          "discount": env["discount"]}
-        elif kind == "resource_gathering":
-            env_params = {"discount": env["discount"], "attack_prob": env["attack_prob"]}
-        else:
-            if not env["path"]:
-                raise ConfigError("[environment] kind 'file' needs a 'path'")
-            env_params = {"path": env["path"]}
-        exp = values["experiment"]
-        moac = values["moac"]
-        critic = values["critic"]
-        MomentumSchedule.parse(moac["momentum"])  # fail early on bad schedules
-        cfg = cls(
-            name=exp["name"], seeds=exp["seeds"], output=exp["output"],
-            oracle=exp["oracle"], oracle_every=exp["oracle_every"], jsonl=exp["jsonl"],
-            env_kind=kind, env_params=env_params,
-            setting=moac["setting"], iterations=moac["iterations"],
-            batch_size=moac["batch_size"], step_size=moac["step_size"],
-            momentum=moac["momentum"], base_seed=moac["base_seed"],
-            lipschitz=moac["lipschitz"], theory_compliant=moac["theory_compliant"],
-            critic_step_size=critic["step_size"], critic_iterations=critic["iterations"],
-            critic_batch_size=critic["batch_size"], features=critic["features"],
-        )
+        values = {"env_params": {}}
+        for row in KEYS:
+            if row.field != "env_params":
+                values[row.field] = _read(parser, row)
+                if row.field == "env_kind" and values["env_kind"] not in _KINDS:
+                    raise ConfigError(f"[{row.section}] {row.key} must be one of {_KINDS}")
+            elif values["env_kind"] in row.target:
+                values["env_params"][row.key] = _read(parser, row)
+            elif parser.has_option(row.section, row.key):
+                raise ConfigError(f"[{row.section}] key '{row.key}' does not apply to "
+                                  f"kind '{values['env_kind']}'")
+        MomentumSchedule.parse(values["momentum"])  # fail early on bad schedules
+        cfg = cls(**values)
         if cfg.seeds < 1:
             raise ConfigError("[experiment] seeds must be >= 1")
         return cfg
 
     def to_ini(self, path: str | Path):
-        parser = configparser.ConfigParser()
-        parser["experiment"] = {
-            "name": self.name,
-            "seeds": str(self.seeds),
-            "output": self.output,
-            "oracle": str(self.oracle).lower(),
-            "oracle_every": str(self.oracle_every),
-            "jsonl": str(self.jsonl).lower(),
-        }
-        env_section = {"kind": self.env_kind}
-        for key, val in self.env_params.items():
-            env_section[key] = repr(val) if isinstance(val, float) else str(val)
-        parser["environment"] = env_section
-        parser["moac"] = {
-            "setting": self.setting,
-            "iterations": str(self.iterations),
-            "batch_size": str(self.batch_size),
-            "step_size": repr(self.step_size),
-            "momentum": self.momentum,
-            "base_seed": str(self.base_seed),
-            "lipschitz": repr(self.lipschitz),
-            "theory_compliant": str(self.theory_compliant).lower(),
-        }
-        parser["critic"] = {
-            "step_size": repr(self.critic_step_size),
-            "iterations": str(self.critic_iterations),
-            "batch_size": str(self.critic_batch_size),
-            "features": self.features,
-        }
+        parser = _ini_parser()
+        for row in KEYS:
+            if row.field != "env_params":
+                value = getattr(self, row.field)
+            elif row.key in self.env_params:
+                value = self.env_params[row.key]
+            else:
+                continue
+            if not parser.has_section(row.section):
+                parser.add_section(row.section)
+            parser[row.section][row.key] = _format(value)
         with open(path, "w", encoding="utf-8") as fh:
             parser.write(fh)
 
 
 def build_environment(cfg: ExperimentConfig) -> TabularMomdp:
-    if cfg.env_kind == "fishwood":
-        return build_fishwood(cfg.env_params["fish_proba"], cfg.env_params["wood_proba"],
-                              discount=cfg.env_params["discount"])
-    if cfg.env_kind == "resource_gathering":
-        return build_resource_gathering(discount=cfg.env_params["discount"],
-                                        attack_prob=cfg.env_params["attack_prob"])
-    return load_env_json(cfg.env_params["path"])
+    builders = {"fishwood": build_fishwood, "resource_gathering": build_resource_gathering,
+                "file": load_env_json}
+    return builders[cfg.env_kind](**cfg.env_params)
 
 
 def moac_config(cfg: ExperimentConfig, seed: int) -> MoacConfig:
-    return MoacConfig(
-        setting=cfg.setting,
-        actor_iterations=cfg.iterations,
-        actor_batch_size=cfg.batch_size,
-        actor_step_size=cfg.step_size,
-        momentum=MomentumSchedule.parse(cfg.momentum),
-        critic_step_size=cfg.critic_step_size,
-        critic_iterations=cfg.critic_iterations,
-        critic_batch_size=cfg.critic_batch_size,
-        seed=seed,
-        oracle_diagnostics=cfg.oracle,
-        oracle_every=cfg.oracle_every,
-        theory_compliant=cfg.theory_compliant,
-        lipschitz_estimate=cfg.lipschitz,
-        features=cfg.features,
-    )
+    return MoacConfig(seed=seed, **{row.target: getattr(cfg, row.field)
+                                    for row in KEYS if isinstance(row.target, str)})
 
 
 def metrics_header(n_objectives: int, oracle: bool) -> list[str]:
@@ -305,8 +266,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     artifact directory."""
     out = Path(out_dir if out_dir else (cfg.output or cfg.name))
     out.mkdir(parents=True, exist_ok=True)
-    cfg.to_ini(out / "config.ini")
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]
+    # a run that fails must not leave an earlier run's results for these seeds
+    for seed in seeds:
+        for suffix in (".csv", ".jsonl", DONE_SUFFIX):
+            (out / f"seed_{seed}{suffix}").unlink(missing_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)
+    cfg.to_ini(out / "config.ini")
     if max_workers is None:
         env_workers = os.environ.get(WORKERS_ENV_VAR)
         try:

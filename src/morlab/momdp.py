@@ -84,13 +84,6 @@ class TabularMomdp:
             raise ParameterError("each discount must lie in (0, 1)")
 
     @cached_property
-    def transition_cumulative(self) -> np.ndarray:
-        """(S, A, S) per-row cumulative sums, cached for fast sampling."""
-        cum = np.cumsum(self.transition, axis=2)
-        cum[:, :, -1] = 1.0
-        return cum
-
-    @cached_property
     def transition_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Non-zero pattern of ``transition``, cached for sparse sampling.
 
@@ -150,16 +143,6 @@ def load_env_json(path: str) -> TabularMomdp:
         return TabularMomdp.from_json_dict(json.load(fh))
 
 
-@dataclass
-class Transition:
-    """One sampled step: rewards carry all M objectives."""
-
-    state: int
-    action: int
-    rewards: np.ndarray
-    next_state: int
-
-
 class MarkovSampler:
     """Stateful sampler owning its RNG.
 
@@ -179,19 +162,6 @@ class MarkovSampler:
         self.trace: list | None = None
         self._table_key: bytes | None = None
         self._table: tuple[list, list, list] | None = None
-
-    def sample_step(self, action: int) -> Transition:
-        env = self.env
-        if not 0 <= action < env.n_actions:
-            raise ParameterError(f"action {action} out of range")
-        s = self.state
-        u = self.rng.random()
-        ns = int(np.searchsorted(env.transition_cumulative[s, action], u, side="right"))
-        ns = min(ns, env.n_states - 1)
-        if self.trace is not None:
-            self.trace.append((s, action, ns))
-        self.state = ns
-        return Transition(state=s, action=action, rewards=env.reward[:, s, action].copy(), next_state=ns)
 
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
@@ -247,10 +217,6 @@ class MarkovSampler:
             raise ParameterError("every state needs an action of positive probability")
         cum /= cum[:, -1:]
         return cum.tolist(), actions.tolist(), next_states.tolist()
-
-
-def sample_step(sampler: MarkovSampler, action: int) -> Transition:
-    return sampler.sample_step(action)
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,6 @@ class LoggedDataset:
         return self.rewards.shape[1]
 
 
-def ncis_score(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DEFAULT_CAP,
-               objective: int = 0) -> float:
-    """Capped, self-normalized importance-sampling estimate for one objective:
-    sum_k w_k r_k / sum_k w_k with w = min(cap, pi(a|s) / pi_beta(a|s))."""
-    scores = ncis_scores(dataset, candidate, cap)
-    if not 0 <= objective < scores.shape[0]:
-        raise ParameterError(f"objective {objective} out of range")
-    return float(scores[objective])
-
-
 def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DEFAULT_CAP) -> np.ndarray:
     """Per-objective capped importance-sampling estimates as an (M,) vector."""
     if not cap > 0:

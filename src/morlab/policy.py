@@ -140,22 +140,6 @@ def uniform_policy(env: TabularMomdp) -> PolicyParams:
     return PolicyParams(np.zeros(env.n_states * env.n_actions), env.n_states, env.n_actions)
 
 
-def action_probabilities(policy: PolicyParams, state: int) -> np.ndarray:
-    """Action distribution at one state; entries in (0, 1), summing to 1."""
-    if not 0 <= state < policy.n_states:
-        raise ParameterError(f"state {state} out of range")
-    return policy.probability_matrix()[state]
-
-
-def score_function(policy: PolicyParams, state: int, action: int) -> np.ndarray:
-    """Gradient of log pi(action|state) with respect to theta."""
-    if not 0 <= state < policy.n_states or not 0 <= action < policy.n_actions:
-        raise ParameterError("state or action out of range")
-    coeff = np.zeros((policy.n_states, policy.n_actions))
-    coeff[state, action] = 1.0
-    return policy.score_weighted_sum(coeff)
-
-
 def exact_policy_gradient(evaluation: PolicyEvaluation,
                           state_weighting: str = "stationary") -> np.ndarray:
     """Exact-enumeration policy gradients of all M objectives, shape (M, dim).

@@ -18,8 +18,6 @@ import pytest
 from morlab import (
     AVERAGE,
     DISCOUNTED,
-    CriticState,
-    MarkovSampler,
     MoacConfig,
     MomentumSchedule,
     PolicyEvaluation,
@@ -35,14 +33,15 @@ from morlab import (
     expected_td_gradient,
     generate_logged_data,
     ncis_scores,
-    run_critic,
     run_moac,
     solve_min_norm,
     theory_actor_step,
     theory_critic_step,
     uniform_policy,
 )
+from morlab.critic import CriticState, run_critic
 from morlab.experiment import ExperimentConfig, run_experiment
+from morlab.momdp import MarkovSampler
 
 from util import (
     finite_difference_gradient,

@@ -1,0 +1,55 @@
+"""The public surface: the exact set of top-level names, and every function
+the benchmark's span tracer wraps."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import morlab
+
+PUBLIC_NAMES = {
+    # critic
+    "compute_td_fixed_point", "compute_zeta_approx", "expected_td_update", "theory_critic_step",
+    # driver
+    "MetricsRecord", "MoacConfig", "MoacResult", "estimate_gradient_lipschitz",
+    "expected_td_gradient", "pareto_stationarity_gap", "run_moac", "theory_actor_step",
+    # errors
+    "ConfigError", "ConvergenceError", "DataError", "DivergenceError", "ModelError",
+    "MorlabError", "ParameterError",
+    # mgda
+    "MomentumSchedule", "duality_gap", "solve_min_norm",
+    # momdp
+    "AVERAGE", "DISCOUNTED", "PolicyEvaluation", "TabularMomdp", "build_fishwood",
+    "build_resource_gathering", "compute_exact_objective", "compute_stationary_distribution",
+    "load_env_json", "save_env_json",
+    # opeval
+    "LoggedDataset", "generate_logged_data", "load_logged_data", "ncis_scores",
+    "save_logged_data",
+    # policy
+    "FeatureMap", "PolicyParams", "complete_feature_map", "default_feature_map",
+    "exact_policy_gradient", "load_policy_json", "save_policy_json", "uniform_policy",
+}
+
+
+def test_top_level_names_are_pinned():
+    names = {name for name, value in vars(morlab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES
+    assert len(names) < 50
+
+
+def test_traced_targets_resolve():
+    # read perfbench/spans.py as text: the tracer module itself is not imported
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    for span, module_name, attr_path in targets:
+        obj = importlib.import_module(module_name)
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr, None)
+            assert obj is not None, f"{span}: {module_name}.{attr_path} is gone"
+        assert callable(obj), span

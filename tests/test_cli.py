@@ -57,6 +57,10 @@ features = default
 """
 
 
+# the [environment] body of BASE_CONFIG, for tests that switch the kind
+FISHWOOD_ENV = "kind = fishwood\nfish_proba = 0.3\nwood_proba = 0.6\ndiscount = 0.9"
+
+
 def write_config(tmp_path: Path, text: str = BASE_CONFIG, name: str = "exp.ini") -> Path:
     path = tmp_path / name
     path.write_text(text)
@@ -96,10 +100,187 @@ class TestConfigParsing:
             ExperimentConfig.from_ini(path)
 
     def test_file_environment_needs_path(self, tmp_path):
-        text = BASE_CONFIG.replace("kind = fishwood", "kind = file")
+        text = BASE_CONFIG.replace(FISHWOOD_ENV, "kind = file")
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match="path"):
             ExperimentConfig.from_ini(path)
+
+
+# config.ini as written for the criterion-9 config (tests/test_acceptance.py)
+# before the config table existed, pinned byte for byte: defaults filled in,
+# keys in table order, floats by repr (note the trailing blank after "output =")
+CRITERION_9_CONFIG_INI = """\
+[experiment]
+name = determinism
+seeds = 2
+output = 
+oracle = true
+oracle_every = 3
+jsonl = false
+
+[environment]
+kind = fishwood
+fish_proba = 0.3
+wood_proba = 0.6
+discount = 0.9
+
+[moac]
+setting = discounted
+iterations = 8
+batch_size = 16
+step_size = 0.05
+momentum = power:1
+base_seed = 7
+lipschitz = 10.0
+theory_compliant = false
+
+[critic]
+step_size = 0.2
+iterations = 3
+batch_size = 10
+features = default
+
+"""
+
+# every key set away from its default; [environment] keys per kind below
+ALL_KEYS_CONFIG = """\
+[experiment]
+name = all_keys
+seeds = 3
+output = elsewhere/out
+oracle = true
+oracle_every = 4
+jsonl = true
+
+[environment]
+kind = {kind}
+{env}
+[moac]
+setting = average
+iterations = 5
+batch_size = 7
+step_size = 0.125
+momentum = constant:0.25
+base_seed = 11
+lipschitz = 2.5
+theory_compliant = true
+
+[critic]
+step_size = 0.15
+iterations = 4
+batch_size = 9
+features = complete
+"""
+
+ALL_KEYS_ENV = {
+    "fishwood": {"fish_proba": 0.35, "wood_proba": 0.55, "discount": 0.8},
+    "resource_gathering": {"discount": 0.8, "attack_prob": 0.3},
+    "file": {"path": "env_dir/env.json"},
+}
+
+
+class TestConfigTable:
+    def test_criterion_9_config_ini_bytes(self, tmp_path):
+        defaults = ("output", "jsonl", "lipschitz", "theory_compliant")
+        given = "".join(line for line in CRITERION_9_CONFIG_INI.splitlines(keepends=True)
+                        if not line.startswith(defaults))
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, given))
+        cfg.to_ini(tmp_path / "config.ini")
+        assert (tmp_path / "config.ini").read_text() == CRITERION_9_CONFIG_INI
+
+    @pytest.mark.parametrize("kind", sorted(ALL_KEYS_ENV))
+    def test_every_key_non_default_round_trips(self, tmp_path, kind):
+        from morlab.experiment import KEYS, build_environment, moac_config
+        env_params = ALL_KEYS_ENV[kind]
+        env_lines = "".join(f"{key} = {val}\n" for key, val in env_params.items())
+        text = ALL_KEYS_CONFIG.format(kind=kind, env=env_lines)
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, text))
+        expected = dict(
+            name="all_keys", seeds=3, output="elsewhere/out", oracle=True, oracle_every=4,
+            jsonl=True, env_kind=kind, env_params=env_params, setting="average", iterations=5,
+            batch_size=7, step_size=0.125, momentum="constant:0.25", base_seed=11,
+            lipschitz=2.5, theory_compliant=True, critic_step_size=0.15, critic_iterations=4,
+            critic_batch_size=9, features="complete",
+        )
+        assert cfg == ExperimentConfig(**expected)
+        for row in KEYS:   # every value differs from its default
+            if row.field != "env_params":
+                assert getattr(cfg, row.field) != row.default, row.key
+        cfg.to_ini(tmp_path / "a.ini")
+        again = ExperimentConfig.from_ini(tmp_path / "a.ini")
+        assert again == cfg
+        again.to_ini(tmp_path / "b.ini")
+        assert (tmp_path / "b.ini").read_bytes() == (tmp_path / "a.ini").read_bytes()
+        config = moac_config(cfg, seed=21)
+        assert (config.setting, config.actor_iterations, config.actor_batch_size) == ("average", 5, 7)
+        assert (config.actor_step_size, str(config.momentum), config.lipschitz_estimate) == \
+            (0.125, "constant:0.25", 2.5)
+        assert (config.critic_step_size, config.critic_iterations, config.critic_batch_size) == \
+            (0.15, 4, 9)
+        assert (config.seed, config.oracle_diagnostics, config.oracle_every) == (21, True, 4)
+        assert (config.theory_compliant, config.features) == (True, "complete")
+        if kind == "file":
+            (tmp_path / "env_dir").mkdir()
+            save_env_json(build_fishwood(0.4, 0.5), str(tmp_path / "env_dir" / "env.json"))
+            cfg.env_params = {"path": str(tmp_path / "env_dir" / "env.json")}
+            assert build_environment(cfg).metadata["fish_proba"] == 0.4
+        else:
+            env = build_environment(cfg)
+            assert np.all(env.discounts == 0.8)
+            for key in ("fish_proba", "wood_proba", "attack_prob"):
+                if key in env_params:
+                    assert env.metadata[key] == env_params[key]
+
+    def test_table_covers_every_field(self):
+        import dataclasses
+
+        from morlab import MoacConfig
+        from morlab.experiment import KEYS
+        assert len(KEYS) == 24
+        assert len({(row.section, row.key) for row in KEYS}) == 24
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {row.field for row in KEYS} == fields
+        targets = {row.target for row in KEYS if isinstance(row.target, str)}
+        assert targets | {"seed"} == {f.name for f in dataclasses.fields(MoacConfig)}
+
+    def test_percent_signs_round_trip_and_run(self, tmp_path):
+        env_path = tmp_path / "env_100%.json"
+        save_env_json(build_fishwood(0.3, 0.6), str(env_path))
+        out = tmp_path / "out_50%"
+        text = BASE_CONFIG.replace("name = smoke", "name = run_50%\noutput = " + str(out))
+        text = text.replace("seeds = 2", "seeds = 1")
+        text = text.replace(FISHWOOD_ENV, f"kind = file\npath = {env_path}")
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, text))
+        assert (cfg.name, cfg.output, cfg.env_params) == ("run_50%", str(out), {"path": str(env_path)})
+        cfg.to_ini(tmp_path / "copy.ini")
+        assert ExperimentConfig.from_ini(tmp_path / "copy.ini") == cfg
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        assert ExperimentConfig.from_ini(out / "config.ini") == cfg
+        assert (out / "seed_100.csv").exists()
+
+    @pytest.mark.parametrize("kind, env, key", [
+        ("fishwood", "attack_prob = 0.7", "attack_prob"),
+        ("fishwood", "path = x.json", "path"),
+        ("resource_gathering", "fish_proba = 0.3", "fish_proba"),
+        ("file", "path = x.json\ndiscount = 0.9", "discount"),
+    ])
+    def test_key_of_another_kind_rejected(self, tmp_path, capsys, kind, env, key):
+        text = BASE_CONFIG.replace(FISHWOOD_ENV, f"kind = {kind}\n{env}")
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"'{key}'.*'{kind}'"):
+            ExperimentConfig.from_ini(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and kind in err
+
+    def test_readme_example_parses_and_round_trips(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, block))
+        assert cfg.name == "fishwood-momentum" and cfg.seeds == 20 and cfg.env_kind == "fishwood"
+        assert cfg.features == "default" and cfg.momentum == "power:1"
+        cfg.to_ini(tmp_path / "copy.ini")
+        assert ExperimentConfig.from_ini(tmp_path / "copy.ini") == cfg
 
 
 class TestRunExperiment:
@@ -184,6 +365,23 @@ class TestRunExperiment:
         for seed in (100, 101, 102):  # nothing is deleted
             assert (out / f"seed_{seed}.csv").exists()
 
+    def test_failed_rerun_leaves_no_stale_results(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with_jsonl = BASE_CONFIG.replace("oracle = false", "oracle = false\njsonl = true")
+        assert main(["run", str(write_config(tmp_path, with_jsonl)), "--out", str(out)]) == 0
+        assert (out / "seed_100.jsonl").exists()
+        diverging = BASE_CONFIG.replace("step_size = 0.2", "step_size = 1e9")
+        diverging = diverging.replace("iterations = 2\nbatch_size = 6", "iterations = 80\nbatch_size = 6")
+        path = write_config(tmp_path, diverging, name="b.ini")
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "seed 100" in capsys.readouterr().err
+        assert ExperimentConfig.from_ini(out / "config.ini").critic_step_size == 1e9
+        for seed in (100, 101):
+            for suffix in (".csv", ".jsonl", DONE_SUFFIX):
+                assert not (out / f"seed_{seed}{suffix}").exists()
+        assert not (out / "summary.json").exists()
+        assert main(["summarize", str(out)]) == 2
+
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
         out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
@@ -239,6 +437,14 @@ class TestCliCommands:
         assert "seed 100" in err
         assert "actor iteration 1" in err and "inner critic iteration" in err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        from morlab import MoacConfig, MomentumSchedule, ParameterError
+        with pytest.raises(ParameterError, match="seed"):
+            MoacConfig("discounted", 1, 1, 0.1, MomentumSchedule("zero"), 0.1, 1, 1, seed=-1)
+        path = write_config(tmp_path, BASE_CONFIG.replace("base_seed = 100", "base_seed = -1"))
+        assert main(["run", str(path), "--out", str(tmp_path / "neg")]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MORLAB_WORKERS", "abc")
         code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "w")])
@@ -251,7 +457,7 @@ class TestCliCommands:
                            np.ones((1, 2, 2)), np.array([0.9]), np.array([0.5, 0.5]))
         save_env_json(env, str(tmp_path / "env.json"))
         text = BASE_CONFIG.replace("oracle = false", "oracle = true")
-        text = text.replace("kind = fishwood", f"kind = file\npath = {tmp_path / 'env.json'}")
+        text = text.replace(FISHWOOD_ENV, f"kind = file\npath = {tmp_path / 'env.json'}")
         code = main(["run", str(write_config(tmp_path, text)), "--out", str(tmp_path / "r"),
                      "--seeds", "1"])
         assert code == 2

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from morlab import (
     AVERAGE,
     DISCOUNTED,
-    CriticState,
     DivergenceError,
-    MarkovSampler,
     ModelError,
     ParameterError,
     PolicyEvaluation,
@@ -25,11 +23,11 @@ from morlab import (
     complete_feature_map,
     default_feature_map,
     expected_td_update,
-    run_critic,
-    td_errors,
     theory_critic_step,
     uniform_policy,
 )
+from morlab.critic import CriticState, run_critic, td_errors
+from morlab.momdp import MarkovSampler
 
 from util import (
     random_momdp,
@@ -292,8 +290,8 @@ class TestRunCritic:
         s, a = int(s_arr[0]), int(a_arr[0])
         sampler = MarkovSampler(env, seed=77)
         critic = CriticState.zeros(2, 1, step_size=0.2, batch_size=1, n_iterations=1)
-        updated, final_state = run_critic(sampler, policy, critic, features, DISCOUNTED)
-        assert final_state == int(ns_arr[0])
+        updated = run_critic(sampler, policy, critic, features, DISCOUNTED)
+        assert sampler.state == int(ns_arr[0])
         for i in range(2):
             delta = env.reward[i, s, a]   # zero weights: the TD error is the reward
             expected = 0.2 * delta * features.state_vector(s)
@@ -306,7 +304,7 @@ class TestRunCritic:
         sampler = MarkovSampler(env, seed=5)
         critic = CriticState.zeros(1, 1, step_size=0.1, batch_size=8, n_iterations=20)
         for setting in (AVERAGE, DISCOUNTED):
-            updated, _ = run_critic(MarkovSampler(env, seed=5), uniform_policy(env),
+            updated = run_critic(MarkovSampler(env, seed=5), uniform_policy(env),
                                     critic, features, setting)
             assert np.all(updated.weights == 0.0)
             assert np.all(updated.avg_reward == 0.0)
@@ -318,8 +316,8 @@ class TestRunCritic:
         features = default_feature_map(2)
         policy = uniform_policy(env)
         critic = CriticState.zeros(2, 1, step_size=0.1, batch_size=16, n_iterations=30)
-        out1, _ = run_critic(MarkovSampler(env, seed=13), policy, critic, features, DISCOUNTED)
-        out2, _ = run_critic(MarkovSampler(flipped, seed=13), policy, critic, features, DISCOUNTED)
+        out1 = run_critic(MarkovSampler(env, seed=13), policy, critic, features, DISCOUNTED)
+        out2 = run_critic(MarkovSampler(flipped, seed=13), policy, critic, features, DISCOUNTED)
         assert np.array_equal(out1.weights, out2.weights[::-1])
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
@@ -336,7 +334,7 @@ class TestRunCritic:
         for seed in range(40):
             critic = CriticState.zeros(2, 1, step_size=beta, batch_size=200, n_iterations=300)
             sampler = MarkovSampler(env, seed=seed)
-            updated, _ = run_critic(sampler, policy, critic, features, setting)
+            updated = run_critic(sampler, policy, critic, features, setting)
             errors.append(float(((updated.weights - fp.w_star) ** 2).sum()))
         assert np.mean(errors) < 0.1 * initial
 
@@ -382,5 +380,5 @@ class TestRunCritic:
         for s, a in zip(s_arr, a_arr):
             mu = (1 - beta) * mu + beta * env.reward[:, s, a]
         critic = CriticState.zeros(2, 1, step_size=beta, batch_size=12, n_iterations=1)
-        updated, _ = run_critic(MarkovSampler(env, seed=21), policy, critic, features, AVERAGE)
+        updated = run_critic(MarkovSampler(env, seed=21), policy, critic, features, AVERAGE)
         assert np.allclose(updated.avg_reward, mu, atol=1e-12)

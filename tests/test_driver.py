@@ -7,9 +7,7 @@ from morlab import (
     AVERAGE,
     DISCOUNTED,
     ConvergenceError,
-    CriticState,
     DivergenceError,
-    MarkovSampler,
     ModelError,
     MoacConfig,
     MomentumSchedule,
@@ -22,16 +20,17 @@ from morlab import (
     compute_td_fixed_point,
     default_feature_map,
     estimate_gradient_lipschitz,
-    estimate_objective_gradients,
     exact_policy_gradient,
     expected_td_gradient,
     pareto_stationarity_gap,
-    run_critic,
     run_moac,
     solve_min_norm,
     theory_actor_step,
     uniform_policy,
 )
+from morlab.critic import CriticState, run_critic
+from morlab.driver import estimate_objective_gradients
+from morlab.momdp import MarkovSampler
 
 from util import random_momdp, random_policy, two_state_env
 
@@ -60,11 +59,11 @@ class TestGradientEstimates:
                            np.array([0.5, 0.5]))
         sampler = MarkovSampler(env, seed=0)
         policy = uniform_policy(env)
-        est, _ = estimate_objective_gradients(
+        grads, reward_mean = estimate_objective_gradients(
             sampler, policy, np.zeros((2, 1)), 64, DISCOUNTED, default_feature_map(2), 0.05
         )
-        assert np.all(est.per_objective == 0.0)
-        assert np.all(est.reward_mean == 0.0)
+        assert np.all(grads == 0.0)
+        assert np.all(reward_mean == 0.0)
 
     def test_concentrates_on_enumeration_limit(self):
         # large-batch estimate at the TD fixed point vs the exact enumeration,
@@ -76,13 +75,13 @@ class TestGradientEstimates:
         fp = compute_td_fixed_point(evaluation, features)
         B = 100_000
         sampler = MarkovSampler(env, seed=7)
-        est, _ = estimate_objective_gradients(
+        grads, _ = estimate_objective_gradients(
             sampler, policy, fp.w_star, B, DISCOUNTED, features, 0.05
         )
         budget = 3.0 * (2.0 * env.r_max + 2.0 * fp.r_w_bound) / np.sqrt(B)
         for i in range(2):
             limit = expected_td_gradient(evaluation, features, fp.w_star[i], i)
-            assert np.linalg.norm(est.per_objective[i] - limit) <= budget
+            assert np.linalg.norm(grads[i] - limit) <= budget
 
     def test_enumeration_limit_equals_exact_gradient_with_complete_features(self):
         # zero approximation error makes the TD-based direction the exact
@@ -107,11 +106,11 @@ class TestGradientEstimates:
         env = two_state_env()
         sampler = MarkovSampler(env, seed=3)
         policy = uniform_policy(env)
-        est, _ = estimate_objective_gradients(
+        grads, reward_mean = estimate_objective_gradients(
             sampler, policy, np.zeros((2, 1)), 32, AVERAGE, default_feature_map(2), 0.1
         )
-        assert np.all(np.isfinite(est.per_objective))
-        assert est.reward_mean.shape == (2,)
+        assert np.all(np.isfinite(grads))
+        assert reward_mean.shape == (2,)
 
 
 class TestParetoGap:
@@ -181,15 +180,15 @@ class TestRunMoac:
         policy = uniform_policy(env)
         critic = CriticState.zeros(2, features.dim, config.critic_step_size,
                                    config.critic_batch_size, config.critic_iterations)
-        critic, _ = run_critic(sampler, policy, critic, features, DISCOUNTED)
-        est, _ = estimate_objective_gradients(
+        critic = run_critic(sampler, policy, critic, features, DISCOUNTED)
+        grads, _ = estimate_objective_gradients(
             sampler, policy, critic.weights, config.actor_batch_size,
             DISCOUNTED, features, config.actor_step_size,
         )
-        lam_hat, _ = solve_min_norm(est.per_objective)
+        lam_hat, _ = solve_min_norm(grads)
         assert np.allclose(res.records[0].lam, lam_hat.values, atol=1e-14)
         # combined-direction identity: the recorded norm is ||sum_i lam_i g_i||^2
-        combined = lam_hat.values @ est.per_objective
+        combined = lam_hat.values @ grads
         assert res.records[0].grad_norm_sq == pytest.approx(float(combined @ combined),
                                                             rel=1e-12, abs=1e-15)
 
@@ -301,7 +300,7 @@ class TestRunMoac:
         sampler.trace = []
         critic = CriticState.zeros(2, 1, 0.2, batch_size=10, n_iterations=3)
         for _ in range(4):
-            critic, _ = run_critic(sampler, policy, critic, features, DISCOUNTED)
+            critic = run_critic(sampler, policy, critic, features, DISCOUNTED)
             estimate_objective_gradients(sampler, policy, critic.weights, 16,
                                          DISCOUNTED, features, 0.05)
         trace = sampler.trace

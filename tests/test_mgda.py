@@ -6,12 +6,10 @@ import pytest
 from morlab import (
     MomentumSchedule,
     ParameterError,
-    SimplexWeights,
     duality_gap,
-    momentum_update,
     solve_min_norm,
-    uniform_weights,
 )
+from morlab.mgda import SimplexWeights, momentum_update, uniform_weights
 
 from util import grid_min_norm_1d, lattice_min_norm
 

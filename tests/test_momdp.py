@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from morlab import (
     AVERAGE,
     DISCOUNTED,
-    MarkovSampler,
     ModelError,
     ParameterError,
     PolicyEvaluation,
@@ -22,6 +21,7 @@ from morlab import (
     save_env_json,
     uniform_policy,
 )
+from morlab.momdp import MarkovSampler
 
 from util import (
     dense_policy_batch,
@@ -29,6 +29,7 @@ from util import (
     permute_tabular_policy,
     random_momdp,
     random_policy,
+    sample_step,
     single_chain_env,
     two_state_env,
 )
@@ -209,7 +210,6 @@ class TestValidation:
 
 class TestSampling:
     def test_deterministic_row_is_followed(self):
-        from morlab import sample_step
         P = np.zeros((2, 1, 2))
         P[0, 0, 1] = 1.0
         P[1, 0, 0] = 1.0
@@ -223,7 +223,7 @@ class TestSampling:
     def test_transition_record_fields(self):
         env = two_state_env()
         sampler = MarkovSampler(env, seed=3, initial_state=1)
-        tr = sampler.sample_step(1)
+        tr = sample_step(sampler, 1)
         assert tr.state == 1 and tr.action == 1
         assert np.array_equal(tr.rewards, env.reward[:, 1, 1])
         assert 0 <= tr.next_state < 2
@@ -235,7 +235,7 @@ class TestSampling:
         env = TabularMomdp(2, 1, 1, P, R, np.array([0.9]), np.array([0.5, 0.5]))
         sampler = MarkovSampler(env, seed=11, initial_state=0)
         n = 100_000
-        hits = sum(sampler.sample_step(0).next_state == 0 for _ in range(n))
+        hits = sum(sample_step(sampler, 0).next_state == 0 for _ in range(n))
         sigma = np.sqrt(0.3 * 0.7 / n)
         assert abs(hits / n - 0.3) <= 3 * sigma
 
@@ -246,8 +246,8 @@ class TestSampling:
         s1 = MarkovSampler(env, seed=42)
         s2 = MarkovSampler(env, seed=42)
         for a in actions:
-            t1 = s1.sample_step(int(a))
-            t2 = s2.sample_step(int(a))
+            t1 = sample_step(s1, int(a))
+            t2 = sample_step(s2, int(a))
             assert (t1.state, t1.action, t1.next_state) == (t2.state, t2.action, t2.next_state)
 
     def test_batch_continues_the_chain(self):
@@ -267,7 +267,7 @@ class TestSampling:
         env = two_state_env()
         sampler = MarkovSampler(env, seed=0)
         with pytest.raises(ParameterError):
-            sampler.sample_step(7)
+            sample_step(sampler, 7)
 
 
 def paired_samplers(env: TabularMomdp, seed: int = 7):

@@ -14,13 +14,12 @@ from morlab import (
     compute_exact_objective,
     generate_logged_data,
     load_logged_data,
-    ncis_score,
     ncis_scores,
     save_logged_data,
     uniform_policy,
 )
 
-from util import random_momdp, random_policy
+from util import ncis_score, random_momdp, random_policy
 
 
 def logit_policy(probs: np.ndarray) -> PolicyParams:
@@ -37,7 +36,7 @@ class TestNcisScore:
             behavior_probs=np.array([0.25, 0.25]),
         )
         pol = logit_policy(np.array([[0.25, 0.75]]))  # ratios 0.25/0.25=1, 0.75/0.25=3
-        score = ncis_score(dataset, pol, cap=2.0, objective=0)
+        score = ncis_scores(dataset, pol, cap=2.0)[0]
         assert score == pytest.approx(2.0 / 3.0)
 
     def test_self_evaluation_is_plain_mean(self):
@@ -53,7 +52,7 @@ class TestNcisScore:
         env = random_momdp(rng, n_states=3, n_actions=2, n_objectives=1)
         behavior = random_policy(rng, 3, 2)
         data = generate_logged_data(env, behavior, n=200, seed=2)
-        score = ncis_score(data, behavior, cap=1e-9, objective=0)
+        score = ncis_scores(data, behavior, cap=1e-9)[0]
         assert score == pytest.approx(float(data.rewards[:, 0].mean()), rel=1e-12)
 
     def test_cap_monotone_on_high_reward_concentrating_candidate(self):
@@ -65,8 +64,17 @@ class TestNcisScore:
         )
         candidate = logit_policy(np.array([[0.1, 0.9]]))  # ratio 1.8 > 1 on the rewarded record
         caps = np.linspace(0.05, 3.0, 40)
-        scores = [ncis_score(dataset, candidate, cap=c, objective=0) for c in caps]
+        scores = [ncis_scores(dataset, candidate, cap=c)[0] for c in caps]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+
+    def test_matches_record_by_record_reference(self):
+        rng = np.random.default_rng(4)
+        env = random_momdp(rng, n_states=4, n_actions=3, n_objectives=3)
+        data = generate_logged_data(env, random_policy(rng, 4, 3), n=300, seed=5)
+        candidate = random_policy(rng, 4, 3, scale=1.5)
+        for cap in (0.5, 1.0, 2.0, 10.0):
+            reference = [ncis_score(data, candidate, cap, i) for i in range(3)]
+            assert ncis_scores(data, candidate, cap) == pytest.approx(reference, rel=1e-12)
 
     def test_zero_support_rejected(self):
         with pytest.raises(DataError):
@@ -99,7 +107,7 @@ class TestNcisScore:
                                 rewards=np.array([[1.0]]), behavior_probs=np.array([0.5]))
         pol = logit_policy(np.array([[0.5, 0.5]]))
         with pytest.raises(ParameterError):
-            ncis_score(dataset, pol, cap=0.0)
+            ncis_scores(dataset, pol, cap=0.0)
 
 
 class TestGeneratedLogs:

@@ -10,16 +10,22 @@ from morlab import (
     ParameterError,
     PolicyEvaluation,
     PolicyParams,
-    action_probabilities,
     complete_feature_map,
     default_feature_map,
     exact_policy_gradient,
     load_policy_json,
     save_policy_json,
-    score_function,
 )
 
-from util import finite_difference_gradient, permute_momdp, permute_tabular_policy, random_momdp, random_policy
+from util import (
+    action_probabilities,
+    finite_difference_gradient,
+    permute_momdp,
+    permute_tabular_policy,
+    random_momdp,
+    random_policy,
+    score_function,
+)
 
 
 class TestActionProbabilities:

@@ -7,11 +7,13 @@ every stochastic or optimized code path has a second opinion.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from morlab import MarkovSampler, PolicyParams, TabularMomdp, compute_exact_objective
+from morlab import LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
+from morlab.momdp import MarkovSampler
 
 
 def random_momdp(rng: np.random.Generator, n_states: int = 4, n_actions: int = 2,
@@ -60,6 +62,62 @@ def dense_policy_batch(sampler: MarkovSampler, action_probs: np.ndarray, n: int)
         s = ns
     sampler.state = int(s)
     return states, actions, next_states
+
+
+@dataclass
+class Transition:
+    """One step drawn by ``sample_step``: rewards carry all M objectives."""
+
+    state: int
+    action: int
+    rewards: np.ndarray
+    next_state: int
+
+
+def sample_step(sampler: MarkovSampler, action: int) -> Transition:
+    """Dense single-step sampler: one uniform against the cumulative row of
+    P(. | state, action), the last entry pinned to 1.
+
+    Advances ``sampler.rng`` and ``sampler.state`` like a chained draw with a
+    fixed action.
+    """
+    env = sampler.env
+    if not 0 <= action < env.n_actions:
+        raise ParameterError(f"action {action} out of range")
+    s = sampler.state
+    cum = np.cumsum(env.transition[s, action])
+    cum[-1] = 1.0
+    ns = min(int(np.searchsorted(cum, sampler.rng.random(), side="right")), env.n_states - 1)
+    sampler.state = ns
+    return Transition(state=s, action=action, rewards=env.reward[:, s, action].copy(), next_state=ns)
+
+
+def action_probabilities(policy: PolicyParams, state: int) -> np.ndarray:
+    """Action distribution of ``policy`` at one state."""
+    if not 0 <= state < policy.n_states:
+        raise ParameterError(f"state {state} out of range")
+    return policy.probability_matrix()[state]
+
+
+def score_function(policy: PolicyParams, state: int, action: int) -> np.ndarray:
+    """Gradient of log pi(action | state) in theta, through ``score_weighted_sum``
+    with a one-hot coefficient."""
+    coeff = np.zeros((policy.n_states, policy.n_actions))
+    coeff[state, action] = 1.0
+    return policy.score_weighted_sum(coeff)
+
+
+def ncis_score(dataset: LoggedDataset, candidate: PolicyParams, cap: float, objective: int) -> float:
+    """Reference for one objective of ``ncis_scores``: sum_k w_k r_k / sum_k w_k
+    with w_k = min(cap, pi(a_k | s_k) / pi_beta(a_k | s_k)), one record at a time."""
+    probs = candidate.probability_matrix()
+    num = den = 0.0
+    for s, a, r, pb in zip(dataset.states, dataset.actions, dataset.rewards[:, objective],
+                           dataset.behavior_probs):
+        w = min(cap, probs[s, a] / pb)
+        num += w * r
+        den += w
+    return num / den
 
 
 def two_state_env() -> TabularMomdp:
