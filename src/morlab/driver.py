@@ -67,8 +67,9 @@ class MoacConfig:
             if not self.theory_compliant:
                 raise ParameterError("actor_step_size may be omitted only in theory-compliant mode")
             self.actor_step_size = theory_actor_step(self.lipschitz_estimate)
-        if not self.actor_step_size > 0 or not self.critic_step_size > 0:
-            raise ParameterError("step sizes must be positive")
+        for name in ("lipschitz_estimate", "critic_step_size", "actor_step_size"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.setting == AVERAGE and self.actor_step_size > 1:
             # the actor's reward tracker advances with this step: no running mean above 1
             raise ParameterError("actor_step_size must be at most 1 in the average setting")

@@ -143,18 +143,26 @@ class ExperimentConfig:
         for row in KEYS:
             if row.field != "env_params":
                 values[row.field] = _read(parser, row)
-                if row.field == "env_kind" and values["env_kind"] not in _KINDS:
-                    raise ConfigError(f"[{row.section}] {row.key} must be one of {_KINDS}")
-            elif values["env_kind"] in row.target:
+            elif values["env_kind"] in row.target or parser.has_option(row.section, row.key):
                 values["env_params"][row.key] = _read(parser, row)
-            elif parser.has_option(row.section, row.key):
-                raise ConfigError(f"[{row.section}] key '{row.key}' does not apply to "
-                                  f"kind '{values['env_kind']}'")
-        MomentumSchedule.parse(values["momentum"])  # fail early on bad schedules
         cfg = cls(**values)
-        if cfg.seeds < 1:
-            raise ConfigError("[experiment] seeds must be >= 1")
+        cfg.check()
         return cfg
+
+    def check(self):
+        """Reject an unknown environment kind, an [environment] key that the
+        kind does not take, no seeds, or a bad momentum schedule; from_ini and
+        run_experiment both call this, so a config built in code is checked too."""
+        if self.env_kind not in _KINDS:
+            raise ConfigError(f"[environment] kind must be one of {_KINDS}, got {self.env_kind!r}")
+        for key in self.env_params:
+            if not any(row.key == key and self.env_kind in row.target
+                       for row in KEYS if row.field == "env_params"):
+                raise ConfigError(f"[environment] key '{key}' does not apply to "
+                                  f"kind '{self.env_kind}'")
+        if self.seeds < 1:
+            raise ConfigError("[experiment] seeds must be >= 1")
+        MomentumSchedule.parse(self.momentum)  # fail early on bad schedules
 
     def to_ini(self, path: str | Path):
         parser = _ini_parser()
@@ -264,6 +272,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    max_workers: int | None = None) -> Path:
     """Execute all seeds, write per-seed metrics plus summary.json, return the
     artifact directory."""
+    cfg.check()
     out = Path(out_dir if out_dir else (cfg.output or cfg.name))
     out.mkdir(parents=True, exist_ok=True)
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 
 _CERT_TOL = 1e-10
-_MAX_ITER = 100_000
+_MAX_OBJECTIVES = 10   # 2^M - 1 faces are enumerated
 
 
 @dataclass
@@ -103,17 +103,21 @@ def duality_gap(gradients, lam: np.ndarray) -> float:
     return float(gbar @ gbar - inner.min())
 
 
-def solve_min_norm(gradients, cert_tol: float = _CERT_TOL):
+def solve_min_norm(gradients):
     """Minimize ||sum_i lam_i g_i||^2 over the probability simplex.
 
     Returns (SimplexWeights, min_norm_sq). M = 1 and M = 2 are solved in
-    closed form; M >= 3 runs Frank-Wolfe with away steps and exact line search
-    on the symmetrized Gram matrix until the duality gap drops below
-    cert_tol * (1 + objective). Ties in the linear-minimization step break
-    toward the smallest index, which makes the output deterministic.
+    closed form. For 3 <= M <= 10 one batched LU solve covers the KKT systems
+    [[G_FF, 1], [1^T, 0]] of all 2^M - 1 faces F of the simplex, on the Gram
+    matrix divided by an exact power of two, so lam is bit for bit the same in
+    any units. The feasible candidate of smallest duality gap must certify
+    duality_gap <= 1e-10 * max_i ||g_i||^2, else ConvergenceError.
     """
     W = _as_gradient_matrix(gradients)
     M = W.shape[0]
+    if M > _MAX_OBJECTIVES:
+        raise ParameterError(f"the min-norm QP takes at most {_MAX_OBJECTIVES} objectives, "
+                             f"got {M}")
     with np.errstate(over="ignore", invalid="ignore"):
         G = W[0] @ W[0] if M == 1 else W @ W.T
     if not np.all(np.isfinite(G)):
@@ -130,46 +134,29 @@ def solve_min_norm(gradients, cert_tol: float = _CERT_TOL):
         lam = np.array([t, 1.0 - t])
         return SimplexWeights(lam), max(float(lam @ G @ lam), 0.0)  # squared norm; clamp FP dust
 
-    lam = np.zeros(M)
-    lam[int(np.argmin(np.diag(G)))] = 1.0
-    gap = np.inf
-    for _ in range(_MAX_ITER):
-        grad = G @ lam                      # <gbar, g_i> for every i
-        qval = float(lam @ grad)
-        gap = qval - float(grad.min())
-        if gap <= cert_tol * (1.0 + qval):
-            break
-        i_fw = int(np.argmin(grad))
-        support = np.flatnonzero(lam > 0)
-        j_aw = support[int(np.argmax(grad[support]))]
-        fw_slope = qval - grad[i_fw]        # decrease rate of the toward step
-        aw_slope = grad[j_aw] - qval        # decrease rate of the away step
-        if fw_slope >= aw_slope or lam[j_aw] >= 1.0 - 1e-15:
-            direction = -lam.copy()
-            direction[i_fw] += 1.0
-            t_max = 1.0
-        else:
-            direction = lam.copy()
-            direction[j_aw] -= 1.0
-            t_max = lam[j_aw] / (1.0 - lam[j_aw])
-        curvature = float(direction @ G @ direction)
-        slope = float(direction @ grad)
-        if curvature <= 0.0:
-            step = t_max
-        else:
-            step = min(max(-slope / curvature, 0.0), t_max)
-        if step <= 0.0:
-            break
-        lam = lam + step * direction
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
+    top = float(np.diag(G).max())                 # max_i ||g_i||^2
+    Gs = np.ldexp(G, -np.frexp(top)[1])
+    faces = (np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1 == 1   # (2^M - 1, M)
+    K = np.zeros((faces.shape[0], M + 1, M + 1))
+    K[:, :M, :M] = Gs * (faces[:, :, None] & faces[:, None, :])
+    K[:, np.arange(M), np.arange(M)] += ~faces    # identity rows pin lam_i = 0 off the face
+    K[:, :M, M] = K[:, M, :M] = faces
+    rhs = np.eye(M + 1)[M:].T                     # only the last row, sum(lam) = 1
+    try:
+        lam = np.linalg.solve(K, rhs)[:, :M, 0]
+    except np.linalg.LinAlgError:                 # a face of affinely dependent gradients
+        lam = np.stack([np.linalg.lstsq(k, rhs, rcond=None)[0][:M, 0] for k in K])
+    feasible = (lam >= -1e-12).all(axis=1) & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-9)
+    lam = np.clip(lam[feasible], 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    grads = lam @ Gs
+    lam = lam[int(np.argmin(np.einsum("fi,fi->f", lam, grads) - grads.min(axis=1)))]
     grad = G @ lam
     qval = float(lam @ grad)
     gap = qval - float(grad.min())
-    if gap > cert_tol * (1.0 + qval):
-        raise ConvergenceError(
-            f"min-norm solver stopped without certificate (gap {gap:.3e})", residual=gap
-        )
+    if gap > _CERT_TOL * top:
+        raise ConvergenceError(f"min-norm solution failed its certificate (gap {gap:.3e})",
+                               residual=gap)
     return SimplexWeights(lam), max(qval, 0.0)
 
 

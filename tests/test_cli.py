@@ -1,5 +1,6 @@
 """Experiment config parsing, the run/summarize pipeline, and CLI exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -232,8 +233,6 @@ class TestConfigTable:
                     assert env.metadata[key] == env_params[key]
 
     def test_table_covers_every_field(self):
-        import dataclasses
-
         from morlab import MoacConfig
         from morlab.experiment import KEYS
         assert len(KEYS) == 24
@@ -382,6 +381,18 @@ class TestRunExperiment:
         assert not (out / "summary.json").exists()
         assert main(["summarize", str(out)]) == 2
 
+    @pytest.mark.parametrize("change, message", [
+        ({"env_kind": "forest"}, "kind must be one of"),
+        ({"env_params": {"fish_proba": 0.3, "attack_prob": 0.1}}, "'attack_prob'.*'fishwood'"),
+    ])
+    def test_config_built_in_code_is_checked(self, tmp_path, change, message):
+        # the check of from_ini, made before the out directory is touched and
+        # before build_environment could fail with a KeyError or a TypeError
+        cfg = dataclasses.replace(ExperimentConfig.from_ini(write_config(tmp_path)), **change)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
+        assert not (tmp_path / "run").exists()
+
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
         out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
@@ -444,6 +455,18 @@ class TestCliCommands:
         path = write_config(tmp_path, BASE_CONFIG.replace("base_seed = 100", "base_seed = -1"))
         assert main(["run", str(path), "--out", str(tmp_path / "neg")]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("step_size = 0.05", "step_size = inf"),                  # [moac]
+        ("step_size = 0.2", "step_size = inf"),                   # [critic]
+        ("base_seed = 100", "base_seed = 100\nlipschitz = inf"),
+    ])
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, old, new):
+        # a bad config (exit 2), not a run that diverges at iteration 1 (exit 3)
+        # or, for lipschitz, one that runs without a word
+        path = write_config(tmp_path, BASE_CONFIG.replace(old, new, 1))
+        assert main(["run", str(path), "--out", str(tmp_path / "inf"), "--seeds", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MORLAB_WORKERS", "abc")

@@ -1,7 +1,12 @@
 """Min-norm simplex QP solver and momentum mixing."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morlab import (
     MomentumSchedule,
@@ -12,6 +17,9 @@ from morlab import (
 from morlab.mgda import SimplexWeights, momentum_update, uniform_weights
 
 from util import grid_min_norm_1d, lattice_min_norm
+
+# captured actor gradient stacks with their exact optimum, see each "source"
+CAPTURED = json.loads((Path(__file__).parent / "data" / "min_norm_stacks.json").read_text())
 
 
 class TestSolveMinNorm:
@@ -106,6 +114,58 @@ class TestSolveMinNorm:
         lam, val = solve_min_norm(np.zeros((3, 4)))
         assert val == pytest.approx(0.0)
         assert lam.values.sum() == pytest.approx(1.0)
+
+
+class TestExactFaceSolver:
+    """M >= 3: the batched solve over every face of the simplex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(3, 5),
+        dim=st.integers(2, 8),
+        structure=st.sampled_from(["generic", "duplicate", "collinear", "zero row"]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-40, 40),
+    )
+    def test_power_of_two_rescale_is_exact(self, m, dim, structure, seed, k):
+        rng = np.random.default_rng(seed)
+        grads = rng.normal(size=(m, dim))
+        if structure == "duplicate":
+            grads[2] = grads[1]
+        elif structure == "collinear":
+            grads[2] = -0.5 * grads[1]
+        elif structure == "zero row":
+            grads[0] = 0.0
+        # row norms from 1e-6 to 1, as for actor gradients of unit-scale rewards
+        norms = np.linalg.norm(grads, axis=1, keepdims=True)
+        grads = np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
+        grads *= 10.0 ** rng.uniform(-6.0, 0.0, size=(m, 1))
+        c = 2.0 ** k
+        lam, val = solve_min_norm(grads)
+        lam_c, val_c = solve_min_norm(c * grads)
+        assert np.array_equal(lam_c.values, lam.values)
+        assert val_c == c * c * val
+        assert duality_gap(grads, lam.values) <= 1e-10 * np.max(np.sum(grads**2, axis=1))
+
+    @pytest.mark.parametrize("name", sorted(CAPTURED))
+    def test_captured_actor_stacks(self, name):
+        case = CAPTURED[name]
+        grads = np.array(case["gradients"])
+        lam, val = solve_min_norm(grads)
+        assert np.allclose(lam.values, case["exact_lambda"], rtol=0.0, atol=1e-12)
+        assert val == pytest.approx(case["exact_min_norm_sq"], rel=1e-12)
+        assert duality_gap(grads, lam.values) <= 1e-10 * np.max(np.sum(grads**2, axis=1))
+        # the same weights in any units: x1024 and /1024 as well as the raw stack
+        for k in (-10, 10):
+            lam_k, val_k = solve_min_norm(2.0**k * grads)
+            assert np.array_equal(lam_k.values, lam.values)
+            assert val_k == 4.0**k * val
+
+    def test_objective_cap(self):
+        with pytest.raises(ParameterError, match="at most 10"):
+            solve_min_norm(np.eye(11))
+        lam, val = solve_min_norm(np.eye(10))
+        assert np.allclose(lam.values, 0.1) and val == pytest.approx(0.1)
 
 
 class TestSimplexWeights:
