@@ -86,7 +86,7 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     r = env.reward[:, s_arr, a_arr]               # (M, D)
     v_s = phi[s_arr] @ weights.T                  # (D, M)
     v_n = phi[ns_arr] @ weights.T
-    if setting != AVERAGE:
+    if setting != AVERAGE:  # kept apart: the tracker path groups (r - mu) + (v' - v)
         return r + env.discounts[:, None] * v_n.T - v_s.T, r, mu
     # the tracker recursion as a one-tap IIR filter; imported here so that
     # discounted runs never load scipy.signal
@@ -147,31 +147,22 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     the outer product.
     """
     env, setting = evaluation.env, evaluation.setting
-    d = evaluation.d
+    d, gamma = evaluation.d, evaluation.gamma
     phi = features.matrix
     d2 = features.dim
     M = env.n_objectives
     weighted_phi = d[:, None] * phi
     next_phi = evaluation.P @ phi                     # E[phi(s') | s]
-    r_bar = evaluation.r                              # (M, S)
-    A = np.empty((M, d2, d2))
-    b = np.empty((M, d2))
-    if setting == AVERAGE:
-        A[:] = weighted_phi.T @ (next_phi - phi)
-        J = evaluation.values[1]
-        b[:] = ((r_bar - J[:, None]) * d) @ phi
-    else:
-        for i in range(M):
-            A[i] = weighted_phi.T @ (env.discounts[i] * next_phi - phi)
-        b[:] = (r_bar * d) @ phi
+    b = ((evaluation.r - evaluation.offset[:, None]) * d) @ phi
     # objectives with equal discounts (all M in the average setting) share one
-    # slice of A: one eigendecomposition and one stacked solve per group
-    keys = np.zeros(M) if setting == AVERAGE else env.discounts
+    # slice of A: one product, one eigendecomposition and one stacked solve per group
+    A = np.empty((M, d2, d2))
     lambda_A = np.inf
     w_star = np.empty((M, d2))
-    for key in np.unique(keys):
-        group = np.flatnonzero(keys == key)
-        a, rhs = A[group[0]], b[group].T
+    for g in np.unique(gamma):
+        group = np.flatnonzero(gamma == g)
+        A[group] = a = weighted_phi.T @ (g * next_phi - phi)
+        rhs = b[group].T
         lambda_A = min(lambda_A, -np.linalg.eigvalsh(a + a.T)[-1])
         if lambda_A <= _LAMBDA_FLOOR:
             raise ModelError(
@@ -181,6 +172,7 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
         w = np.linalg.solve(a, -rhs)
         w -= np.linalg.solve(a, a @ w + rhs)          # one refinement pass
         w_star[group] = w.T
+    # the analysis bounds the centred reward r - J by 2 r_max, twice r itself
     r_w = (4.0 if setting == AVERAGE else 2.0) * env.r_max / lambda_A
     c_a = max(float(np.linalg.norm(A[i], "fro")) for i in range(M)) + 1e-6
     return TdFixedPoint(A=A, b=b, w_star=w_star, lambda_A=lambda_A,
@@ -205,11 +197,8 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
         raise ParameterError(f"objective {objective} out of range")
     values = features.matrix @ w                   # (S,)
     next_values = np.einsum("sax,x->sa", env.transition, values)
-    r = env.reward[objective]                      # (S, A)
-    if evaluation.setting == AVERAGE:
-        delta_bar = r - evaluation.values[1][objective] + next_values - values[:, None]
-    else:
-        delta_bar = r + env.discounts[objective] * next_values - values[:, None]
+    delta_bar = (env.reward[objective] - evaluation.offset[objective]
+                 + evaluation.gamma[objective] * next_values - values[:, None])
     return evaluation.d[:, None] * evaluation.probs * delta_bar
 
 

@@ -16,10 +16,9 @@ class ModelError(MorlabError):
 class DivergenceError(MorlabError):
     """Iterates blew up; carries the iteration index at which it happened."""
 
-    def __init__(self, message: str, iteration: int | None = None, seed: int | None = None):
+    def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
-        self.seed = seed
 
 
 class ConvergenceError(MorlabError):

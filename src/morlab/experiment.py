@@ -250,7 +250,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     try:
         result = run_moac(env, moac_config(cfg, seed))
     except DivergenceError as exc:
-        raise DivergenceError(f"seed {seed}: {exc}", iteration=exc.iteration, seed=seed) from exc
+        raise DivergenceError(f"seed {seed}: {exc}", iteration=exc.iteration) from exc
     except ModelError as exc:
         raise ModelError(f"seed {seed}: {exc}") from exc
     except ConvergenceError as exc:

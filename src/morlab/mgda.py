@@ -106,11 +106,12 @@ def duality_gap(gradients, lam: np.ndarray) -> float:
 def solve_min_norm(gradients):
     """Minimize ||sum_i lam_i g_i||^2 over the probability simplex.
 
-    Returns (SimplexWeights, min_norm_sq). M = 1 and M = 2 are solved in
-    closed form. For 3 <= M <= 10 one batched LU solve covers the KKT systems
-    [[G_FF, 1], [1^T, 0]] of all 2^M - 1 faces F of the simplex, on the Gram
-    matrix divided by an exact power of two, so lam is bit for bit the same in
-    any units. The feasible candidate of smallest duality gap must certify
+    Returns (SimplexWeights, min_norm_sq). M = 2 is solved in closed form.
+    For M = 1 and 3 <= M <= 10 one batched LU solve covers the KKT systems
+    [[G_FF, 1], [1^T, 0]] of all 2^M - 1 faces F of the simplex (M = 1 has
+    the one face [[g^2, 1], [1, 0]]), on the Gram matrix divided by an exact
+    power of two, so lam is bit for bit the same in any units. The feasible
+    candidate of smallest duality gap must certify
     duality_gap <= 1e-10 * max_i ||g_i||^2, else ConvergenceError.
     """
     W = _as_gradient_matrix(gradients)
@@ -119,12 +120,10 @@ def solve_min_norm(gradients):
         raise ParameterError(f"the min-norm QP takes at most {_MAX_OBJECTIVES} objectives, "
                              f"got {M}")
     with np.errstate(over="ignore", invalid="ignore"):
-        G = W[0] @ W[0] if M == 1 else W @ W.T
+        G = W @ W.T
+        G = 0.5 * (G + G.T)
     if not np.all(np.isfinite(G)):
         raise ParameterError("inner products of the gradients overflow; rescale the gradients")
-    if M == 1:
-        return SimplexWeights(np.array([1.0])), float(G)
-    G = 0.5 * (G + G.T)
     if M == 2:
         denom = G[0, 0] + G[1, 1] - 2.0 * G[0, 1]   # ||g1 - g2||^2
         if denom <= 0.0:

@@ -406,15 +406,14 @@ def _check_irreducible(P: np.ndarray):
         )
 
 
-def _stationary_residual(d: np.ndarray, P: np.ndarray) -> float:
-    return float(np.max(np.abs(d @ P - d)))
-
-
 def compute_stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Stationary distribution of the (S, S) kernel P, d^T P = d^T, sum(d) = 1.
 
-    Direct linear solve with a few exact power-polish steps; falls back to
-    power iteration (tol 1e-12, capped at 1e6 sweeps) if the solve fails.
+    One direct solve of the balance equations (the last replaced by
+    sum(d) = 1), clipped at 0, normalised and polished by 8 exact power
+    steps. ModelError if the pattern of P is reducible, if the solve finds
+    the equations singular (a chain reducible in floating point) or if the
+    residual max|d P - d| is not within ``tol``.
     """
     _check_irreducible(P)
     n = P.shape[0]
@@ -422,35 +421,18 @@ def compute_stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.nda
     A[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    d = None
     try:
-        cand = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        cand = None
-    if cand is not None and np.all(np.isfinite(cand)):
-        cand = np.clip(cand, 0.0, None)
-        total = cand.sum()
-        if total > 0:
-            cand /= total
-            for _ in range(8):  # power polish: contracts solve error for aperiodic chains
-                cand = cand @ P
-                cand /= cand.sum()
-            if _stationary_residual(cand, P) <= tol:
-                d = cand
-    if d is None:
-        d = np.full(n, 1.0 / n)
-        for _ in range(1_000_000):
-            nxt = d @ P
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - d)) <= 1e-12:
-                d = nxt
-                break
-            d = nxt
-        if _stationary_residual(d, P) > tol:
-            raise ModelError(
-                "stationary distribution did not converge "
-                f"(residual {_stationary_residual(d, P):.2e} > {tol:.0e}); chain may be periodic"
-            )
+        d = np.clip(np.linalg.solve(A, rhs), 0.0, None)
+    except np.linalg.LinAlgError as exc:
+        raise ModelError("balance equations of the induced chain are singular: "
+                         "numerically reducible, no unique stationary distribution") from exc
+    d /= d.sum()
+    for _ in range(8):  # power polish: contracts solve error for aperiodic chains
+        d = d @ P
+        d /= d.sum()
+    residual = float(np.max(np.abs(d @ P - d)))
+    if not residual <= tol:
+        raise ModelError(f"stationary solve missed its residual ({residual:.2e} > {tol:.0e})")
     return d
 
 
@@ -463,12 +445,16 @@ class PolicyEvaluation:
     the value functions ``values`` and the ``advantages`` are solved once, on
     first use, so a quantity no caller asks for is never solved (a discounted
     objective, for instance, never needs ``d``).
+
+    The setting enters Q = r - offset + gamma P V as data: ``gamma`` (M,) is
+    the discounts (ones if average), ``offset`` (M,) is 0 (J if average).
     """
 
     def __init__(self, env: TabularMomdp, policy, setting: str):
         self.env = env
         self.policy = policy
         self.setting = check_setting(setting)
+        self.gamma = env.discounts if setting == DISCOUNTED else np.ones(env.n_objectives)
         self.probs = policy.probability_matrix()
         if self.probs.shape != (env.n_states, env.n_actions):
             raise ParameterError("policy dimensions do not match the environment")
@@ -491,7 +477,7 @@ class PolicyEvaluation:
         """
         env, P, r = self.env, self.P, self.r
         S, M = env.n_states, env.n_objectives
-        if self.setting == DISCOUNTED:
+        if self.setting == DISCOUNTED:  # I - gamma P is singular at gamma = 1: Poisson solve
             V = np.empty((M, S))
             for i in range(M):
                 V[i] = np.linalg.solve(np.eye(S) - env.discounts[i] * P, r[i])
@@ -506,15 +492,17 @@ class PolicyEvaluation:
         return V, J
 
     @cached_property
+    def offset(self) -> np.ndarray:
+        """(M,) reward offset: zeros when discounted, J in the average setting."""
+        return np.zeros(self.env.n_objectives) if self.setting == DISCOUNTED else self.values[1]
+
+    @cached_property
     def advantages(self) -> np.ndarray:
         """(M, S, A) exact advantages Q(s, a) - V(s)."""
         env = self.env
-        V, J = self.values
+        V, _ = self.values
         PV = np.einsum("sax,mx->msa", env.transition, V)
-        if self.setting == DISCOUNTED:
-            Q = env.reward + env.discounts[:, None, None] * PV
-        else:
-            Q = env.reward - J[:, None, None] + PV
+        Q = env.reward - self.offset[:, None, None] + self.gamma[:, None, None] * PV
         return Q - V[:, :, None]
 
 

@@ -29,9 +29,6 @@ class FeatureMap:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def state_vector(self, state: int) -> np.ndarray:
-        return self.matrix[state]
-
     def validate(self, for_average: bool = False, rank_tol: float = 1e-8):
         """Check row norms <= 1, full column rank, and (average setting only)
         that the all-ones vector is outside the column span."""
@@ -158,6 +155,7 @@ def exact_policy_gradient(evaluation: PolicyEvaluation,
     if state_weighting not in ("stationary", "visitation"):
         raise ParameterError(f"unknown state_weighting {state_weighting!r}")
     env = evaluation.env
+    # gamma = 1 leaves I - P singular; the average setting's visitation law is d
     if state_weighting == "visitation" and evaluation.setting == DISCOUNTED:
         eye = np.eye(env.n_states)
         weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)

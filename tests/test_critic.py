@@ -294,7 +294,7 @@ class TestRunCritic:
         assert sampler.state == int(ns_arr[0])
         for i in range(2):
             delta = env.reward[i, s, a]   # zero weights: the TD error is the reward
-            expected = 0.2 * delta * features.state_vector(s)
+            expected = 0.2 * delta * features.matrix[s]
             assert np.allclose(updated.weights[i], expected, atol=1e-15)
 
     def test_zero_reward_keeps_weights_zero(self):

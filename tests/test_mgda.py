@@ -27,7 +27,9 @@ class TestSolveMinNorm:
         g = np.array([3.0, -4.0])
         lam, val = solve_min_norm([g])
         assert np.array_equal(lam.values, [1.0])
-        assert val == pytest.approx(25.0)
+        assert val == 25.0
+        lam, val = solve_min_norm(np.zeros((1, 4)))
+        assert np.array_equal(lam.values, [1.0]) and val == 0.0
 
     def test_opposing_gradients(self):
         lam, val = solve_min_norm([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])

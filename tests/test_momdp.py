@@ -1,5 +1,7 @@
 """Environment builders, sampling, and exact chain quantities."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,10 +378,11 @@ class TestPolicyBatchMatchesDenseReference:
 
 class TestStationary:
     def test_doubly_stochastic_two_states(self):
-        P = np.array([[0.4, 0.6], [0.6, 0.4]])
-        env = single_chain_env(P)
-        d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
-        assert np.allclose(d, [0.5, 0.5], atol=1e-12)
+        # also a deterministic 3-cycle: periodic, yet the direct solve is exact
+        for P in (np.array([[0.4, 0.6], [0.6, 0.4]]), np.roll(np.eye(3), 1, axis=1)):
+            env = single_chain_env(P)
+            d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
+            assert np.allclose(d, np.full(len(P), 1.0 / len(P)), atol=1e-12)
 
     def test_two_state_balance(self):
         # dP = d  =>  d = (5/6, 1/6) for this chain
@@ -428,6 +431,19 @@ class TestStationary:
                 with pytest.raises(ModelError, match="reducible"):
                     compute_stationary_distribution(P)
                 assert np.allclose(compute_stationary_distribution(cycle), 1.0 / 3.0, atol=1e-12)
+
+    def test_numerically_reducible_kernel_fails_fast(self):
+        # an extreme softmax policy on resource_gathering: the pattern check
+        # passes, but the balance equations are singular in floating point
+        env = build_resource_gathering()
+        rng = np.random.default_rng(0)
+        theta = [rng.normal(0.0, 50.0, env.n_states * env.n_actions) for _ in range(39)][38]
+        evaluation = PolicyEvaluation(env, PolicyParams(theta, env.n_states, env.n_actions), AVERAGE)
+        start = time.perf_counter()
+        with pytest.raises(ModelError) as info:
+            evaluation.d
+        assert time.perf_counter() - start < 2.0
+        assert "periodic" not in str(info.value)
 
     def test_pattern_cache_stays_bounded(self):
         from morlab.momdp import _component_count
