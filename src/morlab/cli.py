@@ -7,14 +7,10 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, ConvergenceError, DataError, DivergenceError, ModelError, ParameterError
+from .errors import ConfigError, MorlabError
 from .experiment import ExperimentConfig, run_experiment, summarize, write_summary
 from .opeval import DEFAULT_CAP, load_logged_data, ncis_scores
 from .policy import load_policy_json
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,14 +43,14 @@ def _cmd_run(args) -> int:
         cfg.oracle = True
     out = run_experiment(cfg, out_dir=args.out)
     print(out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_summarize(args) -> int:
     summary = summarize(args.run_dir)
     path = write_summary(args.run_dir, summary)
     print(path)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_ncis(args) -> int:
@@ -62,7 +58,7 @@ def _cmd_ncis(args) -> int:
     policy = load_policy_json(args.policy)
     scores = ncis_scores(dataset, policy, cap=args.cap)
     print(json.dumps({"cap": args.cap, "scores": scores.tolist()}))
-    return EXIT_OK
+    return 0
 
 
 def main(argv=None) -> int:
@@ -73,12 +69,12 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return _cmd_summarize(args)
         return _cmd_ncis(args)
-    except (ConfigError, DataError, ParameterError, ModelError, FileNotFoundError) as exc:
+    except MorlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DivergenceError, ConvergenceError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return exc.exit_code
+    except OSError as exc:   # a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ class TdFixedPoint:
     lambda_A: float          # uniform negative-definiteness margin of A + A^T
     r_w_bound: float         # norm bound on every w_star
     c_a: float               # strict upper bound on ||A||_F
-    setting: str
 
 
 def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batch,
@@ -127,9 +126,8 @@ def run_critic(
         delta, _, mu = td_errors(sampler.env, features, w, batch, setting, mu, beta)
         w = w + (beta / D) * (delta @ phi[batch[0]])
         if not np.all(np.isfinite(w)) or np.abs(w).max() > _DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"critic weights diverged at inner iteration {k}", iteration=k
-            )
+            raise DivergenceError(f"critic weights diverged at inner critic iteration {k}",
+                                  iteration=k)
         if fixed_point is not None and error_trace is not None:
             error_trace.append(float(((w - fixed_point.w_star) ** 2).sum()))
     return replace(critic, weights=w, avg_reward=mu)
@@ -176,7 +174,7 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     r_w = (4.0 if setting == AVERAGE else 2.0) * env.r_max / lambda_A
     c_a = max(float(np.linalg.norm(A[i], "fro")) for i in range(M)) + 1e-6
     return TdFixedPoint(A=A, b=b, w_star=w_star, lambda_A=lambda_A,
-                        r_w_bound=r_w, c_a=c_a, setting=setting)
+                        r_w_bound=r_w, c_a=c_a)
 
 
 def theory_critic_step(fixed_point: TdFixedPoint) -> float:

@@ -16,7 +16,7 @@ from .critic import (
     td_errors,
     theory_critic_step,
 )
-from .errors import ConvergenceError, DivergenceError, ModelError, ParameterError
+from .errors import DivergenceError, MorlabError, ParameterError
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
 from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
@@ -156,22 +156,17 @@ def pareto_stationarity_gap(evaluation: PolicyEvaluation) -> float:
     return min_norm_sq
 
 
-def run_moac(
-    env: TabularMomdp,
-    config: MoacConfig,
-    features: FeatureMap | None = None,
-    initial_policy: PolicyParams | None = None,
-) -> MoacResult:
+def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     """Run the full training loop and return policies plus the metrics stream.
 
     Every iteration hands the Markov chain from the critic's inner loop to the
     actor batch and back, so one unbroken trajectory underlies the whole run;
-    (seed, config) fixes the stream bit-exactly.
+    (seed, config) fixes the stream bit-exactly. An error raised inside an
+    iteration names that actor iteration in its message and its ``iteration``.
     """
     setting = config.setting
-    if features is None:
-        features = build_feature_map(config.features, env.n_states)
-    policy = initial_policy if initial_policy is not None else uniform_policy(env)
+    features = build_feature_map(config.features, env.n_states)
+    policy = uniform_policy(env)
     sampler = MarkovSampler(env, config.seed)
     critic = CriticState.zeros(
         env.n_objectives, features.dim,
@@ -198,13 +193,7 @@ def run_moac(
             if oracle_now:
                 evaluation = PolicyEvaluation(env, policy, setting)
                 fp_t = compute_td_fixed_point(evaluation, features)
-            try:
-                critic = run_critic(sampler, policy, critic, features, setting)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"critic weights diverged at actor iteration {t}, "
-                    f"inner critic iteration {exc.iteration}", iteration=t,
-                ) from exc
+            critic = run_critic(sampler, policy, critic, features, setting)
             grads, reward_mean = estimate_objective_gradients(
                 sampler, policy, critic.weights, config.actor_batch_size,
                 setting, features, mu_step=config.actor_step_size,
@@ -215,28 +204,26 @@ def run_moac(
                 critic_err = ((critic.weights - fp_t.w_star) ** 2).sum(axis=1)
                 j_exact = evaluation.values[1]
                 gap = pareto_stationarity_gap(evaluation)
-        except ModelError as exc:
-            raise ModelError(f"actor iteration {t}: {exc}") from exc
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"actor iteration {t}: {exc}", residual=exc.residual) from exc
-        eta = config.momentum.eta(t)
-        lam = momentum_update(lam, lam_hat, eta)
-        combined = lam.values @ grads
-        records.append(MetricsRecord(
-            t=t,
-            reward_mean=reward_mean,
-            grad_norm_sq=float(combined @ combined),
-            lam=lam.values.copy(),
-            eta=eta,
-            critic_err=critic_err,
-            j_exact=j_exact,
-            pareto_gap=gap,
-        ))
-        thetas.append(policy.theta.copy())
-        new_theta = policy.theta + config.actor_step_size * combined
-        if not np.all(np.isfinite(new_theta)):
-            raise DivergenceError(f"policy parameters diverged at iteration {t}", iteration=t)
-        policy = replace(policy, theta=new_theta)
+            eta = config.momentum.eta(t)
+            lam = momentum_update(lam, lam_hat, eta)
+            combined = lam.values @ grads
+            records.append(MetricsRecord(
+                t=t,
+                reward_mean=reward_mean,
+                grad_norm_sq=float(combined @ combined),
+                lam=lam.values.copy(),
+                eta=eta,
+                critic_err=critic_err,
+                j_exact=j_exact,
+                pareto_gap=gap,
+            ))
+            thetas.append(policy.theta.copy())
+            new_theta = policy.theta + config.actor_step_size * combined
+            if not np.all(np.isfinite(new_theta)):
+                raise DivergenceError("policy parameters diverged")
+            policy = replace(policy, theta=new_theta)
+        except MorlabError as exc:
+            raise exc.within(f"actor iteration {t}", iteration=t) from exc
     t_hat = int(sampler.rng.integers(1, T + 1))
     sampled = replace(policy, theta=thetas[t_hat - 1].copy())
     return MoacResult(

@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each carries the CLI exit code for
+it, and a layer that knows where a failure happened adds that with ``within``."""
+
+import copy
 
 
 class MorlabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors (exit code 2: bad input). Keyword
+    facts become attributes; type, message and facts survive a worker pool's pickle."""
+
+    exit_code = 2
+    iteration: int | None = None   # the (actor) iteration at which a run failed
+
+    def __init__(self, message: str, **facts):
+        super().__init__(message)
+        self.__dict__.update(facts)
+
+    def within(self, where: str, **facts) -> "MorlabError":
+        """A copy of this error, its message prefixed by ``where: `` and ``facts`` added."""
+        wrapped = copy.copy(self)
+        wrapped.args = (f"{where}: {self}",)
+        wrapped.__dict__.update(facts)
+        return wrapped
 
 
 class ParameterError(MorlabError, ValueError):
@@ -14,19 +32,16 @@ class ModelError(MorlabError):
 
 
 class DivergenceError(MorlabError):
-    """Iterates blew up; carries the iteration index at which it happened."""
+    """Iterates blew up (exit code 3); ``iteration`` is where it happened."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
+    exit_code = 3
 
 
 class ConvergenceError(MorlabError):
-    """An iterative solver hit its cap without meeting its certificate."""
+    """An iterative solver missed its certificate (exit code 3); carries ``residual``."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    exit_code = 3
+    residual: float | None = None
 
 
 class DataError(MorlabError, ValueError):

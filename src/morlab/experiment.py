@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .driver import MetricsRecord, MoacConfig, MoacResult, run_moac
-from .errors import ConfigError, ConvergenceError, DivergenceError, ModelError
+from .errors import ConfigError, MorlabError
 from .mgda import MomentumSchedule
 from .momdp import TabularMomdp, build_fishwood, build_resource_gathering, load_env_json
 
@@ -249,12 +249,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     env = build_environment(cfg)
     try:
         result = run_moac(env, moac_config(cfg, seed))
-    except DivergenceError as exc:
-        raise DivergenceError(f"seed {seed}: {exc}", iteration=exc.iteration) from exc
-    except ModelError as exc:
-        raise ModelError(f"seed {seed}: {exc}") from exc
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"seed {seed}: {exc}", residual=exc.residual) from exc
+    except MorlabError as exc:
+        raise exc.within(f"seed {seed}") from exc
     csv_path = out_dir / f"seed_{seed}.csv"
     write_metrics_csv(csv_path, result, env.n_objectives, cfg.oracle)
     if cfg.jsonl:
@@ -273,6 +269,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """Execute all seeds, write per-seed metrics plus summary.json, return the
     artifact directory."""
     cfg.check()
+    moac_config(cfg, cfg.base_seed)   # reject bad training values before out is touched
     out = Path(out_dir if out_dir else (cfg.output or cfg.name))
     out.mkdir(parents=True, exist_ok=True)
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]

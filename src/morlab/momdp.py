@@ -128,8 +128,8 @@ class TabularMomdp:
                 r_max=float(doc.get("r_max", 1.0)),
                 metadata=dict(doc.get("metadata", {})),
             )
-        except KeyError as exc:
-            raise ParameterError(f"environment document lacks key {exc.args[0]!r}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParameterError(f"bad environment document: {exc!r}") from exc
         return cls(**fields)
 
 
@@ -138,9 +138,17 @@ def save_env_json(env: TabularMomdp, path: str):
         json.dump(env.to_json_dict(), fh)
 
 
-def load_env_json(path: str) -> TabularMomdp:
+def read_json(path: str):
+    """The document in a JSON file; ParameterError if the file is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return TabularMomdp.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # also a file that is not UTF-8
+            raise ParameterError(f"{path} is not a JSON file: {exc}") from exc
+
+
+def load_env_json(path: str) -> TabularMomdp:
+    return TabularMomdp.from_json_dict(read_json(path))
 
 
 class MarkovSampler:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .momdp import DISCOUNTED, PolicyEvaluation, TabularMomdp
+from .momdp import DISCOUNTED, PolicyEvaluation, TabularMomdp, read_json
 
 TABULAR = "tabular"
 LINEAR = "linear"
@@ -182,15 +182,16 @@ def save_policy_json(policy: PolicyParams, path: str):
 
 
 def load_policy_json(path: str) -> PolicyParams:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    features = doc.get("state_features")
-    return PolicyParams(
-        theta=np.asarray(doc["theta"], dtype=float),
-        n_states=int(doc["n_states"]),
-        n_actions=int(doc["n_actions"]),
-        kind=doc.get("kind", TABULAR),
-        state_features=None if features is None else np.asarray(features, dtype=float),
-    )
+    doc = read_json(path)
+    try:
+        features = doc.get("state_features")
+        fields = dict(
+            theta=np.asarray(doc["theta"], dtype=float),
+            n_states=int(doc["n_states"]),
+            n_actions=int(doc["n_actions"]),
+            kind=doc.get("kind", TABULAR),
+            state_features=None if features is None else np.asarray(features, dtype=float),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParameterError(f"bad policy document: {exc!r}") from exc
+    return PolicyParams(**fields)

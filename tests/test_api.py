@@ -39,6 +39,12 @@ def test_top_level_names_are_pinned():
     assert len(names) < 50
 
 
+def test_error_types_carry_their_exit_codes():
+    codes = {name: getattr(morlab, name).exit_code for name in PUBLIC_NAMES if name.endswith("Error")}
+    assert codes == {"MorlabError": 2, "ConfigError": 2, "DataError": 2, "ParameterError": 2,
+                     "ModelError": 2, "DivergenceError": 3, "ConvergenceError": 3}
+
+
 def test_traced_targets_resolve():
     # read perfbench/spans.py as text: the tracer module itself is not imported
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

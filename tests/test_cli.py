@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from morlab import (
     ConfigError,
     ConvergenceError,
+    DivergenceError,
+    ParameterError,
     TabularMomdp,
     build_fishwood,
     generate_logged_data,
@@ -60,6 +63,14 @@ features = default
 
 # the [environment] body of BASE_CONFIG, for tests that switch the kind
 FISHWOOD_ENV = "kind = fishwood\nfish_proba = 0.3\nwood_proba = 0.6\ndiscount = 0.9"
+
+
+# a critic that diverges at its first actor iteration
+DIVERGING_CONFIG = BASE_CONFIG.replace("step_size = 0.2", "step_size = 1e9").replace(
+    "iterations = 2\nbatch_size = 6", "iterations = 80\nbatch_size = 6")
+
+MISSING = object()   # a bad-input probe that names a file that does not exist
+_FISHWOOD_DOC = build_fishwood(0.3, 0.6).to_json_dict()
 
 
 def write_config(tmp_path: Path, text: str = BASE_CONFIG, name: str = "exp.ini") -> Path:
@@ -381,6 +392,25 @@ class TestRunExperiment:
         assert not (out / "summary.json").exists()
         assert main(["summarize", str(out)]) == 2
 
+    def test_bad_training_value_leaves_out_untouched(self, tmp_path):
+        # checked before the earlier run's seed files, summary and config.ini go
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out), "--seeds", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        bad = write_config(tmp_path, BASE_CONFIG.replace("step_size = 0.05", "step_size = inf"),
+                           name="bad.ini")
+        assert main(["run", str(bad), "--out", str(out), "--seeds", "1"]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_divergence_in_a_worker_keeps_type_message_and_iteration(self, tmp_path):
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, DIVERGING_CONFIG))
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(cfg, out_dir=tmp_path / "div", max_workers=2)
+        assert type(err.value.__cause__).__name__ == "_RemoteTraceback"   # raised in a worker
+        assert re.fullmatch(r"seed 100: actor iteration 1: critic weights diverged "
+                            r"at inner critic iteration \d+", str(err.value))
+        assert err.value.iteration == 1
+
     @pytest.mark.parametrize("change, message", [
         ({"env_kind": "forest"}, "kind must be one of"),
         ({"env_params": {"fish_proba": 0.3, "attack_prob": 0.1}}, "'attack_prob'.*'fishwood'"),
@@ -499,6 +529,63 @@ class TestCliCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert "certificate" in err and "seed 100" in err and "actor iteration 1" in err
+
+    def test_parameter_error_mid_run_names_seed_and_iteration(self, tmp_path, capsys, monkeypatch):
+        import morlab.driver
+
+        real_solve = morlab.driver.solve_min_norm
+        calls = []
+
+        def overflows_third_call(gradients):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ParameterError("inner products of the gradients overflow")
+            return real_solve(gradients)
+
+        monkeypatch.setattr(morlab.driver, "solve_min_norm", overflows_third_call)
+        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "p"),
+                     "--seeds", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: seed 100: actor iteration 3: inner products of the gradients overflow\n"
+
+    @pytest.mark.parametrize("command, target, content", [
+        ("ncis", "policy", "theta = [0.5]"),
+        ("ncis", "policy", '{"n_states": 2, "n_actions": 2}'),
+        ("ncis", "policy", "[0.5, 0.5]"),
+        ("ncis", "dataset", None),
+        ("run", "env", "n_states: 2"),
+        ("run", "env", "[2, 2, 2]"),
+        ("run", "env", None),
+        ("run", "env", json.dumps({k: v for k, v in _FISHWOOD_DOC.items() if k != "n_objectives"})),
+        ("run", "env", MISSING),
+        ("run", "out", ""),
+    ], ids=["policy-not-json", "policy-without-theta", "policy-list", "dataset-directory",
+            "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
+            "env-missing", "out-is-a-file"])
+    def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):
+        # content None makes the file a directory
+        bad = tmp_path / "bad"
+        if content is None:
+            bad.mkdir()
+        elif content is not MISSING:
+            bad.write_text(content)
+        if command == "ncis":
+            env = build_fishwood(0.4, 0.5)
+            data, policy = tmp_path / "log.jsonl", tmp_path / "policy.json"
+            save_logged_data(generate_logged_data(env, uniform_policy(env), n=20, seed=3), str(data))
+            save_policy_json(uniform_policy(env), str(policy))
+            argv = ["ncis", str(bad if target == "dataset" else data),
+                    str(bad if target == "policy" else policy)]
+        else:
+            text = BASE_CONFIG.replace("seeds = 2", "seeds = 1")
+            if target == "env":
+                text = text.replace(FISHWOOD_ENV, f"kind = file\npath = {bad}")
+            argv = ["run", str(write_config(tmp_path, text)),
+                    "--out", str(bad if target == "out" else tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ncis_command(self, tmp_path, capsys):
         env = build_fishwood(0.4, 0.5)
