@@ -13,6 +13,9 @@ from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
 DEFAULT_CAP = 10.0
+CHUNK_RECORDS = 4096     # records formatted per write in save_logged_data
+_RECORD_LINE = '{{"s": {}, "a": {}, "r": {!r}, "pb": {!r}}}\n'.format
+_NUMBERS = frozenset((int, float))   # JSON numbers; bool and str are not
 
 
 @dataclass
@@ -39,6 +42,8 @@ class LoggedDataset:
             raise DataError("rewards must have shape (n_records, n_objectives)")
         if not np.all((self.behavior_probs > 0.0) & (self.behavior_probs <= 1.0)):
             raise DataError("every behavior probability must be finite and lie in (0, 1]")
+        if not np.all(np.isfinite(self.rewards)):
+            raise DataError("every reward must be finite")
 
     def __len__(self):
         return self.states.shape[0]
@@ -83,36 +88,51 @@ def generate_logged_data(env: TabularMomdp, behavior: PolicyParams, n: int, seed
 
 
 def save_logged_data(dataset: LoggedDataset, path: str):
-    """One JSON record per line: {"s": ..., "a": ..., "r": [...], "pb": ...}."""
+    """One JSON record per line: {"s": ..., "a": ..., "r": [...], "pb": ...}.
+
+    Byte for byte one ``json.dumps`` per record: JSON prints finite floats,
+    ints and lists of them as ``repr`` does, and ``LoggedDataset`` holds
+    finite values only. Formatting a chunk at a time keeps memory flat.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for s, a, r, pb in zip(dataset.states, dataset.actions, dataset.rewards, dataset.behavior_probs):
-            fh.write(json.dumps({"s": int(s), "a": int(a), "r": r.tolist(), "pb": float(pb)}))
-            fh.write("\n")
+        for lo in range(0, len(dataset), CHUNK_RECORDS):
+            rows = slice(lo, lo + CHUNK_RECORDS)
+            fh.writelines(map(_RECORD_LINE, dataset.states[rows].tolist(), dataset.actions[rows].tolist(),
+                              dataset.rewards[rows].tolist(), dataset.behavior_probs[rows].tolist()))
 
 
 def load_logged_data(path: str) -> LoggedDataset:
+    """Read a JSON-lines log. ``s`` and ``a`` must be JSON integers, ``pb`` and
+    every entry of the list ``r`` JSON numbers; anything else is a ``DataError``."""
     states, actions, rewards, probs = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                states.append(int(doc["s"]))
-                actions.append(int(doc["a"]))
-                rewards.append([float(x) for x in doc["r"]])
-                probs.append(float(doc["pb"]))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = json.loads(line)
+                    s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
+                    if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
+                            and type(r) is list and _NUMBERS.issuperset(map(type, r))):
+                        raise TypeError("s and a must be integers, pb a number and r a list of numbers")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
+                states.append(s)
+                actions.append(a)
+                rewards.append(r)
+                probs.append(pb)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: logged-data file is not UTF-8 text: {exc}") from exc
     if not states:
         raise DataError("logged-data file contains no records")
     widths = {len(r) for r in rewards}
     if len(widths) != 1:
         raise DataError("logged-data records disagree on the number of objectives")
-    return LoggedDataset(
-        states=np.array(states),
-        actions=np.array(actions),
-        rewards=np.array(rewards),
-        behavior_probs=np.array(probs),
-    )
+    try:
+        columns = (np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                   np.array(rewards, dtype=float), np.array(probs, dtype=float))
+    except OverflowError as exc:   # an integer beyond int64 or float range
+        raise DataError(f"logged-data value out of range: {exc}") from exc
+    return LoggedDataset(*columns)

@@ -554,6 +554,8 @@ class TestCliCommands:
         ("ncis", "policy", '{"n_states": 2, "n_actions": 2}'),
         ("ncis", "policy", "[0.5, 0.5]"),
         ("ncis", "dataset", None),
+        ("ncis", "dataset", b"\xff\xfe{"),
+        ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
         ("run", "env", "n_states: 2"),
         ("run", "env", "[2, 2, 2]"),
         ("run", "env", None),
@@ -561,6 +563,7 @@ class TestCliCommands:
         ("run", "env", MISSING),
         ("run", "out", ""),
     ], ids=["policy-not-json", "policy-without-theta", "policy-list", "dataset-directory",
+            "dataset-not-utf8", "dataset-nan-reward",
             "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
             "env-missing", "out-is-a-file"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):
@@ -568,6 +571,8 @@ class TestCliCommands:
         bad = tmp_path / "bad"
         if content is None:
             bad.mkdir()
+        elif isinstance(content, bytes):
+            bad.write_bytes(content)
         elif content is not MISSING:
             bad.write_text(content)
         if command == "ncis":

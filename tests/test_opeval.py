@@ -1,5 +1,7 @@
 """Capped importance-sampling scores and the synthetic log generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from morlab import (
     PolicyEvaluation,
     PolicyParams,
     build_fishwood,
+    build_resource_gathering,
     compute_exact_objective,
     generate_logged_data,
     load_logged_data,
@@ -19,7 +22,9 @@ from morlab import (
     uniform_policy,
 )
 
-from util import ncis_score, random_momdp, random_policy
+from morlab.opeval import CHUNK_RECORDS
+
+from util import ncis_score, random_momdp, random_policy, save_logged_data_reference
 
 
 def logit_policy(probs: np.ndarray) -> PolicyParams:
@@ -80,6 +85,12 @@ class TestNcisScore:
         with pytest.raises(DataError):
             LoggedDataset(states=np.array([0]), actions=np.array([0]),
                           rewards=np.array([[1.0]]), behavior_probs=np.array([0.0]))
+
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, reward):
+        with pytest.raises(DataError, match="finite"):
+            LoggedDataset(states=np.array([0, 0]), actions=np.array([0, 1]),
+                          rewards=np.array([[reward, 1.0], [0.5, 0.0]]), behavior_probs=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("pb", [1.5, np.nan, np.inf, -0.25])
     def test_behavior_probability_outside_unit_interval_rejected(self, pb):
@@ -172,8 +183,8 @@ class TestLoggedDataIO:
         loaded = load_logged_data(str(path))
         assert np.array_equal(loaded.states, data.states)
         assert np.array_equal(loaded.actions, data.actions)
-        assert np.allclose(loaded.rewards, data.rewards)
-        assert np.allclose(loaded.behavior_probs, data.behavior_probs)
+        assert np.array_equal(loaded.rewards, data.rewards)
+        assert np.array_equal(loaded.behavior_probs, data.behavior_probs)
 
     def test_loader_rejects_bad_records(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -181,8 +192,90 @@ class TestLoggedDataIO:
         with pytest.raises(DataError):
             load_logged_data(str(path))
 
+    @pytest.mark.parametrize("field, text, match", [
+        ("s", "3.7", "line 2"),
+        ("s", "true", "line 2"),
+        ("s", '"3"', "line 2"),
+        ("a", "1.0", "line 2"),
+        ("a", "false", "line 2"),
+        ("pb", '"0.5"', "line 2"),
+        ("pb", "true", "line 2"),
+        ("pb", "null", "line 2"),
+        ("r", '["1.0"]', "line 2"),
+        ("r", "[true, 0.5]", "line 2"),
+        ("r", '"12"', "line 2"),
+        ("r", '{"1": 2}', "line 2"),
+        ("r", "[NaN, 0.5]", "finite"),
+        ("r", "[Infinity, 0.5]", "finite"),
+        ("r", "[1e400, 0.5]", "finite"),
+        ("r", "[1" + "0" * 400 + ", 0.5]", "out of range"),
+        ("s", str(2 ** 70), "out of range"),
+    ], ids=["s-float", "s-bool", "s-str", "a-float", "a-bool", "pb-str", "pb-bool", "pb-null",
+            "r-str-entry", "r-bool-entry", "r-str", "r-object", "r-nan", "r-infinity", "r-1e400",
+            "r-int-beyond-float", "s-int-beyond-int64"])
+    def test_loader_rejects_mistyped_records(self, tmp_path, field, text, match):
+        fields = {"s": "0", "a": "1", "r": "[1.0, 0.5]", "pb": "0.5"}
+        good = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        fields[field] = text
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + bad)
+        with pytest.raises(DataError, match=match):
+            load_logged_data(str(path))
+
+    def test_loader_accepts_integer_numbers(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"s": 0, "a": 1, "r": [1, -2], "pb": 1}\n')
+        loaded = load_logged_data(str(path))
+        assert loaded.rewards.tolist() == [[1.0, -2.0]] and loaded.behavior_probs.tolist() == [1.0]
+
+    def test_loader_rejects_non_utf8_file(self, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"s": 0, "a": 0, "r": [1.0], "pb": 0.5}\n'.encode("utf-16-le"))
+        with pytest.raises(DataError, match="UTF-8"):
+            load_logged_data(str(path))
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_writer_bytes_on_extreme_floats(self, tmp_path, M):
+        values = [5e-324, 1e-300, 1e300, -0.0, 0.1 + 0.2, 2 ** 62 - 1, 2 ** 62, 2 ** 62 + 2048, -(2 ** 62 + 1)]
+        n = len(values) // M
+        data = LoggedDataset(states=np.arange(n) + 2 ** 62, actions=np.arange(n),
+                             rewards=np.array(values, dtype=float).reshape(n, M),
+                             behavior_probs=np.array([5e-324, 0.1 + 0.2, 1.0, 1e-300, 2.0 / 3.0,
+                                                      0.5, 1e-5, 0.7, 0.9][:n]))
+        assert_writer_matches_reference(data, tmp_path)
+
+    @pytest.mark.parametrize("n", [1, 2 * CHUNK_RECORDS + 1])
+    def test_writer_bytes_on_generated_log(self, tmp_path, n):
+        # 2 * CHUNK_RECORDS + 1 records cross both chunk boundaries
+        env = build_resource_gathering()
+        rng = np.random.default_rng(8)
+        data = generate_logged_data(env, random_policy(rng, env.n_states, env.n_actions, scale=1.0), n=n, seed=9)
+        assert_writer_matches_reference(data, tmp_path)
+
+    def test_writer_streams(self, tmp_path):
+        # chunked formatting peaks under 1 MB here; one string for the whole
+        # file would hold all 50k lines (several MB) at once
+        env = build_fishwood(0.4, 0.5)
+        data = generate_logged_data(env, uniform_policy(env), n=50_000, seed=10)
+        tracemalloc.start()
+        try:
+            save_logged_data(data, str(tmp_path / "log.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_loader_rejects_zero_support(self, tmp_path):
         path = tmp_path / "zero.jsonl"
         path.write_text('{"s": 0, "a": 0, "r": [1.0], "pb": 0.0}\n')
         with pytest.raises(DataError):
             load_logged_data(str(path))
+
+
+def assert_writer_matches_reference(data: LoggedDataset, tmp_path):
+    save_logged_data(data, str(tmp_path / "fast.jsonl"))
+    save_logged_data_reference(data, str(tmp_path / "reference.jsonl"))
+    written = (tmp_path / "fast.jsonl").read_bytes()
+    assert written == (tmp_path / "reference.jsonl").read_bytes()
+    assert written.count(b"\n") == len(data)

@@ -7,6 +7,7 @@ every stochastic or optimized code path has a second opinion.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,6 +119,15 @@ def ncis_score(dataset: LoggedDataset, candidate: PolicyParams, cap: float, obje
         num += w * r
         den += w
     return num / den
+
+
+def save_logged_data_reference(dataset: LoggedDataset, path: str):
+    """Reference for ``save_logged_data``: one ``json.dumps`` per record,
+    numpy scalars converted one at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for s, a, r, pb in zip(dataset.states, dataset.actions, dataset.rewards, dataset.behavior_probs):
+            fh.write(json.dumps({"s": int(s), "a": int(a), "r": r.tolist(), "pb": float(pb)}))
+            fh.write("\n")
 
 
 def two_state_env() -> TabularMomdp:
