@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, ModelError, ParameterError
-from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
-from .policy import FeatureMap, PolicyParams
+from .momdp import AVERAGE, PolicyEvaluation, TabularMomdp, check_setting
+from .policy import FeatureMap
 
 _DIVERGENCE_LIMIT = 1e12
 _LAMBDA_FLOOR = 1e-10
@@ -96,40 +96,35 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
 
 
 def run_critic(
-    sampler: MarkovSampler,
-    policy: PolicyParams,
+    env: TabularMomdp,
+    batch,
     critic: CriticState,
     features: FeatureMap,
     setting: str,
-    fixed_point: TdFixedPoint | None = None,
-    error_trace: list | None = None,
 ) -> CriticState:
-    """Run the inner TD loop and return the updated critic.
+    """Run the inner TD loop on one chained batch and return the updated critic.
 
-    Each iteration draws one batch of chained Markovian samples under the
-    policy, evaluates all M TD errors against that same batch with the
-    weights held fixed, then applies the averaged semi-gradient update
-    w_i += (beta / D) * sum_tau delta_i * phi(s_tau). The sampler resumes from
-    wherever the previous caller left the chain. When ``fixed_point`` is given,
-    the squared distance sum_i ||w_i - w_i*||^2 is appended to ``error_trace``
-    after every iteration.
+    ``batch`` is the (states, actions, next_states) triple of N * D chained
+    steps under one policy, N = ``critic.n_iterations`` and
+    D = ``critic.batch_size``; inner iteration k takes steps (k-1)D to kD. Each
+    iteration evaluates all M TD errors on its D steps with the weights held
+    fixed, then applies the averaged semi-gradient update
+    w_i += (beta / D) * sum_tau delta_i * phi(s_tau).
     """
     check_setting(setting)
     beta = critic.step_size
-    D = critic.batch_size
-    probs = policy.probability_matrix()
+    N, D = critic.n_iterations, critic.batch_size
+    if len(batch[0]) != N * D:
+        raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
     phi = features.matrix
     w = critic.weights.copy()
     mu = critic.avg_reward.copy()
-    for k in range(1, critic.n_iterations + 1):
-        batch = sampler.sample_policy_batch(probs, D)
-        delta, _, mu = td_errors(sampler.env, features, w, batch, setting, mu, beta)
-        w = w + (beta / D) * (delta @ phi[batch[0]])
-        if not np.all(np.isfinite(w)) or np.abs(w).max() > _DIVERGENCE_LIMIT:
+    for k, part in enumerate(zip(*(x.reshape(N, D) for x in batch)), start=1):
+        delta, _, mu = td_errors(env, features, w, part, setting, mu, beta)
+        w = w + (beta / D) * (delta @ phi[part[0]])
+        if not np.abs(w).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
             raise DivergenceError(f"critic weights diverged at inner critic iteration {k}",
                                   iteration=k)
-        if fixed_point is not None and error_trace is not None:
-            error_trace.append(float(((w - fixed_point.w_star) ** 2).sum()))
     return replace(critic, weights=w, avg_reward=mu)
 
 

@@ -110,17 +110,19 @@ def build_feature_map(kind: str, n_states: int) -> FeatureMap:
 
 
 def estimate_objective_gradients(
-    sampler: MarkovSampler,
+    env: TabularMomdp,
     policy: PolicyParams,
     critic_weights: np.ndarray,
-    batch_size: int,
+    batch,
     setting: str,
     features: FeatureMap,
     mu_step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one actor batch and average delta * score per objective.
+    """Average delta * score per objective over one chained actor batch.
 
-    Returns the (M, dim) gradient estimates and the (M,) batch reward means.
+    ``batch`` is the (states, actions, next_states) triple of B steps drawn
+    under ``policy``. Returns the (M, dim) gradient estimates and the (M,)
+    batch reward means.
 
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the
@@ -129,14 +131,12 @@ def estimate_objective_gradients(
     projection onto the parameter space happens once for all M objectives.
     """
     check_setting(setting)
-    env = sampler.env
     M = env.n_objectives
-    batch = sampler.sample_policy_batch(policy.probability_matrix(), batch_size)
     delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
     s_arr, a_arr, _ = batch
     buckets = np.zeros((M, env.n_states, env.n_actions))
     np.add.at(buckets, (slice(None), s_arr, a_arr), delta)
-    return policy.score_weighted_sum(buckets / batch_size), r.mean(axis=1)
+    return policy.score_weighted_sum(buckets / len(s_arr)), r.mean(axis=1)
 
 
 def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
@@ -159,10 +159,12 @@ def pareto_stationarity_gap(evaluation: PolicyEvaluation) -> float:
 def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     """Run the full training loop and return policies plus the metrics stream.
 
-    Every iteration hands the Markov chain from the critic's inner loop to the
-    actor batch and back, so one unbroken trajectory underlies the whole run;
-    (seed, config) fixes the stream bit-exactly. An error raised inside an
-    iteration names that actor iteration in its message and its ``iteration``.
+    Every iteration draws N * D + B chained steps under its policy in one
+    call: the first N * D feed the critic's inner loop, the last B the actor
+    batch. The next draw resumes where the last ended, so one unbroken
+    trajectory underlies the whole run; (seed, config) fixes the stream
+    bit-exactly. An error raised inside an iteration names that actor
+    iteration in its message and its ``iteration``.
     """
     setting = config.setting
     features = build_feature_map(config.features, env.n_states)
@@ -185,6 +187,7 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     thetas: list[np.ndarray] = []
     records: list[MetricsRecord] = []
     T = config.actor_iterations
+    critic_steps = config.critic_iterations * config.critic_batch_size
     for t in range(1, T + 1):
         oracle_now = config.oracle_diagnostics and (
             t == 1 or t == T or t % config.oracle_every == 0
@@ -193,9 +196,11 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
             if oracle_now:
                 evaluation = PolicyEvaluation(env, policy, setting)
                 fp_t = compute_td_fixed_point(evaluation, features)
-            critic = run_critic(sampler, policy, critic, features, setting)
+            batch = sampler.sample_policy_batch(policy.probability_matrix(),
+                                                critic_steps + config.actor_batch_size)
+            critic = run_critic(env, [x[:critic_steps] for x in batch], critic, features, setting)
             grads, reward_mean = estimate_objective_gradients(
-                sampler, policy, critic.weights, config.actor_batch_size,
+                env, policy, critic.weights, [x[critic_steps:] for x in batch],
                 setting, features, mu_step=config.actor_step_size,
             )
             lam_hat, _ = solve_min_norm(grads)

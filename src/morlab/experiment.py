@@ -244,9 +244,8 @@ def write_metrics_jsonl(path: Path, result: MoacResult, n_objectives: int, oracl
             fh.write("\n")
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Run one seed and write its CSV (plus optional JSONL) and DONE marker."""
-    env = build_environment(cfg)
+def run_seed(cfg: ExperimentConfig, env: TabularMomdp, seed: int, out_dir: Path) -> Path:
+    """Run one seed on ``env`` and write its CSV (plus optional JSONL) and DONE marker."""
     try:
         result = run_moac(env, moac_config(cfg, seed))
     except MorlabError as exc:
@@ -260,8 +259,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> Path:
 
 
 def _worker(args) -> str:
-    cfg, seed, out_dir = args
-    return str(run_seed(cfg, seed, Path(out_dir)))
+    cfg, env, seed, out_dir = args
+    return str(run_seed(cfg, env, seed, Path(out_dir)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -269,7 +268,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """Execute all seeds, write per-seed metrics plus summary.json, return the
     artifact directory."""
     cfg.check()
-    moac_config(cfg, cfg.base_seed)   # reject bad training values before out is touched
+    # reject bad training values and a bad environment before out is touched
+    moac_config(cfg, cfg.base_seed)
+    env = build_environment(cfg)
     out = Path(out_dir if out_dir else (cfg.output or cfg.name))
     out.mkdir(parents=True, exist_ok=True)
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]
@@ -288,9 +289,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     max_workers = max(1, min(max_workers, len(seeds)))
     if max_workers == 1:
         for seed in seeds:
-            run_seed(cfg, seed, out)
+            run_seed(cfg, env, seed, out)
     else:
-        jobs = [(cfg, seed, str(out)) for seed in seeds]
+        jobs = [(cfg, env, seed, str(out)) for seed in seeds]
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             list(pool.map(_worker, jobs))
     summary = summarize(out)

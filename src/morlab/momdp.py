@@ -154,9 +154,9 @@ def load_env_json(path: str) -> TabularMomdp:
 class MarkovSampler:
     """Stateful sampler owning its RNG.
 
-    Successive calls continue a single unbroken chain, so alternating callers
-    (critic inner loop, actor batch) hand the walk back and forth through the
-    shared ``state``. Set ``trace`` to a list to record every (s, a, s') drawn.
+    Successive calls continue a single unbroken chain through the shared
+    ``state``, so one draw split into consecutive slices equals chained calls
+    of the slices' lengths.
     """
 
     def __init__(self, env: TabularMomdp, seed: int, initial_state: int | None = None):
@@ -167,43 +167,42 @@ class MarkovSampler:
         if not 0 <= initial_state < env.n_states:
             raise ParameterError(f"initial_state {initial_state} out of range")
         self.state = int(initial_state)
-        self.trace: list | None = None
-        self._table_key: bytes | None = None
-        self._table: tuple[list, list, list] | None = None
 
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
 
         Uses one uniform per step against the joint (action, next-state) law of
         the current state; returns index arrays so batch arithmetic stays
-        vectorized downstream. The law's cumulative table is built once per
-        probability matrix and cached on its bytes, so the repeated batches of
-        one policy share it and any new or modified matrix rebuilds it.
+        vectorized downstream. The step loop records the state path only; the
+        drawn cell of each step is recovered after it.
         """
         probs = np.asarray(action_probs, dtype=float)
         shape = (self.env.n_states, self.env.n_actions)
         if probs.shape != shape:
             raise ParameterError(f"action probabilities must have shape {shape}, got {probs.shape}")
-        key = probs.tobytes()
-        if key != self._table_key:
-            self._table = self._policy_table(probs)
-            self._table_key = key
-        cum_rows, action_rows, next_rows = self._table
-        states, actions, next_states = [], [], []
+        cum, actions, next_states = self._policy_table(probs)
+        cum_rows, next_rows = cum.tolist(), next_states.tolist()
+        us = self.rng.random(n)
         s = self.state
-        for u in self.rng.random(n).tolist():
-            k = bisect_right(cum_rows[s], u)
-            states.append(s)
-            actions.append(action_rows[s][k])
-            s = next_rows[s][k]
-            next_states.append(s)
-        if self.trace is not None:
-            self.trace.extend(zip(states, actions, next_states))
+        path = [s := next_rows[s][bisect_right(cum_rows[s], u)] for u in us.tolist()]
+        next_arr = np.array(path, dtype=np.int64)
+        states = np.empty(n, dtype=np.int64)
+        states[:1] = self.state
+        states[1:] = next_arr[:-1]
         self.state = s
-        return (np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
-                np.array(next_states, dtype=np.int64))
+        # a right bisection of a sorted row counts its entries <= u; count by
+        # binary lifting on the flat table, O(n log K) with O(n) temporaries.
+        # Each row ends in 1.0 > u, so a probe clipped to it never counts.
+        K = cum.shape[1]
+        cells = states * K
+        last = cells + (K - 1)
+        bit = 1 << (K.bit_length() - 1)
+        while bit:
+            cells += bit * (cum.ravel()[np.minimum(cells + (bit - 1), last)] <= us)
+            bit >>= 1
+        return states, actions.ravel()[cells], next_arr
 
-    def _policy_table(self, probs: np.ndarray) -> tuple[list, list, list]:
+    def _policy_table(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-state cumulative joint law over the non-zero transition cells.
 
         The row-wise sequential cumsum leaves out only cells whose transition
@@ -224,7 +223,7 @@ class MarkovSampler:
         if not np.all(cum[:, -1] > 0):
             raise ParameterError("every state needs an action of positive probability")
         cum /= cum[:, -1:]
-        return cum.tolist(), actions.tolist(), next_states.tolist()
+        return cum, actions, next_states
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,12 @@ from morlab import (
     theory_critic_step,
     uniform_policy,
 )
-from morlab.critic import CriticState, run_critic
+from morlab.critic import CriticState
 from morlab.experiment import ExperimentConfig, run_experiment
-from morlab.momdp import MarkovSampler
 
 from util import (
+    critic_error_trace,
+    draw,
     finite_difference_gradient,
     lattice_min_norm,
     random_momdp,
@@ -125,11 +126,9 @@ def test_criterion_2_td_fixed_point():
 def _critic_error_curves(env, policy, features, fp, beta, D, N, n_seeds):
     curves = np.empty((n_seeds, N))
     for seed in range(n_seeds):
-        trace = []
         critic = CriticState.zeros(env.n_objectives, features.dim, beta, D, N)
-        run_critic(MarkovSampler(env, seed=seed), policy, critic, features,
-                   DISCOUNTED, fixed_point=fp, error_trace=trace)
-        curves[seed] = trace
+        curves[seed], _ = critic_error_trace(env, draw(env, seed, policy, N * D), critic,
+                                             features, DISCOUNTED, fp.w_star)
     return curves.mean(axis=0)
 
 

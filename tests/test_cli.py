@@ -584,13 +584,18 @@ class TestCliCommands:
                     str(bad if target == "policy" else policy)]
         else:
             text = BASE_CONFIG.replace("seeds = 2", "seeds = 1")
+            out = bad if target == "out" else tmp_path / "run"
             if target == "env":
+                # an earlier run's results in --out must survive the bad run
+                assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+                capsys.readouterr()
                 text = text.replace(FISHWOOD_ENV, f"kind = file\npath = {bad}")
-            argv = ["run", str(write_config(tmp_path, text)),
-                    "--out", str(bad if target == "out" else tmp_path / "run")]
+            argv = ["run", str(write_config(tmp_path, text)), "--out", str(out)]
+        earlier = {p.name: p.read_bytes() for p in tmp_path.glob("run/*")}
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("run/*")} == earlier
 
     def test_ncis_command(self, tmp_path, capsys):
         env = build_fishwood(0.4, 0.5)

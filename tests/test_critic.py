@@ -11,6 +11,7 @@ from morlab import (
     AVERAGE,
     DISCOUNTED,
     DivergenceError,
+    FeatureMap,
     ModelError,
     ParameterError,
     PolicyEvaluation,
@@ -27,9 +28,10 @@ from morlab import (
     uniform_policy,
 )
 from morlab.critic import CriticState, run_critic, td_errors
-from morlab.momdp import MarkovSampler
 
 from util import (
+    critic_error_trace,
+    draw,
     random_momdp,
     random_policy,
     reward_tracker_path,
@@ -283,15 +285,10 @@ class TestRunCritic:
     def test_single_step_matches_manual_td(self):
         env = two_state_env()
         features = default_feature_map(2)
-        policy = uniform_policy(env)
-        # replicate the batch's sampled transition with an equal-seeded sampler
-        probe = MarkovSampler(env, seed=77)
-        s_arr, a_arr, ns_arr = probe.sample_policy_batch(policy.probability_matrix(), 1)
-        s, a = int(s_arr[0]), int(a_arr[0])
-        sampler = MarkovSampler(env, seed=77)
+        batch = draw(env, 77, uniform_policy(env), 1)
+        s, a = int(batch[0][0]), int(batch[1][0])
         critic = CriticState.zeros(2, 1, step_size=0.2, batch_size=1, n_iterations=1)
-        updated = run_critic(sampler, policy, critic, features, DISCOUNTED)
-        assert sampler.state == int(ns_arr[0])
+        updated = run_critic(env, batch, critic, features, DISCOUNTED)
         for i in range(2):
             delta = env.reward[i, s, a]   # zero weights: the TD error is the reward
             expected = 0.2 * delta * features.matrix[s]
@@ -301,11 +298,10 @@ class TestRunCritic:
         P = np.array([[[0.5, 0.5], [0.2, 0.8]], [[0.7, 0.3], [0.4, 0.6]]])
         env = TabularMomdp(2, 2, 1, P, np.zeros((1, 2, 2)), np.array([0.9]), np.array([0.5, 0.5]))
         features = default_feature_map(2)
-        sampler = MarkovSampler(env, seed=5)
         critic = CriticState.zeros(1, 1, step_size=0.1, batch_size=8, n_iterations=20)
+        batch = draw(env, 5, uniform_policy(env), 8 * 20)
         for setting in (AVERAGE, DISCOUNTED):
-            updated = run_critic(MarkovSampler(env, seed=5), uniform_policy(env),
-                                    critic, features, setting)
+            updated = run_critic(env, batch, critic, features, setting)
             assert np.all(updated.weights == 0.0)
             assert np.all(updated.avg_reward == 0.0)
 
@@ -316,8 +312,9 @@ class TestRunCritic:
         features = default_feature_map(2)
         policy = uniform_policy(env)
         critic = CriticState.zeros(2, 1, step_size=0.1, batch_size=16, n_iterations=30)
-        out1 = run_critic(MarkovSampler(env, seed=13), policy, critic, features, DISCOUNTED)
-        out2 = run_critic(MarkovSampler(flipped, seed=13), policy, critic, features, DISCOUNTED)
+        batch = draw(env, 13, policy, 16 * 30)   # the flipped model has the same chain
+        out1 = run_critic(env, batch, critic, features, DISCOUNTED)
+        out2 = run_critic(flipped, batch, critic, features, DISCOUNTED)
         assert np.array_equal(out1.weights, out2.weights[::-1])
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
@@ -333,8 +330,7 @@ class TestRunCritic:
         errors = []
         for seed in range(40):
             critic = CriticState.zeros(2, 1, step_size=beta, batch_size=200, n_iterations=300)
-            sampler = MarkovSampler(env, seed=seed)
-            updated = run_critic(sampler, policy, critic, features, setting)
+            updated = run_critic(env, draw(env, seed, policy, 200 * 300), critic, features, setting)
             errors.append(float(((updated.weights - fp.w_star) ** 2).sum()))
         assert np.mean(errors) < 0.1 * initial
 
@@ -346,7 +342,7 @@ class TestRunCritic:
         beta = theory_critic_step(fp)
         for seed in range(1000):
             critic = CriticState.zeros(2, 1, step_size=beta, batch_size=10, n_iterations=20)
-            run_critic(MarkovSampler(env, seed=seed), policy, critic, features, DISCOUNTED)
+            run_critic(env, draw(env, seed, policy, 10 * 20), critic, features, DISCOUNTED)
 
     def test_divergence_raises_with_iteration(self):
         env = two_state_env()
@@ -354,8 +350,45 @@ class TestRunCritic:
         policy = uniform_policy(env)
         critic = CriticState.zeros(2, 1, step_size=1e9, batch_size=4, n_iterations=50)
         with pytest.raises(DivergenceError) as err:
-            run_critic(MarkovSampler(env, seed=1), policy, critic, features, AVERAGE)
+            run_critic(env, draw(env, 1, policy, 4 * 50), critic, features, AVERAGE)
         assert err.value.iteration is not None
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weights_raise_at_their_iteration(self, bad):
+        # state 0 pays nothing, so the weights stay 0 through inner iterations
+        # 1 and 2, which visit state 0 only; iteration 3 reaches state 1, whose
+        # NaN feature makes the weights NaN, or whose huge feature overflows
+        # them to inf
+        env = single_chain_env(np.full((2, 2), 0.5), rewards=[[[0.0], [1.0]]])
+        features = FeatureMap(np.array([[1.0], [np.nan if bad == "nan" else 1e300]]))
+        critic = CriticState.zeros(1, 1, step_size=1e10, batch_size=2, n_iterations=4)
+        path = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
+        batch = (path[:-1], np.zeros(8, dtype=np.int64), path[1:])
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            run_critic(env, batch, critic, features, DISCOUNTED)
+        assert err.value.iteration == 3
+        assert "inner critic iteration 3" in str(err.value)
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_batch_equals_one_iteration_calls(self, setting):
+        # one call on N * D steps against N one-iteration calls on consecutive
+        # D-step slices: the same weights and trackers, bit for bit
+        env = build_resource_gathering()
+        policy = random_policy(np.random.default_rng(8), env.n_states, env.n_actions)
+        features = default_feature_map(env.n_states)
+        critic = CriticState.zeros(3, features.dim, 0.3, batch_size=25, n_iterations=8)
+        batch = draw(env, 4, policy, 25 * 8)
+        whole = run_critic(env, batch, critic, features, setting)
+        _, sliced = critic_error_trace(env, batch, critic, features, setting, whole.weights)
+        assert np.array_equal(whole.weights, sliced.weights)
+        assert np.array_equal(whole.avg_reward, sliced.avg_reward)
+
+    def test_batch_length_must_match(self):
+        env = two_state_env()
+        critic = CriticState.zeros(2, 1, step_size=0.1, batch_size=8, n_iterations=3)
+        with pytest.raises(ParameterError):
+            run_critic(env, draw(env, 0, uniform_policy(env), 23), critic,
+                       default_feature_map(2), DISCOUNTED)
 
     def test_error_trace_streams_per_iteration(self):
         env = two_state_env()
@@ -363,9 +396,8 @@ class TestRunCritic:
         policy = uniform_policy(env)
         fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), features)
         critic = CriticState.zeros(2, 1, step_size=0.1, batch_size=8, n_iterations=25)
-        trace = []
-        run_critic(MarkovSampler(env, seed=3), policy, critic, features, DISCOUNTED,
-                   fixed_point=fp, error_trace=trace)
+        trace, _ = critic_error_trace(env, draw(env, 3, policy, 8 * 25), critic, features,
+                                      DISCOUNTED, fp.w_star)
         assert len(trace) == 25
         assert all(e >= 0 for e in trace)
 
@@ -374,11 +406,10 @@ class TestRunCritic:
         features = default_feature_map(2)
         policy = uniform_policy(env)
         beta = 0.25
-        probe = MarkovSampler(env, seed=21)
-        s_arr, a_arr, _ = probe.sample_policy_batch(policy.probability_matrix(), 12)
+        batch = draw(env, 21, policy, 12)
         mu = np.zeros(2)
-        for s, a in zip(s_arr, a_arr):
+        for s, a in zip(batch[0], batch[1]):
             mu = (1 - beta) * mu + beta * env.reward[:, s, a]
         critic = CriticState.zeros(2, 1, step_size=beta, batch_size=12, n_iterations=1)
-        updated = run_critic(MarkovSampler(env, seed=21), policy, critic, features, AVERAGE)
+        updated = run_critic(env, batch, critic, features, AVERAGE)
         assert np.allclose(updated.avg_reward, mu, atol=1e-12)

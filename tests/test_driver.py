@@ -32,7 +32,7 @@ from morlab.critic import CriticState, run_critic
 from morlab.driver import estimate_objective_gradients
 from morlab.momdp import MarkovSampler
 
-from util import random_momdp, random_policy, two_state_env
+from util import draw, random_momdp, random_policy, two_state_env
 
 
 def small_config(**overrides) -> MoacConfig:
@@ -57,10 +57,10 @@ class TestGradientEstimates:
         P = np.array([[[0.5, 0.5], [0.2, 0.8]], [[0.7, 0.3], [0.4, 0.6]]])
         env = TabularMomdp(2, 2, 2, P, np.zeros((2, 2, 2)), np.array([0.9, 0.8]),
                            np.array([0.5, 0.5]))
-        sampler = MarkovSampler(env, seed=0)
         policy = uniform_policy(env)
         grads, reward_mean = estimate_objective_gradients(
-            sampler, policy, np.zeros((2, 1)), 64, DISCOUNTED, default_feature_map(2), 0.05
+            env, policy, np.zeros((2, 1)), draw(env, 0, policy, 64), DISCOUNTED,
+            default_feature_map(2), 0.05
         )
         assert np.all(grads == 0.0)
         assert np.all(reward_mean == 0.0)
@@ -74,9 +74,8 @@ class TestGradientEstimates:
         evaluation = PolicyEvaluation(env, policy, DISCOUNTED)
         fp = compute_td_fixed_point(evaluation, features)
         B = 100_000
-        sampler = MarkovSampler(env, seed=7)
         grads, _ = estimate_objective_gradients(
-            sampler, policy, fp.w_star, B, DISCOUNTED, features, 0.05
+            env, policy, fp.w_star, draw(env, 7, policy, B), DISCOUNTED, features, 0.05
         )
         budget = 3.0 * (2.0 * env.r_max + 2.0 * fp.r_w_bound) / np.sqrt(B)
         for i in range(2):
@@ -104,10 +103,10 @@ class TestGradientEstimates:
 
     def test_average_setting_uses_fresh_trackers(self):
         env = two_state_env()
-        sampler = MarkovSampler(env, seed=3)
         policy = uniform_policy(env)
         grads, reward_mean = estimate_objective_gradients(
-            sampler, policy, np.zeros((2, 1)), 32, AVERAGE, default_feature_map(2), 0.1
+            env, policy, np.zeros((2, 1)), draw(env, 3, policy, 32), AVERAGE,
+            default_feature_map(2), 0.1
         )
         assert np.all(np.isfinite(grads))
         assert reward_mean.shape == (2,)
@@ -171,18 +170,19 @@ class TestRunMoac:
 
     def test_power_schedule_adopts_first_qp_solution(self):
         # eta_1 = 1 means lambda_1 is exactly the first batch's QP solution;
-        # replicate the first iteration with an equal-seeded sampler
+        # replicate the first iteration's draw with an equal-seeded sampler
         env = two_state_env()
         config = small_config(momentum=MomentumSchedule("power", 2.0), seed=11)
         res = run_moac(env, config)
         features = default_feature_map(2)
-        sampler = MarkovSampler(env, seed=11)
         policy = uniform_policy(env)
+        n_critic = config.critic_iterations * config.critic_batch_size
+        batch = draw(env, 11, policy, n_critic + config.actor_batch_size)
         critic = CriticState.zeros(2, features.dim, config.critic_step_size,
                                    config.critic_batch_size, config.critic_iterations)
-        critic = run_critic(sampler, policy, critic, features, DISCOUNTED)
+        critic = run_critic(env, [x[:n_critic] for x in batch], critic, features, DISCOUNTED)
         grads, _ = estimate_objective_gradients(
-            sampler, policy, critic.weights, config.actor_batch_size,
+            env, policy, critic.weights, [x[n_critic:] for x in batch],
             DISCOUNTED, features, config.actor_step_size,
         )
         lam_hat, _ = solve_min_norm(grads)
@@ -290,23 +290,21 @@ class TestRunMoac:
         run_moac(env, small_config(setting=AVERAGE, actor_step_size=1.0, actor_iterations=3))
         run_moac(env, small_config(setting=DISCOUNTED, actor_step_size=20.0, actor_iterations=3))
 
-    def test_chain_hand_off_is_single_trajectory(self):
-        # one unbroken chain across critic and actor phases: re-consume the
-        # stream with a traced sampler through the same call pattern
-        env = two_state_env()
-        features = default_feature_map(2)
-        policy = uniform_policy(env)
-        sampler = MarkovSampler(env, seed=15)
-        sampler.trace = []
-        critic = CriticState.zeros(2, 1, 0.2, batch_size=10, n_iterations=3)
-        for _ in range(4):
-            critic = run_critic(sampler, policy, critic, features, DISCOUNTED)
-            estimate_objective_gradients(sampler, policy, critic.weights, 16,
-                                         DISCOUNTED, features, 0.05)
-        trace = sampler.trace
-        assert len(trace) == 4 * (3 * 10 + 16)
-        for (s, a, ns), (s2, _, _) in zip(trace, trace[1:]):
-            assert ns == s2
+    def test_chain_hand_off_is_single_trajectory(self, monkeypatch):
+        # one draw of N * D + B steps per actor iteration, and one unbroken
+        # chain across the draws of a run
+        draws = []
+        sample = MarkovSampler.sample_policy_batch
+
+        def recorded(sampler, action_probs, n):
+            draws.append(sample(sampler, action_probs, n))
+            return draws[-1]
+
+        monkeypatch.setattr(MarkovSampler, "sample_policy_batch", recorded)
+        run_moac(two_state_env(), small_config(actor_iterations=4))
+        assert [len(s) for s, _, _ in draws] == [3 * 10 + 16] * 4
+        s, _, ns = map(np.concatenate, zip(*draws))
+        assert np.array_equal(ns[:-1], s[1:])
 
     def test_theory_compliant_mode_validates_critic_step(self):
         env = two_state_env()

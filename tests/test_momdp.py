@@ -256,14 +256,12 @@ class TestSampling:
         env = two_state_env()
         policy = random_policy(np.random.default_rng(0), 2, 2)
         sampler = MarkovSampler(env, seed=9)
-        sampler.trace = []
         probs = policy.probability_matrix()
-        sampler.sample_policy_batch(probs, 50)
-        sampler.sample_policy_batch(probs, 30)
-        trace = sampler.trace
-        assert len(trace) == 80
-        for (s, a, ns), (s2, _, _) in zip(trace, trace[1:]):
-            assert ns == s2
+        batches = [sampler.sample_policy_batch(probs, n) for n in (50, 30)]
+        s, _, ns = map(np.concatenate, zip(*batches))
+        assert len(s) == 80
+        assert np.array_equal(ns[:-1], s[1:])
+        assert ns[-1] == sampler.state
 
     def test_rejects_bad_action(self):
         env = two_state_env()
@@ -273,22 +271,19 @@ class TestSampling:
 
 
 def paired_samplers(env: TabularMomdp, seed: int = 7):
-    """Library sampler (tracing) and dense-reference sampler, seeded alike."""
-    fast = MarkovSampler(env, seed)
-    fast.trace = []
-    return fast, MarkovSampler(env, seed)
+    """Library sampler and dense-reference sampler, seeded alike."""
+    return MarkovSampler(env, seed), MarkovSampler(env, seed)
 
 
 def assert_same_batch(fast: MarkovSampler, ref: MarkovSampler, probs: np.ndarray, n: int):
-    """One batch from each sampler: indices, chain state, trace tail and RNG
-    state must all agree exactly."""
+    """One batch from each sampler: indices, chain state and RNG state must
+    all agree exactly."""
     got = fast.sample_policy_batch(probs, n)
     want = dense_policy_batch(ref, probs, n)
     for g, w in zip(got, want):
         assert g.dtype == np.int64 and g.shape == (n,)
         assert np.array_equal(g, w)
     assert fast.state == ref.state
-    assert fast.trace[len(fast.trace) - n:] == list(zip(*(w.tolist() for w in want)))
     assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
@@ -307,6 +302,22 @@ class TestPolicyBatchMatchesDenseReference:
         fast, ref = paired_samplers(env, seed=n + 11)
         for probs in (p1, p1, p2, p1, p2, p2, p1):
             assert_same_batch(fast, ref, probs, n)
+
+    @pytest.mark.parametrize("env_name", sorted(SAMPLER_ENVS))
+    def test_one_draw_equals_chained_calls(self, env_name):
+        # an actor iteration's N*D + B steps in one call, against N critic
+        # calls of D steps and one actor call of B
+        env = SAMPLER_ENVS[env_name]()
+        rng = np.random.default_rng(3)
+        probs = random_policy(rng, env.n_states, env.n_actions, scale=1.0).probability_matrix()
+        N, D, B = 10, 50, 128
+        one, chained = paired_samplers(env, seed=5)
+        drawn = one.sample_policy_batch(probs, N * D + B)
+        parts = [chained.sample_policy_batch(probs, n) for n in [D] * N + [B]]
+        for got, want in zip(drawn, map(np.concatenate, zip(*parts))):
+            assert np.array_equal(got, want)
+        assert one.state == chained.state
+        assert one.rng.bit_generator.state == chained.rng.bit_generator.state
 
     def test_probabilities_modified_in_place(self):
         env = build_resource_gathering()

@@ -8,12 +8,13 @@ every stochastic or optimized code path has a second opinion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from morlab import LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
+from morlab.critic import CriticState, run_critic
 from morlab.momdp import MarkovSampler
 
 
@@ -63,6 +64,25 @@ def dense_policy_batch(sampler: MarkovSampler, action_probs: np.ndarray, n: int)
         s = ns
     sampler.state = int(s)
     return states, actions, next_states
+
+
+def draw(env: TabularMomdp, seed: int, policy: PolicyParams, n: int):
+    """n chained (s, a, s') steps under ``policy`` from a fresh sampler."""
+    return MarkovSampler(env, seed).sample_policy_batch(policy.probability_matrix(), n)
+
+
+def critic_error_trace(env: TabularMomdp, batch, critic: CriticState, features, setting: str,
+                       w_star: np.ndarray) -> tuple[list[float], CriticState]:
+    """sum_i ||w_i - w_i*||^2 after every inner iteration of ``critic`` on
+    ``batch``, from one-iteration ``run_critic`` calls on its consecutive
+    D-step slices; returns the trace and the final critic."""
+    D = critic.batch_size
+    step = replace(critic, n_iterations=1)
+    trace = []
+    for lo in range(0, critic.n_iterations * D, D):
+        step = run_critic(env, [x[lo:lo + D] for x in batch], step, features, setting)
+        trace.append(float(((step.weights - w_star) ** 2).sum()))
+    return trace, step
 
 
 @dataclass
