@@ -80,19 +80,30 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     Returns (delta, rewards, trackers): the (M, D) TD errors, the (M, D)
     rewards and the (M,) trackers after the batch.
     """
-    s_arr, a_arr, ns_arr = batch
+    base, r, mu = _reward_terms(env, batch, setting, mu, step_size)
     phi = features.matrix
+    return _add_values(env, base, phi[batch[0]], phi[batch[2]], weights, setting), r, mu
+
+
+def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_size: float):
+    """The weight-free half of ``td_errors``: (r or r - mu_t, r, trackers after)."""
+    s_arr, a_arr, _ = batch
     r = env.reward[:, s_arr, a_arr]               # (M, D)
-    v_s = phi[s_arr] @ weights.T                  # (D, M)
-    v_n = phi[ns_arr] @ weights.T
-    if setting != AVERAGE:  # kept apart: the tracker path groups (r - mu) + (v' - v)
-        return r + env.discounts[:, None] * v_n.T - v_s.T, r, mu
-    # the tracker recursion as a one-tap IIR filter; imported here so that
-    # discounted runs never load scipy.signal
+    if setting != AVERAGE:
+        return r, r, mu
+    # a one-tap IIR filter, imported here so discounted runs never load scipy.signal
     from scipy.signal import lfilter
     keep = 1.0 - step_size
     path, _ = lfilter([step_size], [1.0, -keep], r, axis=1, zi=(keep * mu)[:, None])
-    return r - path + (v_n - v_s).T, r, path[:, -1].copy()
+    return r - path, r, path[:, -1].copy()
+
+
+def _add_values(env: TabularMomdp, base, phi_s, phi_n, weights, setting: str) -> np.ndarray:
+    """The weight half of ``td_errors``: ``base`` plus the values of s' less those of s."""
+    v_s, v_n = phi_s @ weights.T, phi_n @ weights.T    # (D, M)
+    if setting != AVERAGE:  # kept apart: the tracker path groups (r - mu) + (v' - v)
+        return base + env.discounts[:, None] * v_n.T - v_s.T
+    return base + (v_n - v_s).T
 
 
 def run_critic(
@@ -109,7 +120,9 @@ def run_critic(
     D = ``critic.batch_size``; inner iteration k takes steps (k-1)D to kD. Each
     iteration evaluates all M TD errors on its D steps with the weights held
     fixed, then applies the averaged semi-gradient update
-    w_i += (beta / D) * sum_tau delta_i * phi(s_tau).
+    w_i += (beta / D) * sum_tau delta_i * phi(s_tau). The weight-free terms are
+    computed once per batch: one tracker filter over N * D steps hands each
+    slice the state N chained ``td_errors`` calls would.
     """
     check_setting(setting)
     beta = critic.step_size
@@ -117,11 +130,13 @@ def run_critic(
     if len(batch[0]) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
     phi = features.matrix
+    base, _, mu = _reward_terms(env, batch, setting, critic.avg_reward.copy(), beta)
     w = critic.weights.copy()
-    mu = critic.avg_reward.copy()
-    for k, part in enumerate(zip(*(x.reshape(N, D) for x in batch)), start=1):
-        delta, _, mu = td_errors(env, features, w, part, setting, mu, beta)
-        w = w + (beta / D) * (delta @ phi[part[0]])
+    for k in range(1, N + 1):
+        part = slice((k - 1) * D, k * D)
+        phi_s = phi[batch[0][part]]
+        delta = _add_values(env, base[:, part], phi_s, phi[batch[2][part]], w, setting)
+        w = w + (beta / D) * (delta @ phi_s)
         if not np.abs(w).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
             raise DivergenceError(f"critic weights diverged at inner critic iteration {k}",
                                   iteration=k)

@@ -126,17 +126,17 @@ def estimate_objective_gradients(
 
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the
-    batch and advanced with the actor step size. Per-sample score vectors are
-    folded into per-(objective, state, action) buckets first, so the
-    projection onto the parameter space happens once for all M objectives.
+    batch and advanced with the actor step size. One ``np.bincount`` folds the
+    TD errors into per-(objective, state, action) buckets, each summed in step
+    order from 0.0 as ``np.add.at`` would, so the projection onto the
+    parameter space happens once for all M objectives.
     """
     check_setting(setting)
-    M = env.n_objectives
+    M, S, A = env.n_objectives, env.n_states, env.n_actions
     delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
-    s_arr, a_arr, _ = batch
-    buckets = np.zeros((M, env.n_states, env.n_actions))
-    np.add.at(buckets, (slice(None), s_arr, a_arr), delta)
-    return policy.score_weighted_sum(buckets / len(s_arr)), r.mean(axis=1)
+    cells = (np.arange(M)[:, None] * S + batch[0]) * A + batch[1]    # (M, B)
+    buckets = np.bincount(cells.ravel(), delta.ravel(), minlength=M * S * A)
+    return policy.score_weighted_sum(buckets.reshape(M, S, A) / r.shape[1]), r.mean(axis=1)
 
 
 def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,

@@ -4,6 +4,7 @@ program over the probability simplex) and the momentum-mixed weight update."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,10 +24,10 @@ class SimplexWeights:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ParameterError("simplex weights must be a non-empty vector")
-        if np.any(v < -1e-12):
+        if not (v >= -1e-12).all():               # written so that NaN fails
             raise ParameterError("simplex weights must be non-negative")
-        v = np.clip(v, 0.0, None)
-        if abs(v.sum() - 1.0) > 1e-10:
+        v = np.maximum(v, 0.0)                    # what np.clip(v, 0.0, None) calls
+        if not abs(v.sum() - 1.0) <= 1e-10:
             raise ParameterError("simplex weights must sum to 1 within 1e-10")
         self.values = v
 
@@ -51,8 +52,8 @@ class MomentumSchedule:
             raise ParameterError(f"unknown momentum schedule kind {self.kind!r}")
         if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
             raise ParameterError("constant momentum coefficient must lie in [0, 1]")
-        if self.kind == "power" and self.value < 0:
-            raise ParameterError("power exponent must be non-negative")
+        if self.kind == "power" and not 0.0 <= self.value < np.inf:   # 1 ** -nan == 1
+            raise ParameterError(f"power exponent must be finite and >= 0, got {self.value}")
 
     def eta(self, t: int) -> float:
         if t < 1:
@@ -90,7 +91,7 @@ def _as_gradient_matrix(gradients) -> np.ndarray:
         W = W[None, :]
     if W.ndim != 2 or W.shape[0] < 1:
         raise ParameterError("gradients must form a non-empty (M, dim) stack")
-    if not np.all(np.isfinite(W)):
+    if not np.isfinite(W).all():
         raise ParameterError("gradients must be finite")
     return W
 
@@ -101,6 +102,17 @@ def duality_gap(gradients, lam: np.ndarray) -> float:
     gbar = lam @ W
     inner = W @ gbar
     return float(gbar @ gbar - inner.min())
+
+
+@lru_cache(maxsize=None)
+def _face_systems(M: int):
+    """Face, face-pair and off-face masks, diagonal index and rhs, shared read-only."""
+    faces = (np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1 == 1
+    pairs = faces[:, :, None] & faces[:, None, :]
+    parts = (faces, pairs, ~faces, np.arange(M), np.eye(M + 1)[M:].T)
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def solve_min_norm(gradients):
@@ -122,7 +134,7 @@ def solve_min_norm(gradients):
     with np.errstate(over="ignore", invalid="ignore"):
         G = W @ W.T
         G = 0.5 * (G + G.T)
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ParameterError("inner products of the gradients overflow; rescale the gradients")
     if M == 2:
         denom = G[0, 0] + G[1, 1] - 2.0 * G[0, 1]   # ||g1 - g2||^2
@@ -135,18 +147,17 @@ def solve_min_norm(gradients):
 
     top = float(np.diag(G).max())                 # max_i ||g_i||^2
     Gs = np.ldexp(G, -np.frexp(top)[1])
-    faces = (np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1 == 1   # (2^M - 1, M)
+    faces, pairs, off, diag, rhs = _face_systems(M)
     K = np.zeros((faces.shape[0], M + 1, M + 1))
-    K[:, :M, :M] = Gs * (faces[:, :, None] & faces[:, None, :])
-    K[:, np.arange(M), np.arange(M)] += ~faces    # identity rows pin lam_i = 0 off the face
+    K[:, :M, :M] = Gs * pairs
+    K[:, diag, diag] += off                       # identity rows pin lam_i = 0 off the face
     K[:, :M, M] = K[:, M, :M] = faces
-    rhs = np.eye(M + 1)[M:].T                     # only the last row, sum(lam) = 1
     try:
         lam = np.linalg.solve(K, rhs)[:, :M, 0]
     except np.linalg.LinAlgError:                 # a face of affinely dependent gradients
         lam = np.stack([np.linalg.lstsq(k, rhs, rcond=None)[0][:M, 0] for k in K])
     feasible = (lam >= -1e-12).all(axis=1) & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-9)
-    lam = np.clip(lam[feasible], 0.0, None)
+    lam = np.maximum(lam[feasible], 0.0)
     lam /= lam.sum(axis=1, keepdims=True)
     grads = lam @ Gs
     lam = lam[int(np.argmin(np.einsum("fi,fi->f", lam, grads) - grads.min(axis=1)))]
@@ -166,7 +177,7 @@ def momentum_update(prev: SimplexWeights, qp_solution: SimplexWeights, eta_t: fl
     if len(prev) != len(qp_solution):
         raise ParameterError("weight vectors must have matching length")
     mixed = (1.0 - eta_t) * prev.values + eta_t * qp_solution.values
-    return SimplexWeights(np.clip(mixed, 0.0, None))
+    return SimplexWeights(np.maximum(mixed, 0.0))
 
 
 def uniform_weights(n: int) -> SimplexWeights:

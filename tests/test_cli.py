@@ -402,6 +402,18 @@ class TestRunExperiment:
         assert main(["run", str(bad), "--out", str(out), "--seeds", "1"]) == 2
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_bad_momentum_exponent_leaves_out_untouched(self, tmp_path, capsys):
+        # 1.0 ** -nan == 1.0: a NaN exponent would pass the first actor
+        # iteration and fail the second, after the earlier results were gone
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out), "--seeds", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        bad = write_config(tmp_path, BASE_CONFIG.replace("power:1", "power:nan"), name="bad.ini")
+        capsys.readouterr()
+        assert main(["run", str(bad), "--out", str(out), "--seeds", "1"]) == 2
+        assert "actor iteration" not in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_divergence_in_a_worker_keeps_type_message_and_iteration(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path, DIVERGING_CONFIG))
         with pytest.raises(DivergenceError) as err:

@@ -35,6 +35,7 @@ from util import (
     random_momdp,
     random_policy,
     reward_tracker_path,
+    run_critic_reference,
     single_chain_env,
     td_fixed_point_reference,
     two_state_env,
@@ -413,3 +414,27 @@ class TestRunCritic:
         critic = CriticState.zeros(2, 1, step_size=beta, batch_size=12, n_iterations=1)
         updated = run_critic(env, batch, critic, features, AVERAGE)
         assert np.allclose(updated.avg_reward, mu, atol=1e-12)
+
+
+class TestRunCriticEquivalence:
+    @pytest.mark.parametrize("env_name", ["fishwood", "resource_gathering"])
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    @pytest.mark.parametrize("kind", ["default", "complete"])
+    def test_matches_per_iteration_reference(self, env_name, setting, kind):
+        # one reward gather and one tracker filter per batch against N
+        # from-scratch iterations: the same weights and trackers, bit for bit,
+        # from non-zero starting weights and trackers
+        env = build_fishwood(0.3, 0.6) if env_name == "fishwood" else build_resource_gathering()
+        rng = np.random.default_rng(31)
+        policy = random_policy(rng, env.n_states, env.n_actions)
+        S, M = env.n_states, env.n_objectives
+        features = default_feature_map(S) if kind == "default" else complete_feature_map(S)
+        for N in (1, 2, 10):
+            critic = CriticState(weights=rng.normal(0.0, 1.0, size=(M, features.dim)),
+                                 avg_reward=rng.uniform(-0.5, 1.0, size=M), step_size=0.3,
+                                 batch_size=17, n_iterations=N)
+            batch = draw(env, 40 + N, policy, 17 * N)
+            got = run_critic(env, batch, critic, features, setting)
+            want = run_critic_reference(env, batch, critic, features, setting)
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.avg_reward, want.avg_reward)

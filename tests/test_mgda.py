@@ -14,9 +14,9 @@ from morlab import (
     duality_gap,
     solve_min_norm,
 )
-from morlab.mgda import SimplexWeights, momentum_update, uniform_weights
+from morlab.mgda import SimplexWeights, _face_systems, momentum_update, uniform_weights
 
-from util import grid_min_norm_1d, lattice_min_norm
+from util import grid_min_norm_1d, lattice_min_norm, min_norm_reference
 
 # captured actor gradient stacks with their exact optimum, see each "source"
 CAPTURED = json.loads((Path(__file__).parent / "data" / "min_norm_stacks.json").read_text())
@@ -170,6 +170,34 @@ class TestExactFaceSolver:
         assert np.allclose(lam.values, 0.1) and val == pytest.approx(0.1)
 
 
+    @pytest.mark.parametrize("m", [1, 3, 4, 10])
+    @pytest.mark.parametrize("structure", ["random", "equal_rows", "zero_row"])
+    def test_matches_per_call_reference(self, m, structure):
+        # face systems built once per M against a reference that builds them
+        # on every call: the same weight and norm bytes, on the LU path, the
+        # lstsq path (two equal rows) and with signed zeros (a zero row and
+        # negative inner products)
+        rng = np.random.default_rng(100 + m)
+        for _ in range(5):
+            grads = rng.normal(0.0, 1.0, size=(m, 6))
+            if structure == "equal_rows" and m > 1:
+                grads[-1] = grads[0]
+            if structure == "zero_row":
+                grads[rng.integers(m)] = 0.0
+            if not grads.any():
+                continue
+            lam, val = solve_min_norm(grads)
+            ref_lam, ref_val = min_norm_reference(grads)
+            assert lam.values.tobytes() == ref_lam.tobytes()
+            assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+
+    def test_cached_face_arrays_are_read_only(self):
+        assert _face_systems(3) is _face_systems(3)
+        for arr in _face_systems(3):
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1
+
 class TestSimplexWeights:
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
@@ -178,6 +206,12 @@ class TestSimplexWeights:
     def test_rejects_bad_sum(self):
         with pytest.raises(ParameterError):
             SimplexWeights(np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("values", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan, 0.5],
+                                        [np.inf, 0.0]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ParameterError):
+            SimplexWeights(np.array(values))
 
     def test_clips_float_noise(self):
         w = SimplexWeights(np.array([1.0 + 1e-13, -1e-13]))
@@ -237,6 +271,12 @@ class TestMomentumSchedule:
             MomentumSchedule("constant", 1.5)
         with pytest.raises(ParameterError):
             MomentumSchedule("warp", 1.0)
+
+    @pytest.mark.parametrize("text", ["power:nan", "power:inf", "power:-inf", "constant:nan"])
+    def test_non_finite_value_rejected(self, text):
+        # 1.0 ** -nan == 1.0, so a NaN exponent would pass the first iteration
+        with pytest.raises(ParameterError):
+            MomentumSchedule.parse(text)
 
     def test_parse_round_trip(self):
         for text in ("zero", "constant:0.25", "power:1", "power:0.5"):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from morlab import LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
+from morlab import AVERAGE, LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
 from morlab.critic import CriticState, run_critic
 from morlab.momdp import MarkovSampler
 
@@ -316,3 +316,72 @@ def permute_tabular_policy(policy: PolicyParams, perm: np.ndarray) -> PolicyPara
     inv[perm] = np.arange(policy.n_states)
     theta = policy.theta.reshape(policy.n_states, policy.n_actions)[inv].ravel()
     return PolicyParams(theta, policy.n_states, policy.n_actions)
+
+
+def run_critic_reference(env: TabularMomdp, batch, critic: CriticState, features,
+                         setting: str) -> CriticState:
+    """Reference for ``run_critic``: N inner iterations, each computing its
+    D-step TD errors from scratch (reward gather, state gathers, one tracker
+    ``lfilter`` started at the trackers the previous slice left) before the
+    semi-gradient update. Returns the updated critic."""
+    from scipy.signal import lfilter
+    N, D, beta = critic.n_iterations, critic.batch_size, critic.step_size
+    phi = features.matrix
+    w = critic.weights.copy()
+    mu = critic.avg_reward.copy()
+    for s, a, ns in zip(*(x.reshape(N, D) for x in batch)):
+        r = env.reward[:, s, a]
+        v_s = phi[s] @ w.T
+        v_n = phi[ns] @ w.T
+        if setting == AVERAGE:
+            keep = 1.0 - beta
+            path, _ = lfilter([beta], [1.0, -keep], r, axis=1, zi=(keep * mu)[:, None])
+            delta = r - path + (v_n - v_s).T
+            mu = path[:, -1].copy()
+        else:
+            delta = r + env.discounts[:, None] * v_n.T - v_s.T
+        w = w + (beta / D) * (delta @ phi[s])
+    return replace(critic, weights=w, avg_reward=mu)
+
+
+def objective_gradients_reference(env: TabularMomdp, policy: PolicyParams, weights: np.ndarray,
+                                  batch, setting: str, features, mu_step: float):
+    """Reference for ``estimate_objective_gradients``: the TD errors of
+    ``td_errors`` folded into (objective, state, action) buckets with
+    ``np.add.at``, one sample at a time in step order."""
+    from morlab.critic import td_errors
+    M = env.n_objectives
+    delta, r, _ = td_errors(env, features, weights, batch, setting, np.zeros(M), mu_step)
+    s, a, _ = batch
+    buckets = np.zeros((M, env.n_states, env.n_actions))
+    np.add.at(buckets, (slice(None), s, a), delta)
+    return policy.score_weighted_sum(buckets / len(s)), r.mean(axis=1)
+
+
+def min_norm_reference(gradients) -> tuple[np.ndarray, float]:
+    """Reference for ``solve_min_norm`` at M = 1 and M >= 3: the face KKT
+    systems built from scratch on every call, solved in one batched LU (one
+    ``lstsq`` per face when any face is singular), the feasible candidate of
+    smallest duality gap kept. Returns (lam, min_norm_sq); no certificate."""
+    W = np.asarray(gradients, dtype=float)
+    M = W.shape[0]
+    G = W @ W.T
+    G = 0.5 * (G + G.T)
+    top = float(np.diag(G).max())
+    Gs = np.ldexp(G, -np.frexp(top)[1])
+    faces = (np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1 == 1
+    K = np.zeros((faces.shape[0], M + 1, M + 1))
+    K[:, :M, :M] = Gs * (faces[:, :, None] & faces[:, None, :])
+    K[:, np.arange(M), np.arange(M)] += ~faces
+    K[:, :M, M] = K[:, M, :M] = faces
+    rhs = np.eye(M + 1)[M:].T
+    try:
+        lam = np.linalg.solve(K, rhs)[:, :M, 0]
+    except np.linalg.LinAlgError:
+        lam = np.stack([np.linalg.lstsq(k, rhs, rcond=None)[0][:M, 0] for k in K])
+    feasible = (lam >= -1e-12).all(axis=1) & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-9)
+    lam = np.clip(lam[feasible], 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    grads = lam @ Gs
+    lam = lam[int(np.argmin(np.einsum("fi,fi->f", lam, grads) - grads.min(axis=1)))]
+    return lam, max(float(lam @ (G @ lam)), 0.0)
