@@ -26,7 +26,7 @@ class SimplexWeights:
             raise ParameterError("simplex weights must be a non-empty vector")
         if not (v >= -1e-12).all():               # written so that NaN fails
             raise ParameterError("simplex weights must be non-negative")
-        v = np.maximum(v, 0.0)                    # what np.clip(v, 0.0, None) calls
+        v = np.maximum(v, 0.0)
         if not abs(v.sum() - 1.0) <= 1e-10:
             raise ParameterError("simplex weights must sum to 1 within 1e-10")
         self.values = v
