@@ -184,8 +184,6 @@ class TestExactFaceSolver:
                 grads[-1] = grads[0]
             if structure == "zero_row":
                 grads[rng.integers(m)] = 0.0
-            if not grads.any():
-                continue
             lam, val = solve_min_norm(grads)
             ref_lam, ref_val = min_norm_reference(grads)
             assert lam.values.tobytes() == ref_lam.tobytes()
