@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -268,18 +269,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """Execute all seeds, write per-seed metrics plus summary.json, return the
     artifact directory."""
     cfg.check()
-    # reject bad training values and a bad environment before out is touched
+    # reject bad training values, environment and worker count before out is touched
     moac_config(cfg, cfg.base_seed)
     env = build_environment(cfg)
-    out = Path(out_dir if out_dir else (cfg.output or cfg.name))
-    out.mkdir(parents=True, exist_ok=True)
     seeds = [cfg.base_seed + k for k in range(cfg.seeds)]
-    # a run that fails must not leave an earlier run's results for these seeds
-    for seed in seeds:
-        for suffix in (".csv", ".jsonl", DONE_SUFFIX):
-            (out / f"seed_{seed}{suffix}").unlink(missing_ok=True)
-    (out / "summary.json").unlink(missing_ok=True)
-    cfg.to_ini(out / "config.ini")
     if max_workers is None:
         env_workers = os.environ.get(WORKERS_ENV_VAR)
         try:
@@ -287,6 +280,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env_workers!r}") from exc
     max_workers = max(1, min(max_workers, len(seeds)))
+    out = Path(out_dir if out_dir else (cfg.output or cfg.name))
+    out.mkdir(parents=True, exist_ok=True)
+    # a run that fails must not leave an earlier run's results for these seeds
+    for seed in seeds:
+        for suffix in (".csv", ".jsonl", DONE_SUFFIX):
+            (out / f"seed_{seed}{suffix}").unlink(missing_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)
+    cfg.to_ini(out / "config.ini")
     if max_workers == 1:
         for seed in seeds:
             run_seed(cfg, env, seed, out)
@@ -299,156 +300,99 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return out
 
 
-def _moving_average(x: np.ndarray, window: int = 5) -> np.ndarray:
-    if x.size < window:
-        return x.copy()
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(x, kernel, mode="valid")
-
-
-def _seed_of(path: Path) -> int:
-    return int(path.stem.split("_")[1])
+def _seed_of(path: Path) -> int | None:
+    """The seed of a file named as run_seed names it, ``seed_<k>.csv``; None otherwise."""
+    match = re.fullmatch(r"seed_(0|[1-9][0-9]*)\.csv", path.name)
+    return int(match[1]) if match else None
 
 
 def load_metrics_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Returns (header, float matrix); empty cells become NaN."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    """Returns (header, float matrix); empty cells become NaN. A file that is
+    not UTF-8, has no header, a cell that is not a number or a row that is not
+    as wide as the header raises ConfigError."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path.name}: metrics file is not UTF-8 text") from exc
+    if not lines:
+        raise ConfigError(f"{path.name}: metrics file is empty")
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
-        rows.append([float(cell) if cell else np.nan for cell in line.split(",")])
-    return header, np.asarray(rows, dtype=float)
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path.name}: line {lineno} has {len(cells)} cells, "
+                              f"the header has {len(header)}")
+        try:
+            rows.append([float(cell) if cell else np.nan for cell in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path.name}: line {lineno}: {exc}") from exc
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def summarize(run_dir: str | Path) -> dict:
     """Recompute per-metric statistics across completed seeds, deterministic in
     the directory contents; incomplete seeds (no DONE marker) are skipped.
 
-    When the directory holds a ``config.ini``, only the seeds it names
-    (``base_seed`` up to ``base_seed + seeds - 1``) count; other seed files,
-    such as those left by an earlier run with more seeds, are reported with a
-    warning and left in place."""
+    Seed files are named ``seed_<k>.csv`` as run_seed names them; with a
+    ``config.ini``, only the seeds it names (``base_seed`` up to ``base_seed +
+    seeds - 1``) count. Other ``seed_*.csv`` files, such as those left by an
+    earlier run with more seeds, are reported with a warning and left in place.
+
+    The mean, median and IQR at t are null unless every counted seed logged
+    the metric at t; the seeds of one ``morlab run`` share one oracle
+    schedule, so there each metric is logged at t by all seeds or by none."""
     run_dir = Path(run_dir)
-    csv_paths = sorted(run_dir.glob("seed_*.csv"), key=_seed_of)
+    wanted = None
     config_path = run_dir / "config.ini"
     if config_path.exists():
         cfg = ExperimentConfig.from_ini(config_path)
         wanted = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
-        for path in csv_paths:
-            if _seed_of(path) not in wanted:
-                warnings.warn(f"ignoring {path.name}: config.ini names seeds "
-                              f"{wanted.start}..{wanted.stop - 1}")
-        csv_paths = [path for path in csv_paths if _seed_of(path) in wanted]
-    complete = []
-    for path in csv_paths:
-        if (run_dir / f"{path.stem}{DONE_SUFFIX}").exists():
-            complete.append(path)
-        else:
+    complete = {}
+    for path in sorted(run_dir.glob("seed_*.csv")):
+        seed = _seed_of(path)
+        if seed is None:
+            warnings.warn(f"ignoring {path.name}: seed files are named seed_<k>.csv")
+        elif wanted is not None and seed not in wanted:
+            warnings.warn(f"ignoring {path.name}: config.ini names seeds "
+                          f"{wanted.start}..{wanted.stop - 1}")
+        elif not (run_dir / f"seed_{seed}{DONE_SUFFIX}").exists():
             warnings.warn(f"skipping incomplete seed file {path.name}")
+        else:
+            complete[seed] = path
     if not complete:
         raise ConfigError(f"no completed runs in {run_dir}")
-    header = None
-    tables = []
-    seeds = []
-    for path in complete:
-        cols, data = load_metrics_csv(path)
-        if header is None:
-            header = cols
-        elif cols != header:
-            raise ConfigError(f"metrics schema mismatch in {path.name}")
+    seeds = sorted(complete)
+    header, first = load_metrics_csv(complete[seeds[0]])
+    if header[0] != "t" or not all(float(t).is_integer() for t in first[:, 0]):  # NaN fails
+        raise ConfigError(f"{complete[seeds[0]].name}: the first column must be t, "
+                          f"an integer in every row")
+    tables = [first]
+    for seed in seeds[1:]:
+        cols, data = load_metrics_csv(complete[seed])
+        if cols != header:
+            raise ConfigError(f"metrics schema mismatch in {complete[seed].name}")
+        if not np.array_equal(data[:, 0], first[:, 0]):
+            raise ConfigError(f"{complete[seed].name} is not logged at the iterations t "
+                              f"of {complete[seeds[0]].name}")
         tables.append(data)
-        seeds.append(_seed_of(path))
-    shape = tables[0].shape
-    for path, tab in zip(complete, tables):
-        if tab.shape != shape:
-            raise ConfigError(f"metrics shape mismatch in {path.name}")
     stack = np.stack(tables)                      # (n_seeds, T, n_cols)
-    t_axis = stack[0, :, 0].astype(int).tolist()
-    stats = {}
-    for j, col in enumerate(header):
-        if col == "t":
-            continue
-        block = stack[:, :, j]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN rows are legal
-            mean = np.nanmean(block, axis=0)
-            median = np.nanmedian(block, axis=0)
-            q75 = np.nanpercentile(block, 75, axis=0)
-            q25 = np.nanpercentile(block, 25, axis=0)
-        stats[col] = {
-            "mean": _jsonify(mean),
-            "median": _jsonify(median),
-            "iqr": _jsonify(q75 - q25),
-        }
-    trends = _trend_statistics(header, stack, seeds)
+    # one percentile per call: np.percentile(stack, [75, 25]) partitions at the
+    # kth of both and can move a signed zero into the 75th percentile
+    iqr = np.percentile(stack, 75, axis=0) - np.percentile(stack, 25, axis=0)
+    lanes = {"mean": stack.mean(axis=0), "median": np.median(stack, axis=0), "iqr": iqr}
+    stats = {col: {name: _jsonify(values[:, j]) for name, values in lanes.items()}
+             for j, col in enumerate(header) if col != "t"}
     return {
         "seeds": seeds,
-        "t": t_axis,
+        "t": stack[0, :, 0].astype(int).tolist(),
         "columns": header,
         "stats": stats,
-        "trends": trends,
     }
 
 
 def _jsonify(arr: np.ndarray) -> list:
     return [None if np.isnan(x) else float(x) for x in arr]
-
-
-def _trend_statistics(header: list[str], stack: np.ndarray, seeds: list[int]) -> dict:
-    """Per-seed trend numbers used by acceptance-style checks: smoothed
-    gradient-norm half-crossing iteration, first/last-window ratio, mean
-    oracle gap, and first/last exact objective values when present."""
-    g_idx = header.index("grad_norm_sq")
-    t_col = stack[0, :, 0]
-    horizon = stack.shape[1]
-    window = max(1, horizon // 10)
-    half_crossings = []
-    window_ratios = []
-    for k in range(stack.shape[0]):
-        smooth = _moving_average(stack[k, :, g_idx], window=5)
-        target = 0.5 * smooth[0]
-        below = np.flatnonzero(smooth <= target)
-        half_crossings.append(int(t_col[below[0]]) if below.size else None)
-        first = float(np.mean(smooth[:window]))
-        last = float(np.mean(smooth[-window:]))
-        window_ratios.append(last / first if first > 0 else None)
-    trends = {
-        "grad_half_crossing": half_crossings,
-        "grad_half_crossing_median": _median_or_none(half_crossings),
-        "grad_window_ratio": window_ratios,
-        "grad_window_ratio_median": _median_or_none(window_ratios),
-    }
-    if "pareto_gap" in header:
-        p_idx = header.index("pareto_gap")
-        gap_means = []
-        for k in range(stack.shape[0]):
-            col = stack[k, :, p_idx]
-            col = col[~np.isnan(col)]
-            gap_means.append(float(col.mean()) if col.size else None)
-        trends["pareto_gap_mean"] = gap_means
-        trends["pareto_gap_mean_median"] = _median_or_none(gap_means)
-    j_cols = [c for c in header if c.startswith("j_exact_")]
-    if j_cols:
-        first_last = {}
-        for col in j_cols:
-            idx = header.index(col)
-            firsts, lasts = [], []
-            for k in range(stack.shape[0]):
-                series = stack[k, :, idx]
-                valid = np.flatnonzero(~np.isnan(series))
-                if valid.size:
-                    firsts.append(float(series[valid[0]]))
-                    lasts.append(float(series[valid[-1]]))
-            first_last[col] = {"first": firsts, "last": lasts}
-        trends["j_exact_first_last"] = first_last
-    return trends
-
-
-def _median_or_none(values: list):
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return float(np.median(present))
 
 
 def write_summary(run_dir: str | Path, summary: dict) -> Path:

@@ -31,6 +31,7 @@ from morlab.experiment import (
     summarize,
     write_summary,
 )
+from util import summary_stats_reference
 
 BASE_CONFIG = """\
 [experiment]
@@ -336,15 +337,47 @@ class TestRunExperiment:
         doc = json.loads(jsonl[1])
         assert doc["t"] == 2 and doc["pareto_gap"] is None
 
-    def test_summary_statistics_and_trends(self, tmp_path):
+    def test_summary_statistics_and_keys(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
         out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
         summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"seeds", "t", "columns", "stats"}
         assert summary["seeds"] == [100, 101]
         assert summary["t"] == [1, 2, 3, 4, 5, 6]
         assert "grad_norm_sq" in summary["stats"]
         assert len(summary["stats"]["grad_norm_sq"]["median"]) == 6
-        assert "grad_half_crossing" in summary["trends"]
+
+    @pytest.mark.parametrize("env, setting", [
+        (FISHWOOD_ENV, "discounted"),
+        ("kind = resource_gathering", "average"),
+    ])
+    def test_stats_match_nan_aware_reference(self, tmp_path, env, setting):
+        # seeds of one run log the oracle columns at the same t, so every lane
+        # is full or empty and the plain statistics give the nan-aware bits
+        text = BASE_CONFIG.replace("seeds = 2", "seeds = 5").replace(FISHWOOD_ENV, env)
+        text = text.replace("setting = discounted", f"setting = {setting}")
+        text = text.replace("oracle = false\noracle_every = 5",
+                            "oracle = true\noracle_every = 2\njsonl = true")
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, text))
+        out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stats"]["pareto_gap"]["mean"].count(None) == 2   # t = 2, 4
+        reference = summary_stats_reference(out, summary["seeds"])
+        assert (json.dumps(summarize(out)["stats"], sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
+
+    def test_partly_logged_lane_is_null(self, tmp_path):
+        # hand-built: only seed 0 logged pareto_gap; a statistic over it alone
+        # would be labelled with all three seeds
+        out = tmp_path / "byhand"
+        out.mkdir()
+        header = "t,reward_mean_1,grad_norm_sq,lambda_1,eta_t,pareto_gap"
+        for seed, gap in ((0, "0.5"), (1, ""), (2, "")):
+            (out / f"seed_{seed}.csv").write_text(f"{header}\n1,0.5,1,1,1,{gap}\n")
+            (out / f"seed_{seed}{DONE_SUFFIX}").write_text("ok\n")
+        stats = summarize(out)["stats"]["pareto_gap"]
+        assert stats == {"mean": [None], "median": [None], "iqr": [None]}
+        assert summary_stats_reference(out, [0, 1, 2])["pareto_gap"]["mean"] == [0.5]
 
     def test_summarize_idempotent_and_order_invariant(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
@@ -414,6 +447,35 @@ class TestRunExperiment:
         assert "actor iteration" not in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_stray_seed_like_files_are_ignored_with_a_warning(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        for stem in ("seed_old", "seed_5000.bak", "seed_0100"):
+            (out / f"{stem}.csv").write_bytes((out / "seed_100.csv").read_bytes())
+            (out / f"{stem}{DONE_SUFFIX}").write_text("ok\n")
+        expected = (out / "summary.json").read_bytes()
+        for argv in (["summarize", str(out)], ["run", str(cfg_path), "--out", str(out)]):
+            with pytest.warns(UserWarning) as record:
+                assert main(argv) == 0
+            warned = " ".join(str(w.message) for w in record)
+            assert all(name in warned for name in ("seed_old.csv", "seed_5000.bak.csv",
+                                                   "seed_0100.csv"))
+            assert (out / "summary.json").read_bytes() == expected
+            assert (out / "seed_old.csv").exists()
+
+    def test_zero_padded_seed_is_not_counted_twice(self, tmp_path):
+        # no config.ini: every well-named seed file counts, once
+        out = tmp_path / "byhand"
+        out.mkdir()
+        for stem, g in (("seed_7", 1.0), ("seed_007", 3.0)):
+            (out / f"{stem}.csv").write_text(f"t,grad_norm_sq\n1,{g}\n")
+            (out / f"{stem}{DONE_SUFFIX}").write_text("ok\n")
+        with pytest.warns(UserWarning, match="seed_007.csv"):
+            summary = summarize(out)
+        assert summary["seeds"] == [7]
+        assert summary["stats"]["grad_norm_sq"]["mean"] == [1.0]
+
     def test_divergence_in_a_worker_keeps_type_message_and_iteration(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path, DIVERGING_CONFIG))
         with pytest.raises(DivergenceError) as err:
@@ -444,6 +506,21 @@ class TestRunExperiment:
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="schema"):
             summarize(out)
+
+    @pytest.mark.parametrize("t_other", ["1\n2\n", "1\n2\n3\n", "5\n6\n"],
+                             ids=["same", "longer", "shifted"])
+    def test_seeds_at_other_iterations_rejected(self, tmp_path, t_other):
+        # statistics at t must come from rows at t in every seed
+        out = tmp_path / "byhand"
+        out.mkdir()
+        for seed, t_rows in ((0, "1\n2\n"), (1, t_other)):
+            (out / f"seed_{seed}.csv").write_text("t\n" + t_rows)
+            (out / f"seed_{seed}{DONE_SUFFIX}").write_text("ok\n")
+        if t_other == "1\n2\n":
+            assert summarize(out)["t"] == [1, 2]
+        else:
+            with pytest.raises(ConfigError, match="seed_1.csv.*iterations t.*seed_0.csv"):
+                summarize(out)
 
     def test_median_of_three_final_values(self, tmp_path):
         # hand-built three-seed directory: medians computed per t
@@ -511,10 +588,38 @@ class TestCliCommands:
         assert "finite" in capsys.readouterr().err
 
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        # checked before the earlier run's seed files, summary and config.ini go
+        out = tmp_path / "w"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
         monkeypatch.setenv("MORLAB_WORKERS", "abc")
-        code = main(["run", str(write_config(tmp_path)), "--out", str(tmp_path / "w")])
-        assert code == 2
+        capsys.readouterr()
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
         assert "MORLAB_WORKERS" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lines: lines[:2] + [re.sub(r",[^,]*", ",abc", lines[2], count=1)] + lines[3:],
+        lambda lines: [],
+        lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+        lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
+        lambda lines: [lines[0] + "\u00e9"] + lines[1:],            # b"\xe9" in latin-1
+        lambda lines: lines[:2] + [re.sub(r"^[^,]*", "2.5", lines[2])] + lines[3:],
+        lambda lines: lines[:2] + [re.sub(r"^[^,]*", "", lines[2])] + lines[3:],
+        lambda lines: [re.sub(r"^t,", "step,", lines[0])] + lines[1:],
+    ], ids=["not-a-number", "empty", "ragged", "wider-than-header", "not-utf-8",
+            "t-not-an-integer", "t-missing", "t-not-first"])
+    def test_malformed_seed_csv_exits_2(self, tmp_path, capsys, corrupt):
+        # every seed alike, so no check that compares seeds catches it first
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        for path in out.glob("seed_*.csv"):
+            lines = corrupt(path.read_text().splitlines())
+            path.write_text("".join(line + "\n" for line in lines), encoding="latin-1")
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed_100.csv" in err
 
     def test_reducible_chain_under_oracle_exits_2(self, tmp_path, capsys):
         # every action keeps the state, so no policy has a unique stationary law

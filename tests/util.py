@@ -8,13 +8,16 @@ every stochastic or optimized code path has a second opinion.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from morlab import AVERAGE, LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
 from morlab.critic import CriticState, run_critic
+from morlab.experiment import load_metrics_csv
 from morlab.momdp import MarkovSampler
 
 
@@ -385,3 +388,25 @@ def min_norm_reference(gradients) -> tuple[np.ndarray, float]:
     grads = lam @ Gs
     lam = lam[int(np.argmin(np.einsum("fi,fi->f", lam, grads) - grads.min(axis=1)))]
     return lam, max(float(lam @ (G @ lam)), 0.0)
+
+
+def summary_stats_reference(run_dir, seeds) -> dict:
+    """The ``stats`` block of ``summarize`` from one nan-aware mean, median and
+    percentile per column, over the seed CSVs of ``seeds`` in ``run_dir``. It
+    drops the NaN of a seed that did not log a lane, so on a partly logged
+    lane it gives a statistic over the seeds that did."""
+    tables = [load_metrics_csv(Path(run_dir) / f"seed_{seed}.csv") for seed in seeds]
+    header = tables[0][0]
+    stack = np.stack([data for _, data in tables])
+    stats = {}
+    for j, col in enumerate(header):
+        if col == "t":
+            continue
+        block = stack[:, :, j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN lanes
+            lanes = {"mean": np.nanmean(block, axis=0), "median": np.nanmedian(block, axis=0),
+                     "iqr": np.nanpercentile(block, 75, axis=0) - np.nanpercentile(block, 25, axis=0)}
+        stats[col] = {name: [None if np.isnan(x) else float(x) for x in values]
+                      for name, values in lanes.items()}
+    return stats
