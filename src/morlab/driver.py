@@ -45,7 +45,7 @@ class MoacConfig:
     setting: str
     actor_iterations: int                  # T
     actor_batch_size: int                  # B
-    actor_step_size: float | None          # alpha; None allowed in theory mode
+    actor_step_size: float                 # alpha; theory_actor_step(L) gives 1/(3L)
     momentum: MomentumSchedule
     critic_step_size: float
     critic_iterations: int                 # N
@@ -54,7 +54,6 @@ class MoacConfig:
     oracle_diagnostics: bool = False
     oracle_every: int = 10
     theory_compliant: bool = False
-    lipschitz_estimate: float = 10.0
     features: str = "default"
 
     def __post_init__(self):
@@ -63,13 +62,10 @@ class MoacConfig:
             raise ParameterError("actor iteration and batch counts must be >= 1")
         if self.critic_iterations < 1 or self.critic_batch_size < 1:
             raise ParameterError("critic iteration and batch counts must be >= 1")
-        if self.actor_step_size is None:
-            if not self.theory_compliant:
-                raise ParameterError("actor_step_size may be omitted only in theory-compliant mode")
-            self.actor_step_size = theory_actor_step(self.lipschitz_estimate)
-        for name in ("lipschitz_estimate", "critic_step_size", "actor_step_size"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("critic_step_size", "actor_step_size"):
+            value = getattr(self, name)
+            if value is None or not 0.0 < value < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         if self.setting == AVERAGE and self.actor_step_size > 1:
             # the actor's reward tracker advances with this step: no running mean above 1
             raise ParameterError("actor_step_size must be at most 1 in the average setting")

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .driver import MetricsRecord, MoacConfig, MoacResult, run_moac
+from .driver import MetricsRecord, MoacConfig, run_moac
 from .errors import ConfigError, MorlabError
 from .mgda import MomentumSchedule
 from .momdp import TabularMomdp, build_fishwood, build_resource_gathering, load_env_json
@@ -62,7 +62,6 @@ KEYS = (
     Key("moac", "step_size", float, REQUIRED, "step_size", "actor_step_size"),
     Key("moac", "momentum", str, REQUIRED, "momentum", "momentum"),
     Key("moac", "base_seed", int, 0, "base_seed", None),
-    Key("moac", "lipschitz", float, 10.0, "lipschitz", "lipschitz_estimate"),
     Key("moac", "theory_compliant", _parse_bool, False, "theory_compliant", "theory_compliant"),
     Key("critic", "step_size", float, REQUIRED, "critic_step_size", "critic_step_size"),
     Key("critic", "iterations", int, REQUIRED, "critic_iterations", "critic_iterations"),
@@ -71,6 +70,8 @@ KEYS = (
 )
 _KINDS = tuple(dict.fromkeys(kind for row in KEYS if isinstance(row.target, tuple)
                              for kind in row.target))
+# keys that older config.ini files hold; from_ini warns about them and skips them
+_DROPPED_KEYS = {("moac", "lipschitz")}
 
 
 def _ini_parser() -> configparser.ConfigParser:
@@ -116,7 +117,6 @@ class ExperimentConfig:
     step_size: float = 0.01
     momentum: str = "power:1"
     base_seed: int = 0
-    lipschitz: float = 10.0
     theory_compliant: bool = False
     critic_step_size: float = 0.05
     critic_iterations: int = 1
@@ -138,7 +138,9 @@ class ExperimentConfig:
             if section not in {s for s, _ in known}:
                 raise ConfigError(f"unknown section [{section}]")
             for key in parser[section]:
-                if (section, key) not in known:
+                if (section, key) in _DROPPED_KEYS:
+                    warnings.warn(f"[{section}] ignoring key '{key}': it sets nothing")
+                elif (section, key) not in known:
                     raise ConfigError(f"[{section}] unknown key '{key}'")
         values = {"env_params": {}}
         for row in KEYS:
@@ -205,43 +207,30 @@ def metrics_header(n_objectives: int, oracle: bool) -> list[str]:
     return cols
 
 
-def _fmt(x) -> str:
-    return _FLOAT_FMT % float(x)
-
-
-def record_row(rec: MetricsRecord, oracle: bool) -> list[str]:
-    row = [str(rec.t)]
-    row += [_fmt(x) for x in rec.reward_mean]
-    row += [_fmt(rec.grad_norm_sq)]
-    row += [_fmt(x) for x in rec.lam]
-    row += [_fmt(rec.eta)]
+def record_row(rec: MetricsRecord, oracle: bool) -> list:
+    """One metrics row in ``metrics_header`` order: t as an int, every other
+    cell a float, None for the oracle cells of an iteration without oracle."""
+    row = [rec.t, *rec.reward_mean.tolist(), float(rec.grad_norm_sq), *rec.lam.tolist(),
+           float(rec.eta)]
     if oracle:
-        m = rec.reward_mean.shape[0]
         if rec.critic_err is None:
-            row += [""] * (2 * m + 1)
+            row += [None] * (2 * rec.reward_mean.shape[0] + 1)
         else:
-            row += [_fmt(x) for x in rec.critic_err]
-            row += [_fmt(x) for x in rec.j_exact]
-            row += [_fmt(rec.pareto_gap)]
+            row += [*rec.critic_err.tolist(), *rec.j_exact.tolist(), float(rec.pareto_gap)]
     return row
 
 
-def write_metrics_csv(path: Path, result: MoacResult, n_objectives: int, oracle: bool):
-    header = metrics_header(n_objectives, oracle)
+def write_metrics_csv(path: Path, header: list[str], rows: list[list]):
     lines = [",".join(header)]
-    for rec in result.records:
-        lines.append(",".join(record_row(rec, oracle)))
+    for t, *cells in rows:
+        lines.append(",".join([str(t)] + ["" if x is None else _FLOAT_FMT % x for x in cells]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_metrics_jsonl(path: Path, result: MoacResult, n_objectives: int, oracle: bool):
-    header = metrics_header(n_objectives, oracle)
+def write_metrics_jsonl(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in result.records:
-            row = record_row(rec, oracle)
-            doc = {key: (None if val == "" else (int(val) if key == "t" else float(val)))
-                   for key, val in zip(header, row)}
-            fh.write(json.dumps(doc))
+        for row in rows:
+            fh.write(json.dumps(dict(zip(header, row))))
             fh.write("\n")
 
 
@@ -251,10 +240,12 @@ def run_seed(cfg: ExperimentConfig, env: TabularMomdp, seed: int, out_dir: Path)
         result = run_moac(env, moac_config(cfg, seed))
     except MorlabError as exc:
         raise exc.within(f"seed {seed}") from exc
+    header = metrics_header(env.n_objectives, cfg.oracle)
+    rows = [record_row(rec, cfg.oracle) for rec in result.records]
     csv_path = out_dir / f"seed_{seed}.csv"
-    write_metrics_csv(csv_path, result, env.n_objectives, cfg.oracle)
+    write_metrics_csv(csv_path, header, rows)
     if cfg.jsonl:
-        write_metrics_jsonl(out_dir / f"seed_{seed}.jsonl", result, env.n_objectives, cfg.oracle)
+        write_metrics_jsonl(out_dir / f"seed_{seed}.jsonl", header, rows)
     (out_dir / f"seed_{seed}{DONE_SUFFIX}").write_text("ok\n", encoding="utf-8")
     return csv_path
 
@@ -279,7 +270,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
             max_workers = int(env_workers) if env_workers else min(len(seeds), os.cpu_count() or 1)
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env_workers!r}") from exc
-    max_workers = max(1, min(max_workers, len(seeds)))
+    if max_workers < 1:
+        raise ConfigError(f"the worker count ({WORKERS_ENV_VAR}) must be >= 1, got {max_workers}")
+    max_workers = min(max_workers, len(seeds))
     out = Path(out_dir if out_dir else (cfg.output or cfg.name))
     out.mkdir(parents=True, exist_ok=True)
     # a run that fails must not leave an earlier run's results for these seeds
@@ -338,16 +331,16 @@ def summarize(run_dir: str | Path) -> dict:
     ``config.ini``, only the seeds it names (``base_seed`` up to ``base_seed +
     seeds - 1``) count. Other ``seed_*.csv`` files, such as those left by an
     earlier run with more seeds, are reported with a warning and left in place.
+    With a ``config.ini``, the header must also be ``metrics_header`` of its
+    ``oracle`` flag, for as many objectives as the header has reward columns.
 
     The mean, median and IQR at t are null unless every counted seed logged
     the metric at t; the seeds of one ``morlab run`` share one oracle
     schedule, so there each metric is logged at t by all seeds or by none."""
     run_dir = Path(run_dir)
-    wanted = None
     config_path = run_dir / "config.ini"
-    if config_path.exists():
-        cfg = ExperimentConfig.from_ini(config_path)
-        wanted = range(cfg.base_seed, cfg.base_seed + cfg.seeds)
+    cfg = ExperimentConfig.from_ini(config_path) if config_path.exists() else None
+    wanted = None if cfg is None else range(cfg.base_seed, cfg.base_seed + cfg.seeds)
     complete = {}
     for path in sorted(run_dir.glob("seed_*.csv")):
         seed = _seed_of(path)
@@ -367,6 +360,10 @@ def summarize(run_dir: str | Path) -> dict:
     if header[0] != "t" or not all(float(t).is_integer() for t in first[:, 0]):  # NaN fails
         raise ConfigError(f"{complete[seeds[0]].name}: the first column must be t, "
                           f"an integer in every row")
+    m = sum(col.startswith("reward_mean_") for col in header)
+    if cfg is not None and header != metrics_header(m, cfg.oracle):
+        raise ConfigError(f"{complete[seeds[0]].name}: the columns are not those of {m} "
+                          f"objectives with oracle = {_format(cfg.oracle)} (config.ini)")
     tables = [first]
     for seed in seeds[1:]:
         cols, data = load_metrics_csv(complete[seed])

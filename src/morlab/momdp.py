@@ -20,6 +20,7 @@ DISCOUNTED = "discounted"
 SETTINGS = (AVERAGE, DISCOUNTED)
 
 _ROW_SUM_TOL = 1e-12
+_STATIONARY_TOL = 1e-10   # bound on the residual max|d P - d| of a stationary solve
 
 
 def check_setting(setting: str) -> str:
@@ -159,14 +160,10 @@ class MarkovSampler:
     of the slices' lengths.
     """
 
-    def __init__(self, env: TabularMomdp, seed: int, initial_state: int | None = None):
+    def __init__(self, env: TabularMomdp, seed: int):
         self.env = env
         self.rng = np.random.default_rng(seed)
-        if initial_state is None:
-            initial_state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
-        if not 0 <= initial_state < env.n_states:
-            raise ParameterError(f"initial_state {initial_state} out of range")
-        self.state = int(initial_state)
+        self.state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
 
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
@@ -413,14 +410,14 @@ def _check_irreducible(P: np.ndarray):
         )
 
 
-def compute_stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of the (S, S) kernel P, d^T P = d^T, sum(d) = 1.
 
     One direct solve of the balance equations (the last replaced by
     sum(d) = 1), clipped at 0, normalised and polished by 8 exact power
     steps. ModelError if the pattern of P is reducible, if the solve finds
     the equations singular (a chain reducible in floating point) or if the
-    residual max|d P - d| is not within ``tol``.
+    residual max|d P - d| is above 1e-10.
     """
     _check_irreducible(P)
     n = P.shape[0]
@@ -438,8 +435,9 @@ def compute_stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.nda
         d = d @ P
         d /= d.sum()
     residual = float(np.max(np.abs(d @ P - d)))
-    if not residual <= tol:
-        raise ModelError(f"stationary solve missed its residual ({residual:.2e} > {tol:.0e})")
+    if not residual <= _STATIONARY_TOL:
+        raise ModelError(f"stationary solve missed its residual "
+                         f"({residual:.2e} > {_STATIONARY_TOL:.0e})")
     return d
 
 

@@ -10,9 +10,6 @@ import numpy as np
 from .errors import ParameterError
 from .momdp import DISCOUNTED, PolicyEvaluation, TabularMomdp, read_json
 
-TABULAR = "tabular"
-LINEAR = "linear"
-
 
 @dataclass
 class FeatureMap:
@@ -70,32 +67,16 @@ def complete_feature_map(n_states: int) -> FeatureMap:
 
 @dataclass
 class PolicyParams:
-    """Softmax policy parameters.
-
-    ``tabular``: one logit per (state, action), theta laid out state-major with
-    dimension S*A. ``linear``: logits(s, a) = <state_features[s], Theta[:, a]>
-    with theta = Theta.ravel() of dimension p*A.
-    """
+    """Tabular softmax policy: one logit per (state, action), theta laid out
+    state-major with dimension S*A."""
 
     theta: np.ndarray
     n_states: int
     n_actions: int
-    kind: str = TABULAR
-    state_features: np.ndarray | None = None  # (S, p), linear kind only
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.kind not in (TABULAR, LINEAR):
-            raise ParameterError(f"unknown policy kind {self.kind!r}")
-        if self.kind == TABULAR:
-            expected = self.n_states * self.n_actions
-        else:
-            if self.state_features is None:
-                raise ParameterError("linear policies need state_features")
-            self.state_features = np.asarray(self.state_features, dtype=float)
-            if self.state_features.shape[0] != self.n_states:
-                raise ParameterError("state_features must have one row per state")
-            expected = self.state_features.shape[1] * self.n_actions
+        expected = self.n_states * self.n_actions
         if self.theta.shape != (expected,):
             raise ParameterError(f"theta must have shape ({expected},)")
         if not np.all(np.isfinite(self.theta)):
@@ -105,15 +86,9 @@ class PolicyParams:
     def dim(self) -> int:
         return self.theta.shape[0]
 
-    def logits(self) -> np.ndarray:
-        if self.kind == TABULAR:
-            return self.theta.reshape(self.n_states, self.n_actions)
-        p = self.state_features.shape[1]
-        return self.state_features @ self.theta.reshape(p, self.n_actions)
-
     def probability_matrix(self) -> np.ndarray:
         """(S, A) softmax over actions, computed with max subtraction."""
-        z = self.logits()
+        z = self.theta.reshape(self.n_states, self.n_actions)
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
@@ -123,13 +98,11 @@ class PolicyParams:
 
         The softmax score for (s, a) only touches the logit block of state s,
         so the sum collapses to coeff[s, :] - (sum_a coeff[s, a]) * pi(.|s) per
-        block; linear policies additionally mix blocks through the features.
-        A stacked (M, S, A) ``coeff`` gives all M sums, shape (M, dim), at once.
+        block. A stacked (M, S, A) ``coeff`` gives all M sums, shape (M, dim),
+        at once.
         """
         probs = self.probability_matrix()
         block = coeff - probs * coeff.sum(axis=-1, keepdims=True)
-        if self.kind == LINEAR:
-            block = self.state_features.T @ block
         return block.reshape(coeff.shape[:-2] + (-1,))
 
 
@@ -170,28 +143,28 @@ def save_policy_json(policy: PolicyParams, path: str):
     import json
 
     doc = {
-        "kind": policy.kind,
+        "kind": "tabular",
         "n_states": policy.n_states,
         "n_actions": policy.n_actions,
         "theta": policy.theta.tolist(),
     }
-    if policy.state_features is not None:
-        doc["state_features"] = policy.state_features.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_policy_json(path: str) -> PolicyParams:
+    """The policy in a file of save_policy_json's format; a document without a
+    ``kind`` is tabular, and any other kind raises ParameterError."""
     doc = read_json(path)
     try:
-        features = doc.get("state_features")
+        kind = doc.get("kind", "tabular")
         fields = dict(
             theta=np.asarray(doc["theta"], dtype=float),
             n_states=int(doc["n_states"]),
             n_actions=int(doc["n_actions"]),
-            kind=doc.get("kind", TABULAR),
-            state_features=None if features is None else np.asarray(features, dtype=float),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParameterError(f"bad policy document: {exc!r}") from exc
+    if kind != "tabular":
+        raise ParameterError(f"policy kind must be 'tabular', got {kind!r}")
     return PolicyParams(**fields)

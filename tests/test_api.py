@@ -1,8 +1,11 @@
-"""The public surface: the exact set of top-level names, and every function
-the benchmark's span tracer wraps."""
+"""The public surface: the exact set of top-level names, every function the
+benchmark's span tracer wraps, and the benchmark's self-test, which builds
+morlab configs and policies itself."""
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -59,3 +62,13 @@ def test_traced_targets_resolve():
             obj = getattr(obj, attr, None)
             assert obj is not None, f"{span}: {module_name}.{attr_path} is gone"
         assert callable(obj), span
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark builds MoacConfig, ExperimentConfig and PolicyParams
+    # itself; its self-test runs each check on a real output of this tree
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 failure(s)"

@@ -144,7 +144,6 @@ batch_size = 16
 step_size = 0.05
 momentum = power:1
 base_seed = 7
-lipschitz = 10.0
 theory_compliant = false
 
 [critic]
@@ -175,7 +174,6 @@ batch_size = 7
 step_size = 0.125
 momentum = constant:0.25
 base_seed = 11
-lipschitz = 2.5
 theory_compliant = true
 
 [critic]
@@ -194,7 +192,7 @@ ALL_KEYS_ENV = {
 
 class TestConfigTable:
     def test_criterion_9_config_ini_bytes(self, tmp_path):
-        defaults = ("output", "jsonl", "lipschitz", "theory_compliant")
+        defaults = ("output", "jsonl", "theory_compliant")
         given = "".join(line for line in CRITERION_9_CONFIG_INI.splitlines(keepends=True)
                         if not line.startswith(defaults))
         cfg = ExperimentConfig.from_ini(write_config(tmp_path, given))
@@ -212,7 +210,7 @@ class TestConfigTable:
             name="all_keys", seeds=3, output="elsewhere/out", oracle=True, oracle_every=4,
             jsonl=True, env_kind=kind, env_params=env_params, setting="average", iterations=5,
             batch_size=7, step_size=0.125, momentum="constant:0.25", base_seed=11,
-            lipschitz=2.5, theory_compliant=True, critic_step_size=0.15, critic_iterations=4,
+            theory_compliant=True, critic_step_size=0.15, critic_iterations=4,
             critic_batch_size=9, features="complete",
         )
         assert cfg == ExperimentConfig(**expected)
@@ -226,8 +224,7 @@ class TestConfigTable:
         assert (tmp_path / "b.ini").read_bytes() == (tmp_path / "a.ini").read_bytes()
         config = moac_config(cfg, seed=21)
         assert (config.setting, config.actor_iterations, config.actor_batch_size) == ("average", 5, 7)
-        assert (config.actor_step_size, str(config.momentum), config.lipschitz_estimate) == \
-            (0.125, "constant:0.25", 2.5)
+        assert (config.actor_step_size, str(config.momentum)) == (0.125, "constant:0.25")
         assert (config.critic_step_size, config.critic_iterations, config.critic_batch_size) == \
             (0.15, 4, 9)
         assert (config.seed, config.oracle_diagnostics, config.oracle_every) == (21, True, 4)
@@ -247,8 +244,8 @@ class TestConfigTable:
     def test_table_covers_every_field(self):
         from morlab import MoacConfig
         from morlab.experiment import KEYS
-        assert len(KEYS) == 24
-        assert len({(row.section, row.key) for row in KEYS}) == 24
+        assert len(KEYS) == 23
+        assert len({(row.section, row.key) for row in KEYS}) == 23
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert {row.field for row in KEYS} == fields
         targets = {row.target for row in KEYS if isinstance(row.target, str)}
@@ -337,6 +334,25 @@ class TestRunExperiment:
         doc = json.loads(jsonl[1])
         assert doc["t"] == 2 and doc["pareto_gap"] is None
 
+    def test_jsonl_lines_equal_csv_cells_read_back(self, tmp_path):
+        # both files encode the same numbers: each JSONL line is the CSV row
+        # read back (int t, float of every other cell, None for an empty one)
+        text = BASE_CONFIG.replace("oracle = false", "oracle = true\njsonl = true")
+        text = text.replace("oracle_every = 5", "oracle_every = 2")
+        cfg = ExperimentConfig.from_ini(write_config(tmp_path, text))
+        out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
+        for seed in (100, 101):
+            header, *rows = (out / f"seed_{seed}.csv").read_text().splitlines()
+            header = header.split(",")
+            expected = []
+            for row in rows:
+                cells = row.split(",")
+                doc = {key: None if val == "" else (int(val) if key == "t" else float(val))
+                       for key, val in zip(header, cells)}
+                expected.append(json.dumps(doc) + "\n")
+            assert any(None in json.loads(line).values() for line in expected)
+            assert (out / f"seed_{seed}.jsonl").read_text() == "".join(expected)
+
     def test_summary_statistics_and_keys(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
         out = run_experiment(cfg, out_dir=tmp_path / "run", max_workers=1)
@@ -385,6 +401,25 @@ class TestRunExperiment:
         first = (out / "summary.json").read_bytes()
         write_summary(out, summarize(out))
         assert (out / "summary.json").read_bytes() == first
+
+    def test_lipschitz_key_of_old_run_directories_is_skipped(self, tmp_path, capsys):
+        # config.ini files written before the key was dropped still summarize
+        out = tmp_path / "old"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        summary = (out / "summary.json").read_bytes()
+        ini = (out / "config.ini").read_text()
+        assert "lipschitz" not in ini
+        (out / "config.ini").write_text(ini.replace("base_seed = 100\n",
+                                                    "base_seed = 100\nlipschitz = 10.0\n"))
+        with pytest.warns(UserWarning, match=r"\[moac\] .*'lipschitz'"):
+            old_cfg = ExperimentConfig.from_ini(out / "config.ini")
+        assert old_cfg == ExperimentConfig.from_ini(write_config(tmp_path))
+        old_cfg.to_ini(tmp_path / "again.ini")
+        assert (tmp_path / "again.ini").read_text() == ini
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="lipschitz"):
+            assert main(["summarize", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == summary
 
     def test_incomplete_seed_skipped_with_warning(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
@@ -578,42 +613,46 @@ class TestCliCommands:
     @pytest.mark.parametrize("old, new", [
         ("step_size = 0.05", "step_size = inf"),                  # [moac]
         ("step_size = 0.2", "step_size = inf"),                   # [critic]
-        ("base_seed = 100", "base_seed = 100\nlipschitz = inf"),
     ])
     def test_non_finite_step_exits_2(self, tmp_path, capsys, old, new):
         # a bad config (exit 2), not a run that diverges at iteration 1 (exit 3)
-        # or, for lipschitz, one that runs without a word
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new, 1))
         assert main(["run", str(path), "--out", str(tmp_path / "inf"), "--seeds", "1"]) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("workers", ["abc", "0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         # checked before the earlier run's seed files, summary and config.ini go
         out = tmp_path / "w"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        monkeypatch.setenv("MORLAB_WORKERS", "abc")
+        monkeypatch.setenv("MORLAB_WORKERS", workers)
         capsys.readouterr()
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
         assert "MORLAB_WORKERS" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda lines: lines[:2] + [re.sub(r",[^,]*", ",abc", lines[2], count=1)] + lines[3:],
-        lambda lines: [],
-        lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
-        lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
-        lambda lines: [lines[0] + "\u00e9"] + lines[1:],            # b"\xe9" in latin-1
-        lambda lines: lines[:2] + [re.sub(r"^[^,]*", "2.5", lines[2])] + lines[3:],
-        lambda lines: lines[:2] + [re.sub(r"^[^,]*", "", lines[2])] + lines[3:],
-        lambda lines: [re.sub(r"^t,", "step,", lines[0])] + lines[1:],
+    @pytest.mark.parametrize("files, corrupt", [
+        ("seed_*.csv",
+         lambda lines: lines[:2] + [re.sub(r",[^,]*", ",abc", lines[2], count=1)] + lines[3:]),
+        ("seed_*.csv", lambda lines: []),
+        ("seed_*.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),
+        ("seed_*.csv", lambda lines: lines[:1] + [line + ",0" for line in lines[1:]]),
+        ("seed_*.csv", lambda lines: [lines[0] + "\u00e9"] + lines[1:]),   # b"\xe9" in latin-1
+        ("seed_*.csv", lambda lines: lines[:2] + [re.sub(r"^[^,]*", "2.5", lines[2])] + lines[3:]),
+        ("seed_*.csv", lambda lines: lines[:2] + [re.sub(r"^[^,]*", "", lines[2])] + lines[3:]),
+        ("seed_*.csv", lambda lines: [re.sub(r"^t,", "step,", lines[0])] + lines[1:]),
+        ("seed_*.csv", lambda lines: [lines[0] + ",extra"] + [line + ",0" for line in lines[1:]]),
+        ("config.ini", lambda lines: [line.replace("oracle = false", "oracle = true")
+                                      for line in lines]),
     ], ids=["not-a-number", "empty", "ragged", "wider-than-header", "not-utf-8",
-            "t-not-an-integer", "t-missing", "t-not-first"])
-    def test_malformed_seed_csv_exits_2(self, tmp_path, capsys, corrupt):
+            "t-not-an-integer", "t-missing", "t-not-first", "column-not-in-config",
+            "config-asks-for-oracle-columns"])
+    def test_malformed_seed_csv_exits_2(self, tmp_path, capsys, files, corrupt):
         # every seed alike, so no check that compares seeds catches it first
         out = tmp_path / "run"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
-        for path in out.glob("seed_*.csv"):
+        for path in out.glob(files):
             lines = corrupt(path.read_text().splitlines())
             path.write_text("".join(line + "\n" for line in lines), encoding="latin-1")
         capsys.readouterr()
@@ -670,6 +709,9 @@ class TestCliCommands:
         ("ncis", "policy", "theta = [0.5]"),
         ("ncis", "policy", '{"n_states": 2, "n_actions": 2}'),
         ("ncis", "policy", "[0.5, 0.5]"),
+        ("ncis", "policy", json.dumps({"kind": "linear", "n_states": 4, "n_actions": 2,
+                                       "theta": [0.0, 0.0],
+                                       "state_features": [[1.0], [0.0], [0.0], [1.0]]})),
         ("ncis", "dataset", None),
         ("ncis", "dataset", b"\xff\xfe{"),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
@@ -679,7 +721,8 @@ class TestCliCommands:
         ("run", "env", json.dumps({k: v for k, v in _FISHWOOD_DOC.items() if k != "n_objectives"})),
         ("run", "env", MISSING),
         ("run", "out", ""),
-    ], ids=["policy-not-json", "policy-without-theta", "policy-list", "dataset-directory",
+    ], ids=["policy-not-json", "policy-without-theta", "policy-list", "policy-linear",
+            "dataset-directory",
             "dataset-not-utf8", "dataset-nan-reward",
             "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
             "env-missing", "out-is-a-file"])

@@ -299,11 +299,14 @@ class TestRunMoac:
         env = build_fishwood(0.25, 0.65)
         with pytest.raises(ParameterError, match="actor_step_size"):
             run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_batch_size=128))
-        with pytest.raises(ParameterError, match="actor_step_size"):
-            small_config(setting=AVERAGE, actor_step_size=None, theory_compliant=True,
-                         lipschitz_estimate=0.1)
         run_moac(env, small_config(setting=AVERAGE, actor_step_size=1.0, actor_iterations=3))
         run_moac(env, small_config(setting=DISCOUNTED, actor_step_size=20.0, actor_iterations=3))
+
+    @pytest.mark.parametrize("theory_compliant", [False, True])
+    def test_actor_step_is_required(self, theory_compliant):
+        # theory mode too: a caller that wants 1/(3L) passes theory_actor_step(L)
+        with pytest.raises(ParameterError, match="actor_step_size"):
+            small_config(actor_step_size=None, theory_compliant=theory_compliant)
 
     def test_chain_hand_off_is_single_trajectory(self, monkeypatch):
         # one draw of N * D + B steps per actor iteration, and one unbroken

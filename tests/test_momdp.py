@@ -217,14 +217,16 @@ class TestSampling:
         P[1, 0, 0] = 1.0
         R = np.zeros((1, 2, 1))
         env = TabularMomdp(2, 1, 1, P, R, np.array([0.9]), np.array([1.0, 0.0]))
-        sampler = MarkovSampler(env, seed=0, initial_state=0)
+        sampler = MarkovSampler(env, seed=0)
+        sampler.state = 0
         for expected in (1, 0, 1, 0):
             tr = sample_step(sampler, 0)
             assert tr.next_state == expected
 
     def test_transition_record_fields(self):
         env = two_state_env()
-        sampler = MarkovSampler(env, seed=3, initial_state=1)
+        sampler = MarkovSampler(env, seed=3)
+        sampler.state = 1
         tr = sample_step(sampler, 1)
         assert tr.state == 1 and tr.action == 1
         assert np.array_equal(tr.rewards, env.reward[:, 1, 1])
@@ -235,7 +237,8 @@ class TestSampling:
         P = np.array([[[0.3, 0.7]], [[0.3, 0.7]]])
         R = np.zeros((1, 2, 1))
         env = TabularMomdp(2, 1, 1, P, R, np.array([0.9]), np.array([0.5, 0.5]))
-        sampler = MarkovSampler(env, seed=11, initial_state=0)
+        sampler = MarkovSampler(env, seed=11)
+        sampler.state = 0
         n = 100_000
         hits = sum(sample_step(sampler, 0).next_state == 0 for _ in range(n))
         sigma = np.sqrt(0.3 * 0.7 / n)

@@ -1,5 +1,7 @@
 """Softmax policies, score functions, feature maps, and the gradient oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,33 +100,15 @@ class TestScoreFunction:
             analytic = float(score_function(policy, s, a) @ direction)
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-8)
 
-    def test_linear_policy_score(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(4, 2))
-        theta = rng.normal(size=2 * 3)
-        policy = PolicyParams(theta, 4, 3, kind="linear", state_features=X)
-        h = 1e-6
-        s, a = 2, 1
-        for j in range(policy.dim):
-            tp = theta.copy(); tp[j] += h
-            tm = theta.copy(); tm[j] -= h
-            lp = lambda th: np.log(action_probabilities(
-                PolicyParams(th, 4, 3, kind="linear", state_features=X), s)[a])
-            fd = (lp(tp) - lp(tm)) / (2 * h)
-            assert fd == pytest.approx(score_function(policy, s, a)[j], rel=1e-5, abs=1e-8)
-
-    @pytest.mark.parametrize("kind", ["tabular", "linear"])
-    def test_stacked_coefficients_match_per_objective_sums(self, kind):
+    def test_stacked_coefficients_match_per_objective_sums(self):
         rng = np.random.default_rng(6)
-        S, A, p = 93, 4, 7
-        X = rng.normal(size=(S, p)) if kind == "linear" else None
-        dim = p * A if kind == "linear" else S * A
-        policy = PolicyParams(rng.normal(size=dim), S, A, kind=kind, state_features=X)
+        S, A = 93, 4
+        policy = PolicyParams(rng.normal(size=S * A), S, A)
         for M in (1, 2, 3):
             coeff = rng.normal(size=(M, S, A))
             coeff[:, ::5] = 0.0
             stacked = policy.score_weighted_sum(coeff)
-            assert stacked.shape == (M, dim)
+            assert stacked.shape == (M, S * A)
             assert np.array_equal(stacked, np.stack([policy.score_weighted_sum(c) for c in coeff]))
 
 
@@ -222,3 +206,8 @@ class TestPolicyIO:
         loaded = load_policy_json(str(path))
         assert np.array_equal(loaded.theta, policy.theta)
         assert loaded.n_states == 4 and loaded.n_actions == 3
+        doc = {"kind": "tabular", "n_states": 4, "n_actions": 3, "theta": policy.theta.tolist()}
+        assert path.read_text() == json.dumps(doc)
+        del doc["kind"]   # files without a kind are tabular
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(load_policy_json(str(path)).theta, policy.theta)
