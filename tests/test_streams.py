@@ -1,0 +1,36 @@
+"""The stream corpus: each config of ``tests/data/make_streams.py`` rerun and
+its digests compared with ``tests/data/streams.json``, so a change that moves
+the seeded stream or any file ``morlab run`` writes fails here by name."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+DATA = Path(__file__).resolve().parent / "data"
+_spec = importlib.util.spec_from_file_location("make_streams", DATA / "make_streams.py")
+make_streams = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_streams)
+
+CORPUS = json.loads((DATA / "streams.json").read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_config():
+    assert sorted(CORPUS["configs"]) == sorted(make_streams.CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(make_streams.CONFIGS))
+def test_stream_digests_unchanged(name, tmp_path):
+    # floating-point streams are only comparable under the versions that made them
+    assert make_streams.versions() == CORPUS["versions"], (
+        f"the corpus was made with {CORPUS['versions']}, this interpreter has "
+        f"{make_streams.versions()}")
+    want = CORPUS["configs"][name]
+    got = make_streams.config_digests(name, tmp_path)
+    assert sorted(got["files"]) == sorted(want["files"]), f"{name}: the run wrote other files"
+    for file, digest in want["files"].items():
+        assert got["files"][file] == digest, f"{name}: {file} changed"
+    for seed, digests in want["run_moac"].items():
+        for part, digest in digests.items():
+            assert got["run_moac"][seed][part] == digest, f"{name}: run_moac {seed} {part} changed"
