@@ -25,7 +25,7 @@ from .errors import (
     MorlabError,
     ParameterError,
 )
-from .mgda import MomentumSchedule, duality_gap, solve_min_norm
+from .mgda import MomentumSchedule, solve_min_norm
 from .momdp import (
     AVERAGE,
     DISCOUNTED,
@@ -33,7 +33,6 @@ from .momdp import (
     TabularMomdp,
     build_fishwood,
     build_resource_gathering,
-    compute_exact_objective,
     compute_stationary_distribution,
     load_env_json,
     save_env_json,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import ConfigError, MorlabError
 from .experiment import ExperimentConfig, run_experiment, summarize, write_summary
@@ -61,8 +62,15 @@ def _cmd_ncis(args) -> int:
     return 0
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # a shown warning is one line, without morlab's own source line; callers
+    # that record warnings still get them as UserWarning
+    shown, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -75,6 +83,8 @@ def main(argv=None) -> int:
     except OSError as exc:   # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

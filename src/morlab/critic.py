@@ -81,8 +81,7 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     rewards and the (M,) trackers after the batch.
     """
     base, r, mu = _reward_terms(env, batch, setting, mu, step_size)
-    phi = features.matrix
-    return _add_values(env, base, phi[batch[0]], phi[batch[2]], weights, setting), r, mu
+    return _add_values(env, base, batch[0], batch[2], features.values(weights), setting), r, mu
 
 
 def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_size: float):
@@ -98,12 +97,13 @@ def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_s
     return r - path, r, path[:, -1].copy()
 
 
-def _add_values(env: TabularMomdp, base, phi_s, phi_n, weights, setting: str) -> np.ndarray:
-    """The weight half of ``td_errors``: ``base`` plus the values of s' less those of s."""
-    v_s, v_n = phi_s @ weights.T, phi_n @ weights.T    # (D, M)
+def _add_values(env: TabularMomdp, base, s_arr, ns_arr, values, setting: str) -> np.ndarray:
+    """The weight half of ``td_errors``: ``base`` plus the values of s' less
+    those of s, gathered from the (M, S) state ``values``."""
+    v_s, v_n = values[:, s_arr], values[:, ns_arr]     # (M, D)
     if setting != AVERAGE:  # kept apart: the tracker path groups (r - mu) + (v' - v)
-        return base + env.discounts[:, None] * v_n.T - v_s.T
-    return base + (v_n - v_s).T
+        return base + env.discounts[:, None] * v_n - v_s
+    return base + (v_n - v_s)
 
 
 def run_critic(
@@ -129,14 +129,17 @@ def run_critic(
     N, D = critic.n_iterations, critic.batch_size
     if len(batch[0]) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
-    phi = features.matrix
+    # the update stays a product with one-hot rows: BLAS need not add a
+    # state's terms in np.bincount's step order, so a bincount update could
+    # move the last bit of the weights and, with them, the stream
+    phi = np.eye(features.n_states, features.dim)
     base, _, mu = _reward_terms(env, batch, setting, critic.avg_reward.copy(), beta)
     w = critic.weights.copy()
     for k in range(1, N + 1):
         part = slice((k - 1) * D, k * D)
-        phi_s = phi[batch[0][part]]
-        delta = _add_values(env, base[:, part], phi_s, phi[batch[2][part]], w, setting)
-        w = w + (beta / D) * (delta @ phi_s)
+        s_arr = batch[0][part]
+        delta = _add_values(env, base[:, part], s_arr, batch[2][part], features.values(w), setting)
+        w = w + (beta / D) * (delta @ phi[s_arr])
         if not np.abs(w).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
             raise DivergenceError(f"critic weights diverged at inner critic iteration {k}",
                                   iteration=k)
@@ -155,21 +158,23 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     the outer product.
     """
     env, setting = evaluation.env, evaluation.setting
+    if features.n_states != env.n_states:
+        raise ParameterError(f"the features are for {features.n_states} states, "
+                             f"the model has {env.n_states}")
     d, gamma = evaluation.d, evaluation.gamma
-    phi = features.matrix
     d2 = features.dim
     M = env.n_objectives
-    weighted_phi = d[:, None] * phi
-    next_phi = evaluation.P @ phi                     # E[phi(s') | s]
-    b = ((evaluation.r - evaluation.offset[:, None]) * d) @ phi
+    # one-hot features: A and b are the leading blocks of D(gamma P - I) and (r - offset) D
+    P, eye, d_lead = evaluation.P[:d2, :d2], np.eye(d2), d[:d2, None]
+    b = ((evaluation.r - evaluation.offset[:, None]) * d)[:, :d2]
     # objectives with equal discounts (all M in the average setting) share one
-    # slice of A: one product, one eigendecomposition and one stacked solve per group
+    # slice of A: one eigendecomposition and one stacked solve per group
     A = np.empty((M, d2, d2))
     lambda_A = np.inf
     w_star = np.empty((M, d2))
     for g in np.unique(gamma):
         group = np.flatnonzero(gamma == g)
-        A[group] = a = weighted_phi.T @ (g * next_phi - phi)
+        A[group] = a = d_lead * (g * P - eye)
         rhs = b[group].T
         lambda_A = min(lambda_A, -np.linalg.eigvalsh(a + a.T)[-1])
         if lambda_A <= _LAMBDA_FLOOR:
@@ -203,7 +208,7 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     env = evaluation.env
     if not 0 <= objective < env.n_objectives:
         raise ParameterError(f"objective {objective} out of range")
-    values = features.matrix @ w                   # (S,)
+    values = features.values(w)                    # (S,)
     next_values = np.einsum("sax,x->sa", env.transition, values)
     delta_bar = (env.reward[objective] - evaluation.offset[objective]
                  + evaluation.gamma[objective] * next_values - values[:, None])
@@ -216,7 +221,7 @@ def expected_td_update(evaluation: PolicyEvaluation, features: FeatureMap,
 
     Zero at w = w* by the fixed-point property.
     """
-    return expected_td_errors(evaluation, features, w, objective).sum(axis=1) @ features.matrix
+    return expected_td_errors(evaluation, features, w, objective).sum(axis=1)[:features.dim]
 
 
 def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
@@ -224,6 +229,6 @@ def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
     """Worst-objective stationary-weighted squared gap between the exact value
     function and its fixed-point linear approximation."""
     V, _ = evaluation.values
-    approx = fixed_point.w_star @ features.matrix.T    # (M, S)
+    approx = features.values(fixed_point.w_star)     # (M, S)
     gaps = ((V - approx) ** 2) @ evaluation.d
     return float(gaps.max())

@@ -21,7 +21,7 @@ from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_wei
 from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
 
-FEATURE_KINDS = ("default", "complete")
+FEATURE_KINDS = {"default": default_feature_map, "complete": complete_feature_map}
 
 
 @dataclass(slots=True)
@@ -74,7 +74,7 @@ class MoacConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.features not in FEATURE_KINDS:
-            raise ParameterError(f"features must be one of {FEATURE_KINDS}")
+            raise ParameterError(f"features must be one of {tuple(FEATURE_KINDS)}")
         if not isinstance(self.momentum, MomentumSchedule):
             self.momentum = MomentumSchedule.parse(str(self.momentum))
 
@@ -95,14 +95,6 @@ def theory_actor_step(lipschitz_estimate: float) -> float:
     if not lipschitz_estimate > 0:
         raise ParameterError("lipschitz_estimate must be positive")
     return 1.0 / (3.0 * lipschitz_estimate)
-
-
-def build_feature_map(kind: str, n_states: int) -> FeatureMap:
-    if kind == "default":
-        return default_feature_map(n_states)
-    if kind == "complete":
-        return complete_feature_map(n_states)
-    raise ParameterError(f"unknown feature map kind {kind!r}")
 
 
 def estimate_objective_gradients(
@@ -163,7 +155,7 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     iteration in its message and its ``iteration``.
     """
     setting = config.setting
-    features = build_feature_map(config.features, env.n_states)
+    features = FEATURE_KINDS[config.features](env.n_states)
     policy = uniform_policy(env)
     sampler = MarkovSampler(env, config.seed)
     critic = CriticState.zeros(

@@ -96,14 +96,6 @@ def _as_gradient_matrix(gradients) -> np.ndarray:
     return W
 
 
-def duality_gap(gradients, lam: np.ndarray) -> float:
-    """Frank-Wolfe certificate max_i(<gbar, gbar> - <gbar, g_i>) at weights lam."""
-    W = _as_gradient_matrix(gradients)
-    gbar = lam @ W
-    inner = W @ gbar
-    return float(gbar @ gbar - inner.min())
-
-
 @lru_cache(maxsize=None)
 def _face_systems(M: int):
     """Face, face-pair and off-face masks, diagonal index and rhs, shared read-only."""
@@ -124,7 +116,8 @@ def solve_min_norm(gradients):
     the one face [[g^2, 1], [1, 0]]), on the Gram matrix divided by an exact
     power of two, so lam is bit for bit the same in any units. The feasible
     candidate of smallest duality gap must certify
-    duality_gap <= 1e-10 * max_i ||g_i||^2, else ConvergenceError.
+    max_i(<gbar, gbar> - <gbar, g_i>) <= 1e-10 * max_i ||g_i||^2 at
+    gbar = sum_i lam_i g_i, else ConvergenceError.
     """
     W = _as_gradient_matrix(gradients)
     M = W.shape[0]

@@ -514,8 +514,3 @@ class PolicyEvaluation:
 def value_functions(env: TabularMomdp, policy, setting: str):
     """Exact per-objective (V, J); see :attr:`PolicyEvaluation.values`."""
     return PolicyEvaluation(env, policy, setting).values
-
-
-def compute_exact_objective(env: TabularMomdp, policy, setting: str) -> np.ndarray:
-    """(M,) exact objective vector J(theta) in the requested reward setting."""
-    return PolicyEvaluation(env, policy, setting).values[1]

@@ -8,51 +8,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .momdp import DISCOUNTED, PolicyEvaluation, TabularMomdp, read_json
+from .momdp import PolicyEvaluation, TabularMomdp, read_json
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMap:
-    """State features for linear value approximation, one row per state."""
+    """One-hot state features for linear value approximation, as an index map.
 
-    matrix: np.ndarray  # (S, d2)
+    State s < ``dim`` has the unit feature vector e_s, so its value at weights
+    w is ``w[..., s]``; every later state has the zero feature vector and value
+    0. Unit row norms and full column rank hold by construction.
+    """
+
+    n_states: int
+    dim: int
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2:
-            raise ParameterError("feature matrix must be 2-D (n_states, dim)")
+        if not 1 <= self.dim <= self.n_states:
+            raise ParameterError(f"feature dim must be in [1, {self.n_states}], got {self.dim}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def validate(self, for_average: bool = False, rank_tol: float = 1e-8):
-        """Check row norms <= 1, full column rank, and (average setting only)
-        that the all-ones vector is outside the column span."""
-        norms = np.linalg.norm(self.matrix, axis=1)
-        if np.any(norms > 1.0 + 1e-12):
-            raise ParameterError("feature rows must have unit norm at most")
-        svals = np.linalg.svd(self.matrix, compute_uv=False)
-        if svals[-1] < rank_tol:
-            raise ParameterError("feature matrix must have full column rank")
-        if for_average:
-            ones = np.ones(self.matrix.shape[0])
-            sol, _, _, _ = np.linalg.lstsq(self.matrix, ones, rcond=None)
-            residual = float(np.linalg.norm(self.matrix @ sol - ones))
-            if residual < rank_tol:
-                raise ParameterError("all-ones vector must not be representable by the features")
-        return self
+    def values(self, w: np.ndarray) -> np.ndarray:
+        """(..., S) state values of (..., dim) weights: w padded with zero columns."""
+        return np.concatenate([w, np.zeros(w.shape[:-1] + (self.n_states - self.dim,))], axis=-1)
 
 
 def default_feature_map(n_states: int) -> FeatureMap:
     """One-hot features with the last state zeroed out (dim = n_states - 1).
 
-    Satisfies unit row norms, full column rank, and keeps the all-ones vector
-    outside the span, so it is valid in both reward settings.
+    Keeps the all-ones vector outside the span, so it is valid in both reward
+    settings.
     """
-    if n_states < 2:
-        raise ParameterError("need at least 2 states for the default feature map")
-    return FeatureMap(np.eye(n_states)[:, : n_states - 1])
+    return FeatureMap(n_states, n_states - 1)
 
 
 def complete_feature_map(n_states: int) -> FeatureMap:
@@ -62,7 +48,7 @@ def complete_feature_map(n_states: int) -> FeatureMap:
     error). Test fixture only: the all-ones vector lies in the span, so the
     average-setting span condition is deliberately waived here.
     """
-    return FeatureMap(np.eye(n_states))
+    return FeatureMap(n_states, n_states)
 
 
 @dataclass
@@ -110,32 +96,17 @@ def uniform_policy(env: TabularMomdp) -> PolicyParams:
     return PolicyParams(np.zeros(env.n_states * env.n_actions), env.n_states, env.n_actions)
 
 
-def exact_policy_gradient(evaluation: PolicyEvaluation,
-                          state_weighting: str = "stationary") -> np.ndarray:
+def exact_policy_gradient(evaluation: PolicyEvaluation) -> np.ndarray:
     """Exact-enumeration policy gradients of all M objectives, shape (M, dim).
 
     The per-pair contribution is score(s, a) weighted by pi(a|s) and the exact
     advantage Q(s, a) - V(s) of the evaluation. States are weighted by the
-    stationary distribution of the induced chain by default; this is the exact
-    gradient of the average-reward objective and, in the discounted setting,
-    the direction the sampled TD actor estimates.
-
-    ``state_weighting="visitation"`` instead weights states by the discounted
-    visitation measure initial^T (I - gamma P)^{-1}, which is the exact
-    gradient of the discounted start-state objective (the two weightings agree
-    in the average setting, where the visitation measure is stationary).
+    stationary distribution of the induced chain; this is the exact gradient
+    of the average-reward objective and, in the discounted setting, the
+    direction the sampled TD actor estimates (not the gradient of the
+    start-state discounted objective).
     """
-    if state_weighting not in ("stationary", "visitation"):
-        raise ParameterError(f"unknown state_weighting {state_weighting!r}")
-    env = evaluation.env
-    # gamma = 1 leaves I - P singular; the average setting's visitation law is d
-    if state_weighting == "visitation" and evaluation.setting == DISCOUNTED:
-        eye = np.eye(env.n_states)
-        weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)
-                            for gamma in env.discounts])
-    else:
-        weights = evaluation.d[None, :]
-    coeff = weights[:, :, None] * evaluation.probs * evaluation.advantages
+    coeff = evaluation.d[None, :, None] * evaluation.probs * evaluation.advantages
     return evaluation.policy.score_weighted_sum(coeff)
 
 

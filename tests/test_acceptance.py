@@ -6,7 +6,8 @@ discounted finite-difference sub-check (4c) is kept at its nominal tolerance
 and marked as a strict expected failure: the stationary-weighted gradient
 oracle it compares against is not the gradient of the start-state discounted
 objective (see the printed analysis, the README's numerical notes, and the
-visitation-weighted identity verified in tests/test_policy.py).
+visitation-weighted referee, visitation_policy_gradient in tests/util.py,
+which test_policy.py checks against finite differences).
 """
 
 import time
@@ -24,10 +25,8 @@ from morlab import (
     build_fishwood,
     build_resource_gathering,
     complete_feature_map,
-    compute_exact_objective,
     compute_td_fixed_point,
     default_feature_map,
-    duality_gap,
     estimate_gradient_lipschitz,
     exact_policy_gradient,
     expected_td_gradient,
@@ -43,8 +42,10 @@ from morlab.critic import CriticState
 from morlab.experiment import ExperimentConfig, run_experiment
 
 from util import (
+    compute_exact_objective,
     critic_error_trace,
     draw,
+    duality_gap,
     finite_difference_gradient,
     lattice_min_norm,
     random_momdp,
@@ -210,7 +211,8 @@ def test_criterion_4b_finite_difference_average():
     "(which criterion 4a pins down exactly) is not the gradient of the "
     "start-state discounted objective; started from its own stationary "
     "distribution the two differ by exactly the factor (1 - gamma). The "
-    "visitation-weighted variant does satisfy this check (test_policy.py).",
+    "visitation-weighted referee (tests/util.py visitation_policy_gradient) "
+    "does satisfy this check (test_policy.py).",
 )
 def test_criterion_4c_finite_difference_discounted():
     rng = np.random.default_rng(1618)

@@ -21,10 +21,10 @@ PUBLIC_NAMES = {
     "ConfigError", "ConvergenceError", "DataError", "DivergenceError", "ModelError",
     "MorlabError", "ParameterError",
     # mgda
-    "MomentumSchedule", "duality_gap", "solve_min_norm",
+    "MomentumSchedule", "solve_min_norm",
     # momdp
     "AVERAGE", "DISCOUNTED", "PolicyEvaluation", "TabularMomdp", "build_fishwood",
-    "build_resource_gathering", "compute_exact_objective", "compute_stationary_distribution",
+    "build_resource_gathering", "compute_stationary_distribution",
     "load_env_json", "save_env_json",
     # opeval
     "LoggedDataset", "generate_logged_data", "load_logged_data", "ncis_scores",

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morlab
 from morlab import (
     ConfigError,
     ConvergenceError,
@@ -583,6 +587,31 @@ class TestCliCommands:
         assert Path(printed) == out_dir
         assert (out_dir / "seed_100.csv").exists()
         assert main(["summarize", str(out_dir)]) == 0
+
+    @pytest.mark.parametrize("case, expected", [
+        ("stray-seed", "ignoring seed_old.csv: seed files are named seed_<k>.csv"),
+        ("incomplete-seed", "skipping incomplete seed file seed_101.csv"),
+        ("lipschitz", "[moac] ignoring key 'lipschitz': it sets nothing"),
+    ])
+    def test_each_warning_prints_one_line(self, tmp_path, case, expected):
+        # in a fresh interpreter, as a shell sees it: no source line of morlab's
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        if case == "stray-seed":
+            (out / "seed_old.csv").write_bytes((out / "seed_100.csv").read_bytes())
+            (out / f"seed_old{DONE_SUFFIX}").write_text("ok\n")
+        elif case == "incomplete-seed":
+            (out / f"seed_101{DONE_SUFFIX}").unlink()
+        else:
+            ini = (out / "config.ini").read_text()
+            (out / "config.ini").write_text(ini.replace("base_seed = 100\n",
+                                                        "base_seed = 100\nlipschitz = 10.0\n"))
+        src = Path(morlab.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "morlab.cli", "summarize", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [f"warning: {expected}"]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG + "\nbogus = 1\n")

@@ -11,7 +11,6 @@ from morlab import (
     AVERAGE,
     DISCOUNTED,
     DivergenceError,
-    FeatureMap,
     ModelError,
     ParameterError,
     PolicyEvaluation,
@@ -32,6 +31,7 @@ from morlab.critic import CriticState, run_critic, td_errors
 from util import (
     critic_error_trace,
     draw,
+    feature_matrix,
     random_momdp,
     random_policy,
     reward_tracker_path,
@@ -96,7 +96,7 @@ class TestTdErrors:
             beta = (0.1, 0.5, 20.0, float(rng.uniform(0.0, 1.0)))[trial % 4]
             delta, r, mu = td_errors(env, features, w, batch, AVERAGE, mu0, beta)
             s_arr, a_arr, ns_arr = batch
-            phi = features.matrix
+            phi = feature_matrix(features)
             ref_r = env.reward[:, s_arr, a_arr]
             path = reward_tracker_path(ref_r, mu0, beta)
             ref_delta = ref_r - path + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
@@ -184,6 +184,12 @@ class TestFixedPoint:
         policy = uniform_policy(env)
         with pytest.raises(ModelError):
             compute_td_fixed_point(PolicyEvaluation(env, policy, AVERAGE), complete_feature_map(2))
+
+    def test_features_for_another_state_count_rejected(self):
+        env = two_state_env()
+        with pytest.raises(ParameterError, match="features are for 3 states"):
+            compute_td_fixed_point(PolicyEvaluation(env, uniform_policy(env), DISCOUNTED),
+                                   default_feature_map(3))
 
     def test_heterogeneous_discounts_give_distinct_matrices(self):
         rng = np.random.default_rng(500)
@@ -276,7 +282,7 @@ class TestZetaApprox:
         d = evaluation.d
         V, _ = evaluation.values
         expected = max(
-            float(d @ (V[i] - features.matrix @ fp.w_star[i]) ** 2) for i in range(2)
+            float(d @ (V[i] - feature_matrix(features) @ fp.w_star[i]) ** 2) for i in range(2)
         )
         assert zeta == pytest.approx(expected, rel=1e-12)
         assert zeta >= 0.0
@@ -292,7 +298,7 @@ class TestRunCritic:
         updated = run_critic(env, batch, critic, features, DISCOUNTED)
         for i in range(2):
             delta = env.reward[i, s, a]   # zero weights: the TD error is the reward
-            expected = 0.2 * delta * features.matrix[s]
+            expected = 0.2 * delta * feature_matrix(features)[s]
             assert np.allclose(updated.weights[i], expected, atol=1e-15)
 
     def test_zero_reward_keeps_weights_zero(self):
@@ -354,21 +360,23 @@ class TestRunCritic:
             run_critic(env, draw(env, 1, policy, 4 * 50), critic, features, AVERAGE)
         assert err.value.iteration is not None
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_weights_raise_at_their_iteration(self, bad):
-        # state 0 pays nothing, so the weights stay 0 through inner iterations
-        # 1 and 2, which visit state 0 only; iteration 3 reaches state 1, whose
-        # NaN feature makes the weights NaN, or whose huge feature overflows
-        # them to inf
+    @pytest.mark.parametrize("bad, iteration", [("nan", 1), ("inf", 3)], ids=["nan", "inf"])
+    def test_non_finite_weights_raise_at_their_iteration(self, bad, iteration):
+        # state 0 pays nothing and inner iterations 1 and 2 stay on state 0. A
+        # NaN weight of state 0 makes its TD errors NaN at once. From weights
+        # [0, 1e11], iterations 1 and 2 leave the weights as they are;
+        # iteration 3 steps 0 -> 1 with TD error 9e10, which the step 1e300
+        # overflows to inf
         env = single_chain_env(np.full((2, 2), 0.5), rewards=[[[0.0], [1.0]]])
-        features = FeatureMap(np.array([[1.0], [np.nan if bad == "nan" else 1e300]]))
-        critic = CriticState.zeros(1, 1, step_size=1e10, batch_size=2, n_iterations=4)
+        start = [[np.nan, 0.0]] if bad == "nan" else [[0.0, 1e11]]
+        critic = CriticState(weights=start, avg_reward=[0.0], step_size=1e300, batch_size=2,
+                             n_iterations=4)
         path = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
         batch = (path[:-1], np.zeros(8, dtype=np.int64), path[1:])
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            run_critic(env, batch, critic, features, DISCOUNTED)
-        assert err.value.iteration == 3
-        assert "inner critic iteration 3" in str(err.value)
+            run_critic(env, batch, critic, complete_feature_map(2), DISCOUNTED)
+        assert err.value.iteration == iteration
+        assert f"inner critic iteration {iteration}" in str(err.value)
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     def test_batch_equals_one_iteration_calls(self, setting):

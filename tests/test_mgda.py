@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from morlab import (
     MomentumSchedule,
     ParameterError,
-    duality_gap,
     solve_min_norm,
 )
 from morlab.mgda import SimplexWeights, _face_systems, momentum_update, uniform_weights
 
-from util import grid_min_norm_1d, lattice_min_norm, min_norm_reference
+from util import duality_gap, grid_min_norm_1d, lattice_min_norm, min_norm_reference
 
 # captured actor gradient stacks with their exact optimum, see each "source"
 CAPTURED = json.loads((Path(__file__).parent / "data" / "min_norm_stacks.json").read_text())

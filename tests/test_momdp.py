@@ -17,7 +17,6 @@ from morlab import (
     TabularMomdp,
     build_fishwood,
     build_resource_gathering,
-    compute_exact_objective,
     compute_stationary_distribution,
     load_env_json,
     save_env_json,
@@ -26,6 +25,7 @@ from morlab import (
 from morlab.momdp import MarkovSampler
 
 from util import (
+    compute_exact_objective,
     dense_policy_batch,
     permute_momdp,
     permute_tabular_policy,

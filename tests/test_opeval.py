@@ -14,7 +14,6 @@ from morlab import (
     PolicyParams,
     build_fishwood,
     build_resource_gathering,
-    compute_exact_objective,
     generate_logged_data,
     load_logged_data,
     ncis_scores,
@@ -24,7 +23,13 @@ from morlab import (
 
 from morlab.opeval import CHUNK_RECORDS
 
-from util import ncis_score, random_momdp, random_policy, save_logged_data_reference
+from util import (
+    compute_exact_objective,
+    ncis_score,
+    random_momdp,
+    random_policy,
+    save_logged_data_reference,
+)
 
 
 def logit_policy(probs: np.ndarray) -> PolicyParams:

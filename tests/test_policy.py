@@ -21,12 +21,14 @@ from morlab import (
 
 from util import (
     action_probabilities,
+    feature_matrix,
     finite_difference_gradient,
     permute_momdp,
     permute_tabular_policy,
     random_momdp,
     random_policy,
     score_function,
+    visitation_policy_gradient,
 )
 
 
@@ -114,24 +116,39 @@ class TestScoreFunction:
 
 class TestFeatureMaps:
     def test_default_map_satisfies_conditions(self):
-        fm = default_feature_map(5)
-        assert fm.matrix.shape == (5, 4)
-        fm.validate(for_average=True)
+        # unit rows, full column rank, and the all-ones vector outside the
+        # span; the values are those of the dense feature rows
+        rng = np.random.default_rng(8)
+        for S in (2, 5, 93):
+            fm = default_feature_map(S)
+            assert fm == FeatureMap(S, S - 1)
+            phi = feature_matrix(fm)
+            w = rng.normal(size=(3, S - 1))
+            assert np.array_equal(fm.values(w), w @ phi.T)
+            assert np.array_equal(np.linalg.norm(phi, axis=1), [1.0] * (S - 1) + [0.0])
+            assert np.linalg.matrix_rank(phi) == S - 1
+            sol = np.linalg.lstsq(phi, np.ones(S), rcond=None)[0]
+            assert np.linalg.norm(phi @ sol - np.ones(S)) == pytest.approx(1.0)
 
     def test_complete_map_rejected_for_average(self):
+        # the all-ones vector lies in the span, so the average-setting
+        # condition fails (compute_td_fixed_point raises ModelError there)
         fm = complete_feature_map(4)
-        fm.validate(for_average=False)
-        with pytest.raises(ParameterError):
-            fm.validate(for_average=True)
+        assert fm == FeatureMap(4, 4)
+        w = np.random.default_rng(9).normal(size=(2, 4))
+        assert np.array_equal(fm.values(w), w)
+        phi = feature_matrix(fm)
+        sol = np.linalg.lstsq(phi, np.ones(4), rcond=None)[0]
+        assert np.linalg.norm(phi @ sol - np.ones(4)) < 1e-12
 
-    def test_oversized_rows_rejected(self):
-        with pytest.raises(ParameterError):
-            FeatureMap(2 * np.eye(3)).validate()
-
-    def test_rank_deficient_rejected(self):
-        m = np.ones((4, 2)) * 0.5
-        with pytest.raises(ParameterError):
-            FeatureMap(m).validate()
+    @pytest.mark.parametrize("n_states, dim", [(3, 0), (3, 4), (1, 0), (4, -1)],
+                             ids=["zero", "above-n-states", "one-state-default", "negative"])
+    def test_dim_outside_range_rejected(self, n_states, dim):
+        with pytest.raises(ParameterError, match="dim"):
+            FeatureMap(n_states, dim)
+        if dim == n_states - 1:
+            with pytest.raises(ParameterError):
+                default_feature_map(n_states)
 
 
 class TestExactGradient:
@@ -158,14 +175,13 @@ class TestExactGradient:
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
     def test_discounted_visitation_weighting_matches_finite_differences(self):
-        # the visitation-weighted variant is the exact gradient of the
+        # the visitation-weighted referee is the exact gradient of the
         # start-state discounted objective
         rng = np.random.default_rng(29)
         for _ in range(3):
             env = random_momdp(rng, n_states=4, n_actions=2, n_objectives=2)
             policy = random_policy(rng, 4, 2)
-            grads = exact_policy_gradient(PolicyEvaluation(env, policy, DISCOUNTED),
-                                          state_weighting="visitation")
+            grads = visitation_policy_gradient(PolicyEvaluation(env, policy, DISCOUNTED))
             for i, g in enumerate(grads):
                 fd = finite_difference_gradient(env, policy.theta, i, DISCOUNTED)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from morlab import AVERAGE, LoggedDataset, ParameterError, PolicyParams, TabularMomdp, compute_exact_objective
+from morlab import AVERAGE, LoggedDataset, ParameterError, PolicyEvaluation, PolicyParams, TabularMomdp
 from morlab.critic import CriticState, run_critic
 from morlab.experiment import load_metrics_csv
 from morlab.momdp import MarkovSampler
@@ -174,6 +174,24 @@ def single_chain_env(P: np.ndarray, rewards=None, discount: float = 0.9) -> Tabu
     return TabularMomdp(S, 1, R.shape[0], P[:, None, :], R, np.full(R.shape[0], discount), init)
 
 
+def compute_exact_objective(env: TabularMomdp, policy, setting: str) -> np.ndarray:
+    """(M,) exact objective vector J(theta) in the requested reward setting."""
+    return PolicyEvaluation(env, policy, setting).values[1]
+
+
+def visitation_policy_gradient(evaluation: PolicyEvaluation) -> np.ndarray:
+    """Referee for the discounted start-state gradient, shape (M, dim): the
+    advantage sum of ``exact_policy_gradient`` with states weighted by the
+    discounted visitation measure initial^T (I - gamma P)^{-1} of each
+    objective in place of the stationary law (discounted setting only)."""
+    env = evaluation.env
+    eye = np.eye(env.n_states)
+    weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)
+                        for gamma in env.discounts])
+    coeff = weights[:, :, None] * evaluation.probs * evaluation.advantages
+    return evaluation.policy.score_weighted_sum(coeff)
+
+
 def finite_difference_gradient(env: TabularMomdp, theta: np.ndarray, objective: int,
                                setting: str, h: float = 1e-5) -> np.ndarray:
     """Central differences of the exact objective in theta."""
@@ -188,6 +206,14 @@ def finite_difference_gradient(env: TabularMomdp, theta: np.ndarray, objective: 
         jm = compute_exact_objective(env, PolicyParams(tm, S, A), setting)[objective]
         g[j] = (jp - jm) / (2.0 * h)
     return g
+
+
+def duality_gap(gradients, lam: np.ndarray) -> float:
+    """Frank-Wolfe certificate max_i(<gbar, gbar> - <gbar, g_i>) at weights lam."""
+    W = np.asarray(gradients, dtype=float)
+    gbar = lam @ W
+    inner = W @ gbar
+    return float(gbar @ gbar - inner.min())
 
 
 def grid_min_norm_1d(g1: np.ndarray, g2: np.ndarray, step: float = 1e-6) -> tuple[float, float]:
@@ -321,15 +347,21 @@ def permute_tabular_policy(policy: PolicyParams, perm: np.ndarray) -> PolicyPara
     return PolicyParams(theta, policy.n_states, policy.n_actions)
 
 
+def feature_matrix(features) -> np.ndarray:
+    """The dense (S, dim) matrix of a one-hot ``FeatureMap``: row s is phi(s)."""
+    return np.eye(features.n_states, features.dim)
+
+
 def run_critic_reference(env: TabularMomdp, batch, critic: CriticState, features,
                          setting: str) -> CriticState:
     """Reference for ``run_critic``: N inner iterations, each computing its
-    D-step TD errors from scratch (reward gather, state gathers, one tracker
-    ``lfilter`` started at the trackers the previous slice left) before the
-    semi-gradient update. Returns the updated critic."""
+    D-step TD errors from scratch (reward gather, state values as products
+    with the dense feature rows, one tracker ``lfilter`` started at the
+    trackers the previous slice left) before the semi-gradient update.
+    Returns the updated critic."""
     from scipy.signal import lfilter
     N, D, beta = critic.n_iterations, critic.batch_size, critic.step_size
-    phi = features.matrix
+    phi = feature_matrix(features)
     w = critic.weights.copy()
     mu = critic.avg_reward.copy()
     for s, a, ns in zip(*(x.reshape(N, D) for x in batch)):
