@@ -45,8 +45,9 @@ def complete_feature_map(n_states: int) -> FeatureMap:
     """Full one-hot features over all states (dim = n_states).
 
     Makes every value function exactly representable (zero approximation
-    error). Test fixture only: the all-ones vector lies in the span, so the
-    average-setting span condition is deliberately waived here.
+    error). The all-ones vector lies in the span, so in the average setting
+    the TD matrix is not negative definite and compute_td_fixed_point raises
+    ModelError.
     """
     return FeatureMap(n_states, n_states)
 
@@ -106,7 +107,7 @@ def exact_policy_gradient(evaluation: PolicyEvaluation) -> np.ndarray:
     direction the sampled TD actor estimates (not the gradient of the
     start-state discounted objective).
     """
-    coeff = evaluation.d[None, :, None] * evaluation.probs * evaluation.advantages
+    coeff = evaluation.d[:, None] * evaluation.probs * evaluation.advantages
     return evaluation.policy.score_weighted_sum(coeff)
 
 

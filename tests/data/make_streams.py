@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -146,4 +145,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
