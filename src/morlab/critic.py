@@ -4,6 +4,7 @@ per objective, plus the exact TD fixed-point oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,15 +56,74 @@ class TdFixedPoint:
 
     ``A`` is stored per objective (shape (M, d2, d2)) because discounted
     objectives may carry different discount factors; in the average setting all
-    slices are identical.
+    slices are identical. The margin ``lambda_A`` and the bound ``r_w_bound``
+    are computed on first access: the gate of ``compute_td_fixed_point`` only
+    certifies that the margin is above 1e-10.
     """
 
     A: np.ndarray            # (M, d2, d2)
     b: np.ndarray            # (M, d2)
     w_star: np.ndarray       # (M, d2), solves A w + b = 0
-    lambda_A: float          # uniform negative-definiteness margin of A + A^T
-    r_w_bound: float         # norm bound on every w_star
     c_a: float               # strict upper bound on ||A||_F
+    gamma: np.ndarray        # (M,) discount of each slice of A; equal entries share a slice
+    r_bound: float           # bound on the centred reward: 2 r_max average, r_max discounted
+
+    @cached_property
+    def lambda_A(self) -> float:
+        """Uniform negative-definiteness margin of A + A^T over the slices."""
+        _, first = np.unique(self.gamma, return_index=True)
+        return min(_margin(self.A[i]) for i in first)
+
+    @cached_property
+    def r_w_bound(self) -> float:
+        """Norm bound on every w_star."""
+        return 2.0 * self.r_bound / self.lambda_A
+
+
+def _check_features(env: TabularMomdp, features: FeatureMap):
+    if features.n_states != env.n_states:
+        raise ParameterError(f"the features are for {features.n_states} states, "
+                             f"the model has {env.n_states}")
+
+
+def _margin(a: np.ndarray) -> float:
+    """-lambda_max(a + a^T): the negative-definiteness margin of one TD slice."""
+    return -np.linalg.eigvalsh(a + a.T)[-1]
+
+
+def _check_margin(a: np.ndarray):
+    """ModelError unless the margin of ``a`` is above the 1e-10 floor.
+
+    ``eigvalsh`` decides, but only when a Cholesky factorization of
+    -(a + a^T) - (floor + slack) I fails; when it succeeds, ``eigvalsh`` would
+    have put the margin above the floor as well. Why, with S the computed
+    a + a^T, n its order and u = eps / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10):
+    - a Cholesky factorization of H that runs to completion is exact for some
+      H + E with |E| <= gamma_{n+1} |R^T| |R|, so
+      ||E||_2 <= gamma_{n+1} trace(H + E), about (n+1) sqrt(n) u ||S||_F
+      here; rounding H's diagonal adds u ||S||_F at most. So the smallest
+      eigenvalue of -S is at least floor + slack - ||E||_2.
+    - ``eigvalsh`` is backward stable: its top eigenvalue of S is off by
+      about n u ||S||_2 at most.
+    The slack 4 (n+1)^2 eps ||S||_F is 8 (n+1)^2 u ||S||_F, more than twice
+    the two errors together. Near the floor the factorization fails and
+    ``eigvalsh`` decides as before, so the gate stays exactly where it is.
+    """
+    sym = a + a.T
+    n = sym.shape[0]
+    slack = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * np.linalg.norm(sym)
+    try:
+        np.linalg.cholesky(-sym - (_LAMBDA_FLOOR + slack) * np.eye(n))
+        return
+    except np.linalg.LinAlgError:
+        pass
+    margin = _margin(a)
+    if margin <= _LAMBDA_FLOOR:
+        raise ModelError(
+            "TD matrix is not negative definite for this (environment, policy, features) "
+            f"triple: margin {margin:.2e} <= {_LAMBDA_FLOOR:.0e}"
+        )
 
 
 def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batch,
@@ -80,6 +140,7 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     Returns (delta, rewards, trackers): the (M, D) TD errors, the (M, D)
     rewards and the (M,) trackers after the batch.
     """
+    _check_features(env, features)
     base, r, mu = _reward_terms(env, batch, setting, mu, step_size)
     return _add_values(env, base, batch[0], batch[2], features.values(weights), setting), r, mu
 
@@ -87,7 +148,9 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
 def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_size: float):
     """The weight-free half of ``td_errors``: (r or r - mu_t, r, trackers after)."""
     s_arr, a_arr, _ = batch
-    r = env.reward[:, s_arr, a_arr]               # (M, D)
+    # (M, D) with the objective axis contiguous, the layout env.reward[:, s, a]
+    # has: later sums and products over it keep their bits
+    r = np.take(env.reward_rows, s_arr * env.n_actions + a_arr, axis=0).T
     if setting != AVERAGE:
         return r, r, mu
     # a one-tap IIR filter, imported here so discounted runs never load scipy.signal
@@ -125,6 +188,7 @@ def run_critic(
     slice the state N chained ``td_errors`` calls would.
     """
     check_setting(setting)
+    _check_features(env, features)
     beta = critic.step_size
     N, D = critic.n_iterations, critic.batch_size
     if len(batch[0]) != N * D:
@@ -155,12 +219,11 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     A = E[phi(s) (phi(s') - phi(s))^T] (with the discount inside for the
     discounted setting); w* is then the limit the sampled critic tracks. The
     margin lambda_A and the norm bounds are the same for either orientation of
-    the outer product.
+    the outer product. ModelError if a slice of A has a margin of at most
+    1e-10; the margin itself is computed only when ``lambda_A`` is read.
     """
-    env, setting = evaluation.env, evaluation.setting
-    if features.n_states != env.n_states:
-        raise ParameterError(f"the features are for {features.n_states} states, "
-                             f"the model has {env.n_states}")
+    env = evaluation.env
+    _check_features(env, features)
     d, gamma = evaluation.d, evaluation.gamma
     d2 = features.dim
     M = env.n_objectives
@@ -168,28 +231,21 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     P, eye, d_lead = evaluation.P[:d2, :d2], np.eye(d2), d[:d2, None]
     b = ((evaluation.r - evaluation.offset[:, None]) * d)[:, :d2]
     # objectives with equal discounts (all M in the average setting) share one
-    # slice of A: one eigendecomposition and one stacked solve per group
+    # slice of A: one margin check and one stacked solve per group
     A = np.empty((M, d2, d2))
-    lambda_A = np.inf
     w_star = np.empty((M, d2))
     for g in np.unique(gamma):
         group = np.flatnonzero(gamma == g)
         A[group] = a = d_lead * (g * P - eye)
         rhs = b[group].T
-        lambda_A = min(lambda_A, -np.linalg.eigvalsh(a + a.T)[-1])
-        if lambda_A <= _LAMBDA_FLOOR:
-            raise ModelError(
-                "TD matrix is not negative definite for this (environment, policy, features) "
-                f"triple: margin {lambda_A:.2e} <= {_LAMBDA_FLOOR:.0e}"
-            )
+        _check_margin(a)
         w = np.linalg.solve(a, -rhs)
         w -= np.linalg.solve(a, a @ w + rhs)          # one refinement pass
         w_star[group] = w.T
     # the analysis bounds the centred reward r - J by 2 r_max, twice r itself
-    r_w = (4.0 if setting == AVERAGE else 2.0) * env.r_max / lambda_A
+    r_bound = (2.0 if evaluation.setting == AVERAGE else 1.0) * env.r_max
     c_a = max(float(np.linalg.norm(A[i], "fro")) for i in range(M)) + 1e-6
-    return TdFixedPoint(A=A, b=b, w_star=w_star, lambda_A=lambda_A,
-                        r_w_bound=r_w, c_a=c_a)
+    return TdFixedPoint(A=A, b=b, w_star=w_star, c_a=c_a, gamma=gamma, r_bound=r_bound)
 
 
 def theory_critic_step(fixed_point: TdFixedPoint) -> float:
@@ -206,6 +262,7 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     setting the reward tracker is held at its limit, the exact objective value.
     """
     env = evaluation.env
+    _check_features(env, features)
     if not 0 <= objective < env.n_objectives:
         raise ParameterError(f"objective {objective} out of range")
     values = features.values(w)                    # (S,)
@@ -228,6 +285,7 @@ def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
                         features: FeatureMap) -> float:
     """Worst-objective stationary-weighted squared gap between the exact value
     function and its fixed-point linear approximation."""
+    _check_features(evaluation.env, features)
     V, _ = evaluation.values
     approx = features.values(fixed_point.w_star)     # (M, S)
     gaps = ((V - approx) ** 2) @ evaluation.d

@@ -105,12 +105,14 @@ def estimate_objective_gradients(
     setting: str,
     features: FeatureMap,
     mu_step: float,
+    probs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average delta * score per objective over one chained actor batch.
 
     ``batch`` is the (states, actions, next_states) triple of B steps drawn
-    under ``policy``. Returns the (M, dim) gradient estimates and the (M,)
-    batch reward means.
+    under ``policy``, whose ``probability_matrix()`` the caller may pass as
+    ``probs``. Returns the (M, dim) gradient estimates and the (M,) batch
+    reward means.
 
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the
@@ -124,7 +126,7 @@ def estimate_objective_gradients(
     delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
     cells = (np.arange(M)[:, None] * S + batch[0]) * A + batch[1]    # (M, B)
     buckets = np.bincount(cells.ravel(), delta.ravel(), minlength=M * S * A)
-    return policy.score_weighted_sum(buckets.reshape(M, S, A) / r.shape[1]), r.mean(axis=1)
+    return policy.score_weighted_sum(buckets.reshape(M, S, A) / r.shape[1], probs), r.mean(axis=1)
 
 
 def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
@@ -135,7 +137,8 @@ def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
     error expectation; the average-setting reward tracker is held at the exact
     objective value.
     """
-    return evaluation.policy.score_weighted_sum(expected_td_errors(evaluation, features, w, objective))
+    return evaluation.policy.score_weighted_sum(expected_td_errors(evaluation, features, w, objective),
+                                                evaluation.probs)
 
 
 def pareto_stationarity_gap(evaluation: PolicyEvaluation) -> float:
@@ -151,8 +154,10 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     call: the first N * D feed the critic's inner loop, the last B the actor
     batch. The next draw resumes where the last ended, so one unbroken
     trajectory underlies the whole run; (seed, config) fixes the stream
-    bit-exactly. An error raised inside an iteration names that actor
-    iteration in its message and its ``iteration``.
+    bit-exactly. The action probabilities are computed once per iteration,
+    for the oracle step, the draw and the actor's score sum. An error raised
+    inside an iteration names that actor iteration in its message and its
+    ``iteration``.
     """
     setting = config.setting
     features = FEATURE_KINDS[config.features](env.n_states)
@@ -184,12 +189,14 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
             if oracle_now:
                 evaluation = PolicyEvaluation(env, policy, setting)
                 fp_t = compute_td_fixed_point(evaluation, features)
-            batch = sampler.sample_policy_batch(policy.probability_matrix(),
-                                                critic_steps + config.actor_batch_size)
+                probs = evaluation.probs
+            else:
+                probs = policy.probability_matrix()
+            batch = sampler.sample_policy_batch(probs, critic_steps + config.actor_batch_size)
             critic = run_critic(env, [x[:critic_steps] for x in batch], critic, features, setting)
             grads, reward_mean = estimate_objective_gradients(
                 env, policy, critic.weights, [x[critic_steps:] for x in batch],
-                setting, features, mu_step=config.actor_step_size,
+                setting, features, mu_step=config.actor_step_size, probs=probs,
             )
             lam_hat, _ = solve_min_norm(grads)
             critic_err = j_exact = gap = None

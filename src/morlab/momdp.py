@@ -102,6 +102,17 @@ class TabularMomdp:
         actions, next_states = np.divmod(cells, S)
         return actions, next_states, real
 
+    @cached_property
+    def reward_rows(self) -> np.ndarray:
+        """``reward`` as a C-ordered (S * A, M) table, row s * A + a the M
+        rewards of (s, a)."""
+        return np.ascontiguousarray(self.reward.reshape(self.n_objectives, -1).T)
+
+    @cached_property
+    def transition_rows(self) -> csr_matrix:
+        """``transition`` as a CSR (S * A, S) matrix, row s * A + a the law of s'."""
+        return csr_matrix(self.transition.reshape(self.n_states * self.n_actions, self.n_states))
+
     def to_json_dict(self) -> dict:
         return {
             "n_states": self.n_states,
@@ -506,7 +517,13 @@ class PolicyEvaluation:
         """(M, S, A) exact advantages Q(s, a) - V(s)."""
         env = self.env
         V, _ = self.values
-        PV = np.einsum("sax,mx->msa", env.transition, V)
+        if V.flags.c_contiguous:
+            # einsum sums over contiguous rows with SIMD partial sums: keep its bits
+            PV = np.einsum("sax,mx->msa", env.transition, V)
+        else:
+            # a strided V (the Poisson solve's) einsum sums in x order, one term
+            # at a time, as the CSR product does: the same bits at a twentieth of the cost
+            PV = (env.transition_rows @ V.T).T.reshape(V.shape[0], env.n_states, env.n_actions)
         Q = env.reward - self.offset[:, None, None] + self.gamma[:, None, None] * PV
         return Q - V[:, :, None]
 

@@ -26,11 +26,12 @@ from morlab import (
     theory_critic_step,
     uniform_policy,
 )
-from morlab.critic import CriticState, run_critic, td_errors
+from morlab.critic import CriticState, _check_margin, expected_td_errors, run_critic, td_errors
 
 from util import (
     critic_error_trace,
     draw,
+    eigvalsh_margin,
     feature_matrix,
     random_momdp,
     random_policy,
@@ -38,6 +39,7 @@ from util import (
     run_critic_reference,
     single_chain_env,
     td_fixed_point_reference,
+    td_margin_reference,
     two_state_env,
 )
 
@@ -258,6 +260,111 @@ class TestGroupedFixedPoint:
             scale_Aw = np.linalg.norm(A, 2) * np.linalg.norm(w_ref)
             assert (np.linalg.norm(A @ w + b)
                     <= np.linalg.norm(A @ w_ref + b) + _EPS * scale_Aw)
+
+
+def _gate_outcome(gate, *args):
+    """None if ``gate`` accepts, else the text of the ModelError it raises."""
+    try:
+        gate(*args)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+def _bytes(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestMarginGate:
+    """The Cholesky certificate in front of ``eigvalsh`` accepts and rejects
+    exactly the TD slices a full ``eigvalsh`` does, and the lazily computed
+    margin is the eager one, byte for byte."""
+
+    @staticmethod
+    def planted(rng, n, scale, k):
+        """A random (n, n) matrix a with a non-symmetric part, like a TD
+        slice, whose a + a^T has its top eigenvalue planted at
+        -1e-10 + k * eps * ||a + a^T||_F (up to the rounding of the products)
+        and the others in [-scale, -scale / 1000]."""
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = rng.uniform(-scale, -scale / 1000, size=n)
+        lam[0] = 0.0
+        lam[0] = -1e-10 + k * _EPS * max(np.linalg.norm(lam), 1e-10)
+        sym = (Q * lam) @ Q.T
+        sym = 0.5 * (sym + sym.T)
+        skew = scale * rng.normal(size=(n, n))
+        return 0.5 * sym + 0.5 * (skew - skew.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 92])
+    def test_planted_margins_gate_like_eigvalsh(self, n):
+        rng = np.random.default_rng(1700 + n)
+        accepted = []
+        for k in [*range(-40, 41), -4000, 4000, -10**6, 10**6, -10**9]:
+            for scale in (1.0, 1e-2):
+                a = self.planted(rng, n, scale, k)
+                want = _gate_outcome(eigvalsh_margin, a)
+                assert _gate_outcome(_check_margin, a) == want, (n, k, scale)
+                accepted.append(want is None)
+        assert any(accepted) and not all(accepted)
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_resource_gathering_policies_gate_like_eigvalsh(self, setting):
+        env = build_resource_gathering()
+        features = default_feature_map(env.n_states)
+        rng = np.random.default_rng(1703)
+        rejected = 0
+        for _ in range(30):
+            policy = random_policy(rng, env.n_states, env.n_actions, scale=3.0)
+            want = _gate_outcome(td_margin_reference, PolicyEvaluation(env, policy, setting), features)
+            got = _gate_outcome(compute_td_fixed_point, PolicyEvaluation(env, policy, setting), features)
+            assert got == want
+            rejected += want is not None
+        assert 0 < rejected < 30
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    @pytest.mark.parametrize("env_name", sorted(_TD_ENVS))
+    def test_lazy_margin_and_bounds_match_eager_reference(self, env_name, setting):
+        env = _TD_ENVS[env_name]
+        features = default_feature_map(env.n_states)
+        rng = np.random.default_rng(1704)
+        for scale in (0.0, 0.5, 1.0):
+            policy = random_policy(rng, env.n_states, env.n_actions, scale=scale)
+            evaluation = PolicyEvaluation(env, policy, setting)
+            fp = compute_td_fixed_point(evaluation, features)
+            margin = td_margin_reference(evaluation, features)
+            r_w = (4.0 if setting == AVERAGE else 2.0) * env.r_max / margin
+            step = min(margin / (8.0 * fp.c_a ** 2), 4.0 / margin)
+            assert _bytes(fp.lambda_A) == _bytes(margin)
+            assert _bytes(fp.r_w_bound) == _bytes(r_w)
+            assert _bytes(theory_critic_step(fp)) == _bytes(step)
+
+
+class TestFeatureStateCount:
+    """Every critic entry point rejects a feature map made for another
+    state count with ParameterError."""
+
+    @pytest.mark.parametrize("entry", ["td_errors", "run_critic", "expected_td_errors",
+                                       "expected_td_update", "compute_zeta_approx",
+                                       "compute_td_fixed_point"])
+    def test_rejected(self, entry):
+        env = two_state_env()
+        evaluation = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED)
+        wrong = default_feature_map(3)
+        w = np.zeros((env.n_objectives, wrong.dim))
+        batch = (np.array([0, 1]), np.array([1, 0]), np.array([1, 1]))
+        calls = {
+            "td_errors": lambda: td_errors(env, wrong, w, batch, DISCOUNTED,
+                                           np.zeros(env.n_objectives), 0.1),
+            "run_critic": lambda: run_critic(env, batch, CriticState.zeros(2, wrong.dim, 0.1, 2, 1),
+                                             wrong, DISCOUNTED),
+            "expected_td_errors": lambda: expected_td_errors(evaluation, wrong, w[0], 0),
+            "expected_td_update": lambda: expected_td_update(evaluation, wrong, w[0], 0),
+            "compute_zeta_approx": lambda: compute_zeta_approx(
+                evaluation, compute_td_fixed_point(evaluation, default_feature_map(2)), wrong),
+            "compute_td_fixed_point": lambda: compute_td_fixed_point(evaluation, wrong),
+        }
+        with pytest.raises(ParameterError, match="the features are for 3 states, the model has 2"):
+            calls[entry]()
 
 
 class TestZetaApprox:

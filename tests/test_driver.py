@@ -13,6 +13,7 @@ from morlab import (
     MomentumSchedule,
     ParameterError,
     PolicyEvaluation,
+    PolicyParams,
     TabularMomdp,
     build_fishwood,
     build_resource_gathering,
@@ -422,3 +423,21 @@ class TestOracleCost:
         res = run_moac(build_resource_gathering(), config)
         assert all(rec.pareto_gap is not None for rec in res.records)
         assert len(searches) == 1
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_one_softmax_per_iteration_and_no_eigvalsh(self, monkeypatch, oracle):
+        # the oracle-rg shape (and, without the oracle, a training run): the
+        # margin certificate settles every gate, and each actor iteration
+        # computes its action probabilities once for the oracle, the draw and
+        # both score sums
+        T = 5
+        eigvalsh = self.counting(monkeypatch, np.linalg, "eigvalsh")
+        softmax = self.counting(monkeypatch, PolicyParams, "probability_matrix")
+        config = MoacConfig(setting=AVERAGE, actor_iterations=T, actor_batch_size=32,
+                            actor_step_size=0.5, momentum=MomentumSchedule("power", 1.0),
+                            critic_step_size=0.3, critic_iterations=2, critic_batch_size=25,
+                            seed=911, oracle_diagnostics=oracle, oracle_every=1)
+        res = run_moac(build_resource_gathering(), config)
+        assert all((rec.pareto_gap is not None) == oracle for rec in res.records)
+        assert len(eigvalsh) == 0
+        assert len(softmax) == T

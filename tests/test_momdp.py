@@ -25,12 +25,14 @@ from morlab import (
 from morlab.momdp import MarkovSampler
 
 from util import (
+    advantages_reference,
     compute_exact_objective,
     dense_policy_batch,
     permute_momdp,
     permute_tabular_policy,
     random_momdp,
     random_policy,
+    random_sparse_momdp,
     sample_step,
     single_chain_env,
     two_state_env,
@@ -513,3 +515,23 @@ class TestExactObjective:
             j1 = compute_exact_objective(env, policy, setting)
             j2 = compute_exact_objective(env2, policy2, setting)
             assert np.allclose(j1, j2, atol=1e-10)
+
+
+class TestAdvantages:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sparse=st.booleans(),
+        setting=st.sampled_from([AVERAGE, DISCOUNTED]),
+        n_states=st.integers(2, 40),
+        n_actions=st.integers(1, 4),
+        n_objectives=st.integers(1, 3),
+    )
+    def test_equal_to_dense_einsum(self, seed, sparse, setting, n_states, n_actions, n_objectives):
+        # the next-state expectation P V must keep every bit of the dense einsum
+        rng = np.random.default_rng(seed)
+        build = random_sparse_momdp if sparse else random_momdp
+        env = build(rng, n_states, n_actions, n_objectives)
+        policy = random_policy(rng, n_states, n_actions, scale=float(rng.uniform(0.0, 3.0)))
+        evaluation = PolicyEvaluation(env, policy, setting)
+        assert np.array_equal(evaluation.advantages, advantages_reference(evaluation))

@@ -113,6 +113,14 @@ class TestScoreFunction:
             assert stacked.shape == (M, S * A)
             assert np.array_equal(stacked, np.stack([policy.score_weighted_sum(c) for c in coeff]))
 
+    def test_given_probabilities_change_nothing(self):
+        rng = np.random.default_rng(7)
+        S, A = 93, 4
+        policy = PolicyParams(rng.normal(size=S * A), S, A)
+        coeff = rng.normal(size=(3, S, A))
+        assert np.array_equal(policy.score_weighted_sum(coeff, policy.probability_matrix()),
+                              policy.score_weighted_sum(coeff))
+
 
 class TestFeatureMaps:
     def test_default_map_satisfies_conditions(self):

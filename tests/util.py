@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from morlab import AVERAGE, LoggedDataset, ParameterError, PolicyEvaluation, PolicyParams, TabularMomdp
+from morlab import AVERAGE, LoggedDataset, ModelError, ParameterError, PolicyEvaluation, PolicyParams, TabularMomdp
 from morlab.critic import CriticState, run_critic
 from morlab.experiment import load_metrics_csv
 from morlab.momdp import MarkovSampler
@@ -31,6 +31,23 @@ def random_momdp(rng: np.random.Generator, n_states: int = 4, n_actions: int = 2
     init = rng.dirichlet(np.ones(n_states))
     return TabularMomdp(n_states, n_actions, n_objectives, P, R,
                         np.asarray(discounts, dtype=float), init)
+
+
+def random_sparse_momdp(rng: np.random.Generator, n_states: int, n_actions: int,
+                        n_objectives: int, successors: int = 3) -> TabularMomdp:
+    """Random MOMDP with at most ``successors`` + 1 next states per (s, a):
+    Dirichlet weights on a random subset, plus the step s -> s + 1 (mod S)
+    under every action, which keeps every chain irreducible."""
+    S, A = n_states, n_actions
+    P = np.zeros((S, A, S))
+    for s in range(S):
+        for a in range(A):
+            cells = rng.choice(S, size=min(successors, S), replace=False)
+            P[s, a, cells] = 0.8 * rng.dirichlet(np.ones(cells.size))
+            P[s, a, (s + 1) % S] += 0.2
+    R = rng.uniform(0.0, 1.0, size=(n_objectives, S, A))
+    discounts = rng.uniform(0.6, 0.95, size=n_objectives)
+    return TabularMomdp(S, A, n_objectives, P, R, discounts, np.full(S, 1.0 / S))
 
 
 def random_policy(rng: np.random.Generator, n_states: int, n_actions: int,
@@ -327,6 +344,39 @@ def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         w -= np.linalg.solve(A[i], A[i] @ w + b[i])
         w_star[i] = w
     return w_star
+
+
+def advantages_reference(evaluation: PolicyEvaluation) -> np.ndarray:
+    """Reference for ``PolicyEvaluation.advantages``: Q - V with the next-state
+    expectation P V as one dense ``einsum`` over the (S, A, S) transition
+    tensor."""
+    env = evaluation.env
+    V, _ = evaluation.values
+    PV = np.einsum("sax,mx->msa", env.transition, V)
+    Q = env.reward - evaluation.offset[:, None, None] + evaluation.gamma[:, None, None] * PV
+    return Q - V[:, :, None]
+
+
+def eigvalsh_margin(a: np.ndarray) -> float:
+    """Reference for the negative-definiteness gate of one TD slice ``a``: the
+    margin -lambda_max(a + a^T) from a full ``eigvalsh``; ``ModelError`` with
+    the library's message when it is at most 1e-10."""
+    margin = -np.linalg.eigvalsh(a + a.T)[-1]
+    if margin <= 1e-10:
+        raise ModelError(
+            "TD matrix is not negative definite for this (environment, policy, features) "
+            f"triple: margin {margin:.2e} <= 1e-10"
+        )
+    return margin
+
+
+def td_margin_reference(evaluation: PolicyEvaluation, features) -> float:
+    """Reference for the gate of ``compute_td_fixed_point`` and for its
+    ``lambda_A``: ``eigvalsh_margin`` of the TD slice of each distinct
+    discount, in ascending order, eagerly; the smallest margin is returned."""
+    d2 = features.dim
+    P, d_lead = evaluation.P[:d2, :d2], evaluation.d[:d2, None]
+    return min(eigvalsh_margin(d_lead * (g * P - np.eye(d2))) for g in np.unique(evaluation.gamma))
 
 
 def permute_momdp(env: TabularMomdp, perm: np.ndarray) -> TabularMomdp:
