@@ -5,7 +5,9 @@ For each config below the corpus holds the digest of every file ``morlab run``
 writes (seed CSVs and JSONL, ``.DONE`` markers, ``summary.json`` and
 ``config.ini``) and of the raw bytes of each seed's ``run_moac`` result: the
 metrics records, the final and sampled theta, ``t_hat`` and
-``lambda_initial``. It also records the Python, numpy and scipy versions the
+``lambda_initial``. It also holds the digest of one logged-data file: the
+sampler's long draw in ``generate_logged_data``, whose states and actions
+reach the file directly. It also records the Python, numpy and scipy versions the
 digests were made with; floating-point results may differ under others.
 
 A change that moves the seeded stream regenerates the file and says why:
@@ -73,6 +75,11 @@ CONFIGS = {
 }
 
 
+# the logged-data file: generate_logged_data on resource_gathering under the
+# policy of N(0, 1) logits drawn with LOG_POLICY_SEED
+LOG_POLICY_SEED, LOG_RECORDS, LOG_SEED = 18, 20_000, 2024
+
+
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
@@ -131,12 +138,27 @@ def config_digests(name: str, workdir: Path) -> dict:
     return {"files": files, "run_moac": results}
 
 
+def logged_data_digest(workdir: Path) -> str:
+    """Digest of the ``save_logged_data`` bytes of the corpus log, written in
+    ``workdir``."""
+    from morlab import PolicyParams, build_resource_gathering, generate_logged_data, save_logged_data
+
+    env = build_resource_gathering()
+    S, A = env.n_states, env.n_actions
+    policy = PolicyParams(np.random.default_rng(LOG_POLICY_SEED).normal(size=S * A), S, A)
+    path = workdir / "log.jsonl"
+    save_logged_data(generate_logged_data(env, policy, n=LOG_RECORDS, seed=LOG_SEED), str(path))
+    return _sha(path.read_bytes())
+
+
 def build_corpus() -> dict:
     configs = {}
     for name in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
             configs[name] = config_digests(name, Path(tmp))
-    return {"versions": versions(), "configs": configs}
+    with tempfile.TemporaryDirectory() as tmp:
+        logged_data = logged_data_digest(Path(tmp))
+    return {"versions": versions(), "configs": configs, "logged_data": logged_data}
 
 
 def main():

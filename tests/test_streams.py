@@ -1,6 +1,7 @@
 """The stream corpus: each config of ``tests/data/make_streams.py`` rerun and
 its digests compared with ``tests/data/streams.json``, so a change that moves
-the seeded stream or any file ``morlab run`` writes fails here by name."""
+the seeded stream, any file ``morlab run`` writes or the corpus logged-data
+file fails here by name."""
 
 import importlib.util
 import json
@@ -20,12 +21,16 @@ def test_corpus_covers_every_config():
     assert sorted(CORPUS["configs"]) == sorted(make_streams.CONFIGS)
 
 
-@pytest.mark.parametrize("name", sorted(make_streams.CONFIGS))
-def test_stream_digests_unchanged(name, tmp_path):
+def check_versions():
     # floating-point streams are only comparable under the versions that made them
     assert make_streams.versions() == CORPUS["versions"], (
         f"the corpus was made with {CORPUS['versions']}, this interpreter has "
         f"{make_streams.versions()}")
+
+
+@pytest.mark.parametrize("name", sorted(make_streams.CONFIGS))
+def test_stream_digests_unchanged(name, tmp_path):
+    check_versions()
     want = CORPUS["configs"][name]
     got = make_streams.config_digests(name, tmp_path)
     assert sorted(got["files"]) == sorted(want["files"]), f"{name}: the run wrote other files"
@@ -34,3 +39,9 @@ def test_stream_digests_unchanged(name, tmp_path):
     for seed, digests in want["run_moac"].items():
         for part, digest in digests.items():
             assert got["run_moac"][seed][part] == digest, f"{name}: run_moac {seed} {part} changed"
+
+
+def test_logged_data_digest_unchanged(tmp_path):
+    check_versions()
+    assert make_streams.logged_data_digest(tmp_path) == CORPUS["logged_data"], \
+        "the logged-data file changed"
