@@ -105,14 +105,13 @@ def estimate_objective_gradients(
     setting: str,
     features: FeatureMap,
     mu_step: float,
-    probs: np.ndarray | None = None,
+    probs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average delta * score per objective over one chained actor batch.
 
     ``batch`` is the (states, actions, next_states) triple of B steps drawn
-    under ``policy``, whose ``probability_matrix()`` the caller may pass as
-    ``probs``. Returns the (M, dim) gradient estimates and the (M,) batch
-    reward means.
+    under ``policy``, whose ``probability_matrix()`` is ``probs``. Returns the
+    (M, dim) gradient estimates and the (M,) batch reward means.
 
     The per-sample TD errors reuse the critic's weight vectors; in the average
     setting the actor keeps its own reward trackers, started at zero for the

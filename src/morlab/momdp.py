@@ -88,19 +88,22 @@ class TabularMomdp:
     def transition_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Non-zero pattern of ``transition``, cached for sparse sampling.
 
-        Returns (actions, next_states, real), each of shape (S, K) with K the
-        most non-zero (a, s') cells of any state. Row s lists its cells in
-        row-major (a, s') order and ``real`` marks them; the padding on the
-        right points at cell (0, 0).
+        Returns (actions, next_states, cell_probs), each of shape (S, K) with K
+        the most non-zero (a, s') cells of any state. Row s lists its cells in
+        row-major (a, s') order with their probabilities P(s' | s, a); the
+        padding on the right points at cell (0, 0) with probability exactly 0.0.
         """
         S = self.n_states
-        nonzero = self.transition.reshape(S, -1) != 0
+        flat = self.transition.reshape(S, -1)
+        nonzero = flat != 0
         counts = nonzero.sum(axis=1)
-        real = np.arange(counts.max()) < counts[:, None]
-        cells = np.zeros(real.shape, dtype=np.int64)
-        cells[real] = np.flatnonzero(nonzero) % nonzero.shape[1]
+        filled = np.arange(counts.max()) < counts[:, None]
+        cells = np.zeros(filled.shape, dtype=np.int64)
+        cells[filled] = np.flatnonzero(nonzero) % flat.shape[1]
+        cell_probs = np.zeros(filled.shape)
+        cell_probs[filled] = flat[nonzero]
         actions, next_states = np.divmod(cells, S)
-        return actions, next_states, real
+        return actions, next_states, cell_probs
 
     @cached_property
     def reward_rows(self) -> np.ndarray:
@@ -175,63 +178,57 @@ class MarkovSampler:
         self.env = env
         self.rng = np.random.default_rng(seed)
         self.state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
+        self._next_state_of_cell = env.transition_support[1].ravel().tolist()
 
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
 
         Uses one uniform per step against the joint (action, next-state) law of
-        the current state; returns index arrays so batch arithmetic stays
-        vectorized downstream. The step loop records the state path only; the
-        drawn cell of each step is recovered after it.
+        the current state. The step loop records the flat index K * s + j of
+        the cell (a, s') each step draws from ``transition_support``; states,
+        actions and next states are gathers of that one index array, so batch
+        arithmetic stays vectorized downstream.
         """
         probs = np.asarray(action_probs, dtype=float)
         shape = (self.env.n_states, self.env.n_actions)
         if probs.shape != shape:
             raise ParameterError(f"action probabilities must have shape {shape}, got {probs.shape}")
-        cum, actions, next_states = self._policy_table(probs)
-        cum_rows, next_rows = cum.tolist(), next_states.tolist()
-        us = self.rng.random(n)
-        s = self.state
-        path = [s := next_rows[s][bisect_right(cum_rows[s], u)] for u in us.tolist()]
-        next_arr = np.array(path, dtype=np.int64)
-        states = np.empty(n, dtype=np.int64)
-        states[:1] = self.state
-        states[1:] = next_arr[:-1]
-        self.state = s
-        # a right bisection of a sorted row counts its entries <= u; count by
-        # binary lifting on the flat table, O(n log K) with O(n) temporaries.
-        # Each row ends in 1.0 > u, so a probe clipped to it never counts.
+        cum = self._policy_table(probs)
         K = cum.shape[1]
-        cells = states * K
-        last = cells + (K - 1)
-        bit = 1 << (K.bit_length() - 1)
-        while bit:
-            cells += bit * (cum.ravel()[np.minimum(cells + (bit - 1), last)] <= us)
-            bit >>= 1
-        return states, actions.ravel()[cells], next_arr
+        cum_rows, next_state_of_cell = cum.tolist(), self._next_state_of_cell
+        s = self.state
+        cells = []
+        for u in self.rng.random(n).tolist():
+            c = K * s + bisect_right(cum_rows[s], u)
+            cells.append(c)
+            s = next_state_of_cell[c]
+        self.state = s
+        cells = np.array(cells, dtype=np.int64)
+        actions, next_states, _ = self.env.transition_support
+        return cells // K, actions.ravel()[cells], next_states.ravel()[cells]
 
-    def _policy_table(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-state cumulative joint law over the non-zero transition cells.
+    def _policy_table(self, probs: np.ndarray) -> np.ndarray:
+        """(S, K) per-state cumulative joint law over the cells of ``transition_support``.
 
-        The row-wise sequential cumsum leaves out only cells whose transition
-        probability, and so whose joint probability, is exactly 0.0. Adding
-        0.0 leaves a float sum unchanged, so each entry equals the dense
-        (S, A*S) cumsum at its cell, and a right bisection picks the same cell
-        as ``np.searchsorted(..., side="right")`` over the dense row would.
+        Each cell's joint probability is pi(a | s) times its transition
+        probability; on the padding that product is +0.0, since both factors
+        are >= 0. The row-wise sequential cumsum leaves out only cells whose
+        transition probability, and so whose joint probability, is exactly
+        0.0. Adding 0.0 leaves a float sum unchanged, so each entry equals the
+        dense (S, A*S) cumsum at its cell, and a right bisection picks the same
+        cell as ``np.searchsorted(..., side="right")`` over the dense row would.
         The last real entry of each row is exactly 1.0 and every uniform is
         below it, so the padding is never drawn.
         """
         env = self.env
         if not np.all((probs >= 0) & (probs <= 1)):
             raise ParameterError("action probabilities must lie in [0, 1]")
-        actions, next_states, real = env.transition_support
-        rows = np.arange(env.n_states)[:, None]
-        joint = np.where(real, probs[rows, actions] * env.transition[rows, actions, next_states], 0.0)
-        cum = joint.cumsum(axis=1)
+        actions, _, cell_probs = env.transition_support
+        cum = (probs[np.arange(env.n_states)[:, None], actions] * cell_probs).cumsum(axis=1)
         if not np.all(cum[:, -1] > 0):
             raise ParameterError("every state needs an action of positive probability")
         cum /= cum[:, -1:]
-        return cum, actions, next_states
+        return cum
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,14 @@ class PolicyParams:
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    def score_weighted_sum(self, coeff: np.ndarray, probs: np.ndarray | None = None) -> np.ndarray:
+    def score_weighted_sum(self, coeff: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """sum_{s,a} coeff[s, a] * score(s, a), assembled blockwise.
 
         The softmax score for (s, a) only touches the logit block of state s,
         so the sum collapses to coeff[s, :] - (sum_a coeff[s, a]) * pi(.|s) per
         block. A stacked (M, S, A) ``coeff`` gives all M sums, shape (M, dim),
-        at once. ``probs`` is this policy's ``probability_matrix()``, if the
-        caller has it already.
+        at once. ``probs`` is this policy's ``probability_matrix()``.
         """
-        if probs is None:
-            probs = self.probability_matrix()
         block = coeff - probs * coeff.sum(axis=-1, keepdims=True)
         return block.reshape(coeff.shape[:-2] + (-1,))
 

@@ -744,6 +744,7 @@ class TestCliCommands:
         ("ncis", "dataset", None),
         ("ncis", "dataset", b"\xff\xfe{"),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
+        ("ncis", "dataset", '{"s": 0, "a": 0, "r": [], "pb": 0.5}\n'),
         ("run", "env", "n_states: 2"),
         ("run", "env", "[2, 2, 2]"),
         ("run", "env", None),
@@ -752,7 +753,7 @@ class TestCliCommands:
         ("run", "out", ""),
     ], ids=["policy-not-json", "policy-without-theta", "policy-list", "policy-linear",
             "dataset-directory",
-            "dataset-not-utf8", "dataset-nan-reward",
+            "dataset-not-utf8", "dataset-nan-reward", "dataset-empty-reward",
             "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
             "env-missing", "out-is-a-file"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):

@@ -61,7 +61,7 @@ class TestGradientEstimates:
         policy = uniform_policy(env)
         grads, reward_mean = estimate_objective_gradients(
             env, policy, np.zeros((2, 1)), draw(env, 0, policy, 64), DISCOUNTED,
-            default_feature_map(2), 0.05
+            default_feature_map(2), 0.05, policy.probability_matrix()
         )
         assert np.all(grads == 0.0)
         assert np.all(reward_mean == 0.0)
@@ -76,7 +76,8 @@ class TestGradientEstimates:
         fp = compute_td_fixed_point(evaluation, features)
         B = 100_000
         grads, _ = estimate_objective_gradients(
-            env, policy, fp.w_star, draw(env, 7, policy, B), DISCOUNTED, features, 0.05
+            env, policy, fp.w_star, draw(env, 7, policy, B), DISCOUNTED, features, 0.05,
+            policy.probability_matrix()
         )
         budget = 3.0 * (2.0 * env.r_max + 2.0 * fp.r_w_bound) / np.sqrt(B)
         for i in range(2):
@@ -107,7 +108,7 @@ class TestGradientEstimates:
         policy = uniform_policy(env)
         grads, reward_mean = estimate_objective_gradients(
             env, policy, np.zeros((2, 1)), draw(env, 3, policy, 32), AVERAGE,
-            default_feature_map(2), 0.1
+            default_feature_map(2), 0.1, policy.probability_matrix()
         )
         assert np.all(np.isfinite(grads))
         assert reward_mean.shape == (2,)
@@ -123,7 +124,8 @@ class TestGradientEstimates:
         features = default_feature_map(env.n_states)
         w = rng.normal(0.0, 1.0, size=(n_objectives, features.dim))
         batch = draw(env, 9, policy, 300)
-        got = estimate_objective_gradients(env, policy, w, batch, setting, features, 0.4)
+        got = estimate_objective_gradients(env, policy, w, batch, setting, features, 0.4,
+                                           policy.probability_matrix())
         want = objective_gradients_reference(env, policy, w, batch, setting, features, 0.4)
         for g, r in zip(got, want):
             assert g.tobytes() == r.tobytes()
@@ -199,7 +201,7 @@ class TestRunMoac:
         critic = run_critic(env, [x[:n_critic] for x in batch], critic, features, DISCOUNTED)
         grads, _ = estimate_objective_gradients(
             env, policy, critic.weights, [x[n_critic:] for x in batch],
-            DISCOUNTED, features, config.actor_step_size,
+            DISCOUNTED, features, config.actor_step_size, policy.probability_matrix(),
         )
         lam_hat, _ = solve_min_norm(grads)
         assert np.allclose(res.records[0].lam, lam_hat.values, atol=1e-14)

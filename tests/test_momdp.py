@@ -274,6 +274,25 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_step(sampler, 7)
 
+    @pytest.mark.parametrize("seed", [None, 5, 6])
+    def test_transition_support_cells_and_probabilities(self, seed):
+        # resource_gathering (seed None) and random sparse models, all with padded rows
+        env = (build_resource_gathering() if seed is None
+               else random_sparse_momdp(np.random.default_rng(seed), 30, 3, 1))
+        actions, next_states, cell_probs = env.transition_support
+        S, K = env.n_states, cell_probs.shape[1]
+        padded = 0
+        for s in range(S):
+            nonzero = np.flatnonzero(env.transition[s])
+            k = nonzero.size
+            a, ns = actions[s, :k], next_states[s, :k]
+            assert np.array_equal(a * S + ns, nonzero)   # row-major (a, s') order
+            assert np.array_equal(cell_probs[s, :k], env.transition[s, a, ns])
+            assert not np.any(actions[s, k:]) and not np.any(next_states[s, k:])
+            assert cell_probs[s, k:].tobytes() == bytes(8 * (K - k))   # +0.0, bit for bit
+            padded += K - k
+        assert padded > 0
+
 
 def paired_samplers(env: TabularMomdp, seed: int = 7):
     """Library sampler and dense-reference sampler, seeded alike."""
@@ -298,7 +317,7 @@ SAMPLER_ENVS = {"fishwood": lambda: build_fishwood(0.25, 0.65),
 
 class TestPolicyBatchMatchesDenseReference:
     @pytest.mark.parametrize("env_name", sorted(SAMPLER_ENVS))
-    @pytest.mark.parametrize("n", [1, 50, 128, 500])
+    @pytest.mark.parametrize("n", [0, 1, 50, 128, 500])
     def test_alternating_policies(self, env_name, n):
         env = SAMPLER_ENVS[env_name]()
         rng = np.random.default_rng(n)

@@ -145,7 +145,7 @@ def score_function(policy: PolicyParams, state: int, action: int) -> np.ndarray:
     with a one-hot coefficient."""
     coeff = np.zeros((policy.n_states, policy.n_actions))
     coeff[state, action] = 1.0
-    return policy.score_weighted_sum(coeff)
+    return policy.score_weighted_sum(coeff, policy.probability_matrix())
 
 
 def ncis_score(dataset: LoggedDataset, candidate: PolicyParams, cap: float, objective: int) -> float:
@@ -206,7 +206,7 @@ def visitation_policy_gradient(evaluation: PolicyEvaluation) -> np.ndarray:
     weights = np.stack([np.linalg.solve((eye - gamma * evaluation.P).T, env.initial_distribution)
                         for gamma in env.discounts])
     coeff = weights[:, :, None] * evaluation.probs * evaluation.advantages
-    return evaluation.policy.score_weighted_sum(coeff)
+    return evaluation.policy.score_weighted_sum(coeff, evaluation.probs)
 
 
 def finite_difference_gradient(env: TabularMomdp, theta: np.ndarray, objective: int,
@@ -440,7 +440,7 @@ def objective_gradients_reference(env: TabularMomdp, policy: PolicyParams, weigh
     s, a, _ = batch
     buckets = np.zeros((M, env.n_states, env.n_actions))
     np.add.at(buckets, (slice(None), s, a), delta)
-    return policy.score_weighted_sum(buckets / len(s)), r.mean(axis=1)
+    return policy.score_weighted_sum(buckets / len(s), policy.probability_matrix()), r.mean(axis=1)
 
 
 def min_norm_reference(gradients) -> tuple[np.ndarray, float]:
