@@ -39,7 +39,7 @@ class LoggedDataset:
         if self.actions.shape != (n,) or self.behavior_probs.shape != (n,):
             raise DataError("actions and behavior_probs must match the number of records")
         if self.rewards.ndim != 2 or self.rewards.shape[0] != n or self.rewards.shape[1] == 0:
-            raise DataError("rewards must have shape (n_records, n_objectives) with at least one objective")
+            raise DataError("rewards must have shape (n_records, n_objectives), n_objectives >= 1")
         if not np.all((self.behavior_probs > 0.0) & (self.behavior_probs <= 1.0)):
             raise DataError("every behavior probability must be finite and lie in (0, 1]")
         if not np.all(np.isfinite(self.rewards)):
