@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelError, ParameterError
 
@@ -93,16 +91,8 @@ class TabularMomdp:
         row-major (a, s') order with their probabilities P(s' | s, a); the
         padding on the right points at cell (0, 0) with probability exactly 0.0.
         """
-        S = self.n_states
-        flat = self.transition.reshape(S, -1)
-        nonzero = flat != 0
-        counts = nonzero.sum(axis=1)
-        filled = np.arange(counts.max()) < counts[:, None]
-        cells = np.zeros(filled.shape, dtype=np.int64)
-        cells[filled] = np.flatnonzero(nonzero) % flat.shape[1]
-        cell_probs = np.zeros(filled.shape)
-        cell_probs[filled] = flat[nonzero]
-        actions, next_states = np.divmod(cells, S)
+        cells, cell_probs = _padded_rows(self.transition.reshape(self.n_states, -1))
+        actions, next_states = np.divmod(cells, self.n_states)
         return actions, next_states, cell_probs
 
     @cached_property
@@ -112,9 +102,12 @@ class TabularMomdp:
         return np.ascontiguousarray(self.reward.reshape(self.n_objectives, -1).T)
 
     @cached_property
-    def transition_rows(self) -> csr_matrix:
-        """``transition`` as a CSR (S * A, S) matrix, row s * A + a the law of s'."""
-        return csr_matrix(self.transition.reshape(self.n_states * self.n_actions, self.n_states))
+    def transition_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``transition`` as padded rows (next_states, probs), each of shape
+        (S * A, R): row s * A + a lists the R or fewer next states s' of
+        P(s' | s, a) > 0 in increasing order, padded on the right with state 0
+        and probability exactly 0.0."""
+        return _padded_rows(self.transition.reshape(self.n_states * self.n_actions, self.n_states))
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,9 +126,9 @@ class TabularMomdp:
     def from_json_dict(cls, doc: dict) -> "TabularMomdp":
         try:
             fields = dict(
-                n_states=int(doc["n_states"]),
-                n_actions=int(doc["n_actions"]),
-                n_objectives=int(doc["n_objectives"]),
+                n_states=_json_int(doc, "n_states"),
+                n_actions=_json_int(doc, "n_actions"),
+                n_objectives=_json_int(doc, "n_objectives"),
                 transition=np.asarray(doc["transition"], dtype=float),
                 reward=np.asarray(doc["reward"], dtype=float),
                 discounts=np.asarray(doc["discounts"], dtype=float),
@@ -146,6 +139,21 @@ class TabularMomdp:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParameterError(f"bad environment document: {exc!r}") from exc
         return cls(**fields)
+
+
+def _padded_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, values) of the non-zero entries of each row of the 2-D
+    ``table``, each of shape (rows, K) with K the most of any row; a row lists
+    its entries in column order, padded on the right with column 0 and value
+    exactly 0.0."""
+    nonzero = table != 0
+    counts = nonzero.sum(axis=1)
+    filled = np.arange(counts.max()) < counts[:, None]
+    columns = np.zeros(filled.shape, dtype=np.int64)
+    columns[filled] = np.flatnonzero(nonzero) % table.shape[1]
+    values = np.zeros(filled.shape)
+    values[filled] = table[nonzero]
+    return columns, values
 
 
 def save_env_json(env: TabularMomdp, path: str):
@@ -160,6 +168,15 @@ def read_json(path: str):
             return json.load(fh)
         except ValueError as exc:   # also a file that is not UTF-8
             raise ParameterError(f"{path} is not a JSON file: {exc}") from exc
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer: a float such as 4.9 or 2.0,
+    a string or a bool raises TypeError rather than being truncated."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 def load_env_json(path: str) -> TabularMomdp:
@@ -401,21 +418,23 @@ def build_resource_gathering(discount: float = 0.9, attack_prob: float = 0.1) ->
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _component_count(shape: tuple[int, int], pattern: bytes) -> int:
-    """Strong components of the graph with boolean adjacency ``pattern`` of ``shape``."""
+def _strongly_connected(shape: tuple[int, int], pattern: bytes) -> bool:
+    """Whether every state of the graph with boolean adjacency ``pattern`` of
+    ``shape`` reaches every other: a search from state 0 along the edges and
+    along the reversed edges reaches all states. Each state enters a frontier
+    at most once, so a search reads O(S^2) entries."""
     adjacency = np.frombuffer(pattern, dtype=bool).reshape(shape)
-    return connected_components(csr_matrix(adjacency), directed=True, connection="strong")[0]
-
-
-def _check_irreducible(P: np.ndarray):
-    # a softmax policy never changes the non-zero pattern of P_pi, so the
-    # graph search runs once per pattern
-    n_comp = _component_count(P.shape, (P > 0).tobytes())
-    if n_comp != 1:
-        raise ModelError(
-            f"induced chain is reducible ({n_comp} strongly connected components); "
-            "no unique stationary distribution"
-        )
+    for edges in (adjacency, adjacency.T):
+        seen = np.zeros(shape[0], dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            reached = edges[frontier].any(axis=0) & ~seen
+            seen |= reached
+            frontier = np.flatnonzero(reached)
+        if not seen.all():
+            return False
+    return True
 
 
 def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -425,9 +444,18 @@ def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
     sum(d) = 1), clipped at 0, normalised and polished by 8 exact power
     steps. ModelError if the pattern of P is reducible, if the solve finds
     the equations singular (a chain reducible in floating point) or if the
-    residual max|d P - d| is above 1e-10.
+    residual max|d P - d| is above 1e-10. ParameterError if P is not a
+    non-empty square matrix or has a negative entry.
     """
-    _check_irreducible(P)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise ParameterError(f"kernel must be a non-empty square matrix, got shape {P.shape}")
+    if np.any(P < 0):
+        raise ParameterError("kernel entries must be non-negative")
+    # a softmax policy never changes the non-zero pattern of P_pi, so the
+    # graph search runs once per pattern
+    if not _strongly_connected(P.shape, (P > 0).tobytes()):
+        raise ModelError("induced chain is reducible (some state cannot reach another); "
+                         "no unique stationary distribution")
     n = P.shape[0]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
@@ -519,8 +547,15 @@ class PolicyEvaluation:
             PV = np.einsum("sax,mx->msa", env.transition, V)
         else:
             # a strided V (the Poisson solve's) einsum sums in x order, one term
-            # at a time, as the CSR product does: the same bits at a twentieth of the cost
-            PV = (env.transition_rows @ V.T).T.reshape(V.shape[0], env.n_states, env.n_actions)
+            # at a time; so does this sum over the padded rows, from +0.0, in
+            # increasing s': the same bits at a twentieth of the cost. A padded
+            # term is +-0.0 and leaves every partial sum unchanged
+            next_states, probs = env.transition_rows
+            terms = probs * V.take(next_states, axis=1)   # (M, S * A, R)
+            PV = np.zeros(terms.shape[:2])
+            for j in range(terms.shape[2]):
+                PV += terms[:, :, j]
+            PV = PV.reshape(V.shape[0], env.n_states, env.n_actions)
         Q = env.reward - self.offset[:, None, None] + self.gamma[:, None, None] * PV
         return Q - V[:, :, None]
 

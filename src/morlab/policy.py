@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .momdp import PolicyEvaluation, TabularMomdp, read_json
+from .momdp import PolicyEvaluation, TabularMomdp, _json_int, read_json
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def load_policy_json(path: str) -> PolicyParams:
         kind = doc.get("kind", "tabular")
         fields = dict(
             theta=np.asarray(doc["theta"], dtype=float),
-            n_states=int(doc["n_states"]),
-            n_actions=int(doc["n_actions"]),
+            n_states=_json_int(doc, "n_states"),
+            n_actions=_json_int(doc, "n_actions"),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParameterError(f"bad policy document: {exc!r}") from exc

@@ -4,6 +4,7 @@ morlab configs and policies itself."""
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 import types
@@ -72,3 +73,29 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 failure(s)"
+
+
+_NO_SCIPY = """
+import sys
+import morlab, morlab.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"import: {loaded}"
+from morlab.mgda import MomentumSchedule
+config = morlab.MoacConfig(setting=morlab.DISCOUNTED, actor_iterations=5, actor_batch_size=16,
+                           actor_step_size=0.03, momentum=MomentumSchedule("power", 1.0),
+                           critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
+                           seed=7, oracle_diagnostics=True, oracle_every=1)
+result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
+assert all(rec.pareto_gap is not None for rec in result.records)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"discounted run: {loaded}"
+"""
+
+
+def test_import_and_discounted_oracle_run_load_no_scipy():
+    # scipy.signal loads with the first average-setting batch; nothing else
+    # in morlab imports scipy
+    src = Path(morlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

@@ -741,6 +741,7 @@ class TestCliCommands:
         ("ncis", "policy", json.dumps({"kind": "linear", "n_states": 4, "n_actions": 2,
                                        "theta": [0.0, 0.0],
                                        "state_features": [[1.0], [0.0], [0.0], [1.0]]})),
+        ("ncis", "policy", json.dumps({"n_states": 4, "n_actions": "2", "theta": [0.0] * 8})),
         ("ncis", "dataset", None),
         ("ncis", "dataset", b"\xff\xfe{"),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
@@ -749,13 +750,14 @@ class TestCliCommands:
         ("run", "env", "[2, 2, 2]"),
         ("run", "env", None),
         ("run", "env", json.dumps({k: v for k, v in _FISHWOOD_DOC.items() if k != "n_objectives"})),
+        ("run", "env", json.dumps({**_FISHWOOD_DOC, "n_states": 4.9})),
         ("run", "env", MISSING),
         ("run", "out", ""),
     ], ids=["policy-not-json", "policy-without-theta", "policy-list", "policy-linear",
-            "dataset-directory",
+            "policy-string-actions", "dataset-directory",
             "dataset-not-utf8", "dataset-nan-reward", "dataset-empty-reward",
             "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
-            "env-missing", "out-is-a-file"])
+            "env-float-states", "env-missing", "out-is-a-file"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):
         # content None makes the file a directory
         bad = tmp_path / "bad"

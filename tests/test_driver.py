@@ -413,18 +413,18 @@ class TestOracleCost:
         dims = [np.ndim(args[0]) for args in solves]
         assert dims.count(2) == 4 and dims.count(3) == 1 and len(dims) == 5
 
-    def test_run_searches_the_graph_once(self, monkeypatch):
+    def test_run_searches_the_graph_once(self):
         import morlab.momdp
 
-        searches = self.counting(monkeypatch, morlab.momdp, "connected_components")
-        morlab.momdp._component_count.cache_clear()
+        search = morlab.momdp._strongly_connected
+        search.cache_clear()
         config = MoacConfig(setting=AVERAGE, actor_iterations=20, actor_batch_size=32,
                             actor_step_size=0.5, momentum=MomentumSchedule("power", 1.0),
                             critic_step_size=0.3, critic_iterations=2, critic_batch_size=50,
                             seed=3, oracle_diagnostics=True, oracle_every=1)
         res = run_moac(build_resource_gathering(), config)
         assert all(rec.pareto_gap is not None for rec in res.records)
-        assert len(searches) == 1
+        assert search.cache_info().misses == 1
 
     @pytest.mark.parametrize("oracle", [True, False])
     def test_one_softmax_per_iteration_and_no_eigvalsh(self, monkeypatch, oracle):

@@ -481,18 +481,47 @@ class TestStationary:
         assert "periodic" not in str(info.value)
 
     def test_pattern_cache_stays_bounded(self):
-        from morlab.momdp import _component_count
+        from morlab.momdp import _strongly_connected
 
         n = 8
         cycle = np.roll(np.eye(n), 1, axis=1)
-        maxsize = _component_count.cache_info().maxsize
+        maxsize = _strongly_connected.cache_info().maxsize
         assert maxsize is not None
         for mask in range(2 * maxsize + 5):  # distinct self-loop patterns
             P = cycle + np.diag([(mask >> k) & 1 for k in range(n)])
             P /= P.sum(axis=1, keepdims=True)
             d = compute_stationary_distribution(P)
             assert np.allclose(d @ P, d, atol=1e-12)
-            assert _component_count.cache_info().currsize <= maxsize
+            assert _strongly_connected.cache_info().currsize <= maxsize
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 15),
+           density=st.floats(0.0, 1.0), planted=st.booleans())
+    def test_graph_search_agrees_with_scipy(self, seed, n, density, planted):
+        # planted: no edge leaves a random proper subset of states, so the
+        # graph is reducible whenever n > 1
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        from morlab.momdp import _strongly_connected
+
+        rng = np.random.default_rng(seed)
+        pattern = rng.random((n, n)) < density
+        if planted and n > 1:
+            closed = rng.permutation(n)[:rng.integers(1, n)]
+            pattern[np.ix_(closed, np.setdiff1d(np.arange(n), closed))] = False
+        expected = connected_components(csr_matrix(pattern), directed=True,
+                                        connection="strong")[0] == 1
+        assert _strongly_connected(pattern.shape, pattern.tobytes()) == expected
+
+    @pytest.mark.parametrize("P, problem", [
+        (np.full((2, 3), 1.0 / 3.0), "square"),
+        (np.array([0.5, 0.5]), "square"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), "non-negative"),
+    ], ids=["non-square", "one-dim", "negative-entry"])
+    def test_bad_kernel_raises_parameter_error(self, P, problem):
+        with pytest.raises(ParameterError, match=problem):
+            compute_stationary_distribution(P)
 
     def test_policy_shape_mismatch_rejected(self):
         env = two_state_env()
