@@ -80,9 +80,8 @@ import sys
 import morlab, morlab.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"import: {loaded}"
-from morlab.mgda import MomentumSchedule
 config = morlab.MoacConfig(setting=morlab.DISCOUNTED, actor_iterations=5, actor_batch_size=16,
-                           actor_step_size=0.03, momentum=MomentumSchedule("power", 1.0),
+                           actor_step_size=0.03, momentum=morlab.MomentumSchedule("power", 1.0),
                            critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
                            seed=7, oracle_diagnostics=True, oracle_every=1)
 result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
