@@ -153,11 +153,16 @@ def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_s
     r = np.take(env.reward_rows, s_arr * env.n_actions + a_arr, axis=0).T
     if setting != AVERAGE:
         return r, r, mu
-    # a one-tap IIR filter, imported here so discounted runs never load scipy.signal
-    from scipy.signal import lfilter
-    keep = 1.0 - step_size
-    path, _ = lfilter([step_size], [1.0, -keep], r, axis=1, zi=(keep * mu)[:, None])
-    return r - path, r, path[:, -1].copy()
+    # the tracker recursion over Python floats, one objective at a time; the
+    # rows are rebuilt C-ordered, the layout the critic's update reads
+    keep = 1.0 - float(step_size)
+    rows, last = (step_size * r).tolist(), mu.tolist()
+    for i, row in enumerate(rows):
+        y = last[i]
+        for t, c in enumerate(row):
+            row[t] = y = keep * y + c
+        last[i] = y
+    return r - np.array(rows), r, np.array(last)
 
 
 def _add_values(env: TabularMomdp, base, s_arr, ns_arr, values, setting: str) -> np.ndarray:
@@ -184,7 +189,7 @@ def run_critic(
     iteration evaluates all M TD errors on its D steps with the weights held
     fixed, then applies the averaged semi-gradient update
     w_i += (beta / D) * sum_tau delta_i * phi(s_tau). The weight-free terms are
-    computed once per batch: one tracker filter over N * D steps hands each
+    computed once per batch: one tracker recursion over N * D steps hands each
     slice the state N chained ``td_errors`` calls would.
     """
     check_setting(setting)

@@ -248,6 +248,10 @@ def estimate_gradient_lipschitz(
     across objectives.
     """
     check_setting(setting)
+    if n_probes < 1:
+        raise ParameterError(f"n_probes must be >= 1, got {n_probes}")
+    if not 0 < radius < np.inf:
+        raise ParameterError(f"radius must be finite and positive, got {radius}")
     rng = np.random.default_rng(seed)
     S, A = env.n_states, env.n_actions
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import re
 import warnings
@@ -299,10 +300,21 @@ def _seed_of(path: Path) -> int | None:
     return int(match[1]) if match else None
 
 
+def _metrics_cell(cell: str) -> float:
+    """One cell of a metrics CSV: empty is a missing value (NaN), anything else
+    must be a finite number; ``write_metrics_csv`` writes no other cell."""
+    if not cell:
+        return np.nan
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
+
+
 def load_metrics_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Returns (header, float matrix); empty cells become NaN. A file that is
-    not UTF-8, has no header, a cell that is not a number or a row that is not
-    as wide as the header raises ConfigError."""
+    not UTF-8, has no header, a cell that is not a finite number or a row that
+    is not as wide as the header raises ConfigError."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -317,7 +329,7 @@ def load_metrics_csv(path: Path) -> tuple[list[str], np.ndarray]:
             raise ConfigError(f"{path.name}: line {lineno} has {len(cells)} cells, "
                               f"the header has {len(header)}")
         try:
-            rows.append([float(cell) if cell else np.nan for cell in cells])
+            rows.append([_metrics_cell(cell) for cell in cells])
         except ValueError as exc:
             raise ConfigError(f"{path.name}: line {lineno}: {exc}") from exc
     return header, np.array(rows, dtype=float).reshape(-1, len(header))

@@ -75,8 +75,8 @@ class TabularMomdp:
             raise ParameterError("every transition row must sum to 1 within 1e-12")
         if abs(self.initial_distribution.sum() - 1.0) > _ROW_SUM_TOL or np.any(self.initial_distribution < 0):
             raise ParameterError("initial_distribution must be a probability vector")
-        if not self.r_max > 0:
-            raise ParameterError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise ParameterError("r_max must be finite and positive")
         if np.any(self.reward < 0) or np.any(self.reward > self.r_max):
             raise ParameterError("rewards must lie in [0, r_max]")
         if np.any(self.discounts <= 0) or np.any(self.discounts >= 1):
@@ -129,14 +129,15 @@ class TabularMomdp:
                 n_states=_json_int(doc, "n_states"),
                 n_actions=_json_int(doc, "n_actions"),
                 n_objectives=_json_int(doc, "n_objectives"),
-                transition=np.asarray(doc["transition"], dtype=float),
-                reward=np.asarray(doc["reward"], dtype=float),
-                discounts=np.asarray(doc["discounts"], dtype=float),
-                initial_distribution=np.asarray(doc["initial_distribution"], dtype=float),
-                r_max=float(doc.get("r_max", 1.0)),
+                transition=_json_floats(doc["transition"], "transition"),
+                reward=_json_floats(doc["reward"], "reward"),
+                discounts=_json_floats(doc["discounts"], "discounts"),
+                initial_distribution=_json_floats(doc["initial_distribution"],
+                                                  "initial_distribution"),
+                r_max=_json_number(doc.get("r_max", 1.0), "r_max"),
                 metadata=dict(doc.get("metadata", {})),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ParameterError(f"bad environment document: {exc!r}") from exc
         return cls(**fields)
 
@@ -177,6 +178,22 @@ def _json_int(doc: dict, key: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{key} must be a JSON integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """``value``, which must be a JSON number: a string such as "0.75", a bool
+    or null raises TypeError rather than being coerced (``np.asarray`` reads
+    "0.75" as 0.75 and true as 1.0)."""
+    if type(value) is not int and type(value) is not float:
+        raise TypeError(f"{name} must hold JSON numbers only, got {value!r}")
+    return float(value)
+
+
+def _json_floats(value, name: str) -> np.ndarray:
+    """The nested JSON list ``value`` as a float array, every entry checked
+    by ``_json_number``."""
+    values = np.asarray(value, dtype=object)
+    return np.array([_json_number(x, name) for x in values.flat], dtype=float).reshape(values.shape)
 
 
 def load_env_json(path: str) -> TabularMomdp:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .momdp import PolicyEvaluation, TabularMomdp, _json_int, read_json
+from .momdp import PolicyEvaluation, TabularMomdp, _json_floats, _json_int, read_json
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,11 @@ def load_policy_json(path: str) -> PolicyParams:
     try:
         kind = doc.get("kind", "tabular")
         fields = dict(
-            theta=np.asarray(doc["theta"], dtype=float),
+            theta=_json_floats(doc["theta"], "theta"),
             n_states=_json_int(doc, "n_states"),
             n_actions=_json_int(doc, "n_actions"),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParameterError(f"bad policy document: {exc!r}") from exc
     if kind != "tabular":
         raise ParameterError(f"policy kind must be 'tabular', got {kind!r}")

@@ -88,13 +88,57 @@ result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
 assert all(rec.pareto_gap is not None for rec in result.records)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"discounted run: {loaded}"
+config = morlab.MoacConfig(setting=morlab.AVERAGE, actor_iterations=5, actor_batch_size=16,
+                           actor_step_size=0.5, momentum=morlab.MomentumSchedule("power", 1.0),
+                           critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
+                           seed=7, oracle_diagnostics=True, oracle_every=1)
+result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
+assert all(rec.pareto_gap is not None for rec in result.records)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"average run: {loaded}"
+ini, out = sys.argv[1:]
+assert morlab.cli.main(["run", ini, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"morlab run: {loaded}"
+"""
+
+# an average-setting experiment with the oracle on, run through the CLI
+_AVERAGE_INI = """\
+[experiment]
+name = average
+seeds = 2
+oracle = true
+oracle_every = 1
+
+[environment]
+kind = fishwood
+fish_proba = 0.3
+wood_proba = 0.6
+discount = 0.9
+
+[moac]
+setting = average
+iterations = 4
+batch_size = 8
+step_size = 0.5
+momentum = power:1
+base_seed = 100
+
+[critic]
+step_size = 0.2
+iterations = 2
+batch_size = 6
+features = default
 """
 
 
-def test_import_and_discounted_oracle_run_load_no_scipy():
-    # scipy.signal loads with the first average-setting batch; nothing else
-    # in morlab imports scipy
+def test_no_morlab_path_loads_scipy(tmp_path):
+    # import, a discounted and an average oracle run, and `morlab run` of an
+    # average config on one worker: no morlab code path imports scipy
     src = Path(morlab.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_AVERAGE_INI)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(ini), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src), "MORLAB_WORKERS": "1"})
     assert proc.returncode == 0, proc.stderr

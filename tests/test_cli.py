@@ -78,6 +78,23 @@ MISSING = object()   # a bad-input probe that names a file that does not exist
 _FISHWOOD_DOC = build_fishwood(0.3, 0.6).to_json_dict()
 
 
+def _fishwood_with_entry(key, index, value) -> str:
+    """_FISHWOOD_DOC as JSON text with the entry at ``index`` of its ``key``
+    array replaced by ``value``."""
+    doc = json.loads(json.dumps(_FISHWOOD_DOC))
+    *outer, last = index
+    entries = doc[key]
+    for i in outer:
+        entries = entries[i]
+    entries[last] = value
+    return json.dumps(doc)
+
+
+def _second_cell(text):
+    """A seed-CSV corruption: ``text`` in the second cell of the second data row."""
+    return lambda lines: lines[:2] + [re.sub(r",[^,]*", "," + text, lines[2], count=1)] + lines[3:]
+
+
 def write_config(tmp_path: Path, text: str = BASE_CONFIG, name: str = "exp.ini") -> Path:
     path = tmp_path / name
     path.write_text(text)
@@ -674,9 +691,13 @@ class TestCliCommands:
         ("seed_*.csv", lambda lines: [lines[0] + ",extra"] + [line + ",0" for line in lines[1:]]),
         ("config.ini", lambda lines: [line.replace("oracle = false", "oracle = true")
                                       for line in lines]),
+        ("seed_*.csv", _second_cell("inf")),
+        ("seed_*.csv", _second_cell("-Infinity")),
+        ("seed_*.csv", _second_cell("1e999")),
+        ("seed_*.csv", _second_cell("nan")),
     ], ids=["not-a-number", "empty", "ragged", "wider-than-header", "not-utf-8",
             "t-not-an-integer", "t-missing", "t-not-first", "column-not-in-config",
-            "config-asks-for-oracle-columns"])
+            "config-asks-for-oracle-columns", "inf", "minus-infinity", "overflow", "nan"])
     def test_malformed_seed_csv_exits_2(self, tmp_path, capsys, files, corrupt):
         # every seed alike, so no check that compares seeds catches it first
         out = tmp_path / "run"
@@ -742,6 +763,9 @@ class TestCliCommands:
                                        "theta": [0.0, 0.0],
                                        "state_features": [[1.0], [0.0], [0.0], [1.0]]})),
         ("ncis", "policy", json.dumps({"n_states": 4, "n_actions": "2", "theta": [0.0] * 8})),
+        ("ncis", "policy", json.dumps({"n_states": 4, "n_actions": 2, "theta": ["0.0"] * 8})),
+        ("ncis", "policy", json.dumps({"n_states": 4, "n_actions": 2,
+                                       "theta": [True] + [0.0] * 7})),
         ("ncis", "dataset", None),
         ("ncis", "dataset", b"\xff\xfe{"),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
@@ -751,13 +775,21 @@ class TestCliCommands:
         ("run", "env", None),
         ("run", "env", json.dumps({k: v for k, v in _FISHWOOD_DOC.items() if k != "n_objectives"})),
         ("run", "env", json.dumps({**_FISHWOOD_DOC, "n_states": 4.9})),
+        ("run", "env", json.dumps({**_FISHWOOD_DOC, "r_max": "1.0"})),
+        ("run", "env", json.dumps({**_FISHWOOD_DOC, "r_max": 10 ** 400})),
+        ("run", "env", json.dumps({**_FISHWOOD_DOC, "r_max": float("inf")})),
+        ("run", "env", json.dumps({**_FISHWOOD_DOC, "discounts": ["0.9", "0.9"]})),
+        ("run", "env", _fishwood_with_entry("transition", (0, 0, 0), "0.7")),
+        ("run", "env", _fishwood_with_entry("reward", (0, 3, 0), True)),
         ("run", "env", MISSING),
         ("run", "out", ""),
     ], ids=["policy-not-json", "policy-without-theta", "policy-list", "policy-linear",
-            "policy-string-actions", "dataset-directory",
-            "dataset-not-utf8", "dataset-nan-reward", "dataset-empty-reward",
-            "env-not-json", "env-list", "env-directory", "env-without-n_objectives",
-            "env-float-states", "env-missing", "out-is-a-file"])
+            "policy-string-actions", "policy-string-theta", "policy-bool-theta",
+            "dataset-directory", "dataset-not-utf8", "dataset-nan-reward",
+            "dataset-empty-reward", "env-not-json", "env-list", "env-directory",
+            "env-without-n_objectives", "env-float-states", "env-string-r_max",
+            "env-huge-int-r_max", "env-infinite-r_max", "env-string-discounts",
+            "env-string-transition", "env-bool-reward", "env-missing", "out-is-a-file"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):
         # content None makes the file a directory
         bad = tmp_path / "bad"

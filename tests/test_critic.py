@@ -40,6 +40,7 @@ from util import (
     single_chain_env,
     td_fixed_point_reference,
     td_margin_reference,
+    tracker_filter_reference,
     two_state_env,
 )
 
@@ -83,8 +84,8 @@ class TestTdErrors:
         assert delta == pytest.approx(0.7)
 
     def test_average_trackers_match_recursion_reference(self):
-        # the one-tap IIR filter reproduces the plain recursion bit for bit,
-        # so the TD errors and the final trackers do too
+        # the trackers follow the plain recursion of the docstring, so the TD
+        # errors and the final trackers equal its per-sample reference
         rng = np.random.default_rng(2026)
         for trial in range(300):
             M = int(rng.integers(1, 5))
@@ -106,6 +107,56 @@ class TestTdErrors:
             assert np.array_equal(delta, ref_delta, equal_nan=True)
             assert np.array_equal(mu, path[:, -1], equal_nan=True)
             assert np.array_equal(delta @ phi[s_arr], ref_delta @ phi[s_arr], equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        M=st.integers(1, 4),
+        D=st.integers(0, 200),
+        beta=st.one_of(st.sampled_from([1.0, 20.0]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        mu0=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
+                     min_size=4, max_size=4),
+        zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_average_trackers_match_lfilter_bit_for_bit(self, seed, M, D, beta, mu0, zero_share):
+        # scipy's one-tap IIR filter referees the recursion: rewards, TD
+        # errors and final trackers agree in every bit, signed zeros included.
+        # Zero rewards are +0.0, as in every model here: for beta > 1 a -0.0
+        # reward can flip the sign of a zero tracker, since lfilter forms its
+        # state as 0 * r - a1 * y
+        rng = np.random.default_rng(seed)
+        S = 3
+        env = random_momdp(rng, n_states=S, n_actions=2, n_objectives=M)
+        reward = np.where(rng.random(env.reward.shape) < zero_share, 0.0, env.reward)
+        env = TabularMomdp(S, 2, M, env.transition, reward, env.discounts,
+                           env.initial_distribution)
+        features = default_feature_map(S)
+        w = rng.normal(0.0, 1.0, size=(M, features.dim))
+        batch = tuple(rng.integers(0, n, size=D) for n in (S, 2, S))
+        mu = np.array(mu0[:M])
+        delta, r, mu_after = td_errors(env, features, w, batch, AVERAGE, mu, beta)
+        s_arr, a_arr, ns_arr = batch
+        phi = feature_matrix(features)
+        ref_r = env.reward[:, s_arr, a_arr]
+        path, ref_mu = tracker_filter_reference(ref_r, mu, beta)
+        ref_delta = ref_r - path + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
+        assert r.shape == delta.shape == (M, D)
+        assert _bytes(r) == _bytes(ref_r)
+        assert _bytes(delta) == _bytes(ref_delta)
+        assert _bytes(mu_after) == _bytes(ref_mu)
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_zero_step_batch_returns_incoming_trackers(self, setting):
+        # a zero-step draw is a valid batch: no errors, trackers unchanged
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)
+        batch = draw(env, 0, uniform_policy(env), 0)
+        mu0 = np.array([0.25, -0.0])
+        delta, r, mu = td_errors(env, features, np.ones((2, features.dim)), batch, setting,
+                                 mu0, 0.5)
+        assert delta.shape == r.shape == (2, 0)
+        assert _bytes(mu) == _bytes(mu0)
 
 
 class TestFixedPoint:

@@ -337,6 +337,16 @@ class TestRunMoac:
         L = estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, n_probes=5, seed=0)
         assert L > 0
 
+    @pytest.mark.parametrize("n_probes, radius, name", [
+        (0, 0.5, "n_probes"), (-2, 0.5, "n_probes"), (5, 0.0, "radius"),
+        (5, -1.0, "radius"), (5, float("nan"), "radius"), (5, float("inf"), "radius"),
+    ])
+    def test_lipschitz_probe_rejects_bad_arguments(self, n_probes, radius, name):
+        # no probe, or a probe of no length, measures nothing: not a bound of 0.0
+        with pytest.raises(ParameterError, match=name):
+            estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, n_probes=n_probes,
+                                        radius=radius, seed=0)
+
 
 class TestTrends:
     def test_gradient_norm_decays_as_weights_converge(self):

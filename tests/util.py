@@ -332,6 +332,24 @@ def reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float) 
     return path
 
 
+def tracker_filter_reference(rewards: np.ndarray, mu0: np.ndarray, step_size: float):
+    """Referee for the average-setting reward trackers of ``td_errors``:
+    scipy's one-tap IIR filter y_t = beta r_t + (1 - beta) y_{t-1}, started at
+    y_{-1} = mu0, along each row of the (M, D) ``rewards``.
+
+    Returns the (M, D) tracker path and the (M,) trackers after it (``mu0``
+    itself for a zero-step batch, where ``lfilter`` leaves its final state
+    unset).
+    """
+    from scipy.signal import lfilter
+    mu0 = np.asarray(mu0, dtype=float)
+    if rewards.shape[1] == 0:
+        return np.empty(rewards.shape), mu0.copy()
+    keep = 1.0 - step_size
+    path, _ = lfilter([step_size], [1.0, -keep], rewards, axis=1, zi=(keep * mu0)[:, None])
+    return path, path[:, -1].copy()
+
+
 def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reference for ``w_star`` of ``compute_td_fixed_point``: one dense solve
     plus one refinement solve per objective, each slice of A on its own.
@@ -409,7 +427,6 @@ def run_critic_reference(env: TabularMomdp, batch, critic: CriticState, features
     with the dense feature rows, one tracker ``lfilter`` started at the
     trackers the previous slice left) before the semi-gradient update.
     Returns the updated critic."""
-    from scipy.signal import lfilter
     N, D, beta = critic.n_iterations, critic.batch_size, critic.step_size
     phi = feature_matrix(features)
     w = critic.weights.copy()
@@ -419,10 +436,8 @@ def run_critic_reference(env: TabularMomdp, batch, critic: CriticState, features
         v_s = phi[s] @ w.T
         v_n = phi[ns] @ w.T
         if setting == AVERAGE:
-            keep = 1.0 - beta
-            path, _ = lfilter([beta], [1.0, -keep], r, axis=1, zi=(keep * mu)[:, None])
+            path, mu = tracker_filter_reference(r, mu, beta)
             delta = r - path + (v_n - v_s).T
-            mu = path[:, -1].copy()
         else:
             delta = r + env.discounts[:, None] * v_n.T - v_s.T
         w = w + (beta / D) * (delta @ phi[s])
