@@ -78,28 +78,24 @@ def test_benchmark_selftest_passes():
 _NO_SCIPY = """
 import sys
 import morlab, morlab.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"import: {loaded}"
-config = morlab.MoacConfig(setting=morlab.DISCOUNTED, actor_iterations=5, actor_batch_size=16,
-                           actor_step_size=0.03, momentum=morlab.MomentumSchedule("power", 1.0),
-                           critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
-                           seed=7, oracle_diagnostics=True, oracle_every=1)
-result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
-assert all(rec.pareto_gap is not None for rec in result.records)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"discounted run: {loaded}"
-config = morlab.MoacConfig(setting=morlab.AVERAGE, actor_iterations=5, actor_batch_size=16,
-                           actor_step_size=0.5, momentum=morlab.MomentumSchedule("power", 1.0),
-                           critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
-                           seed=7, oracle_diagnostics=True, oracle_every=1)
-result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
-assert all(rec.pareto_gap is not None for rec in result.records)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"average run: {loaded}"
+
+def no_scipy(where):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{where}: {loaded}"
+
+no_scipy("import")
+for setting, actor_step in ((morlab.DISCOUNTED, 0.03), (morlab.AVERAGE, 0.5)):
+    config = morlab.MoacConfig(setting=setting, actor_iterations=5, actor_batch_size=16,
+                               actor_step_size=actor_step,
+                               momentum=morlab.MomentumSchedule("power", 1.0),
+                               critic_step_size=0.2, critic_iterations=2, critic_batch_size=10,
+                               seed=7, oracle_diagnostics=True, oracle_every=1)
+    result = morlab.run_moac(morlab.build_fishwood(0.3, 0.6), config)
+    assert all(rec.pareto_gap is not None for rec in result.records)
+    no_scipy(f"{setting} run")
 ini, out = sys.argv[1:]
 assert morlab.cli.main(["run", ini, "--out", out]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"morlab run: {loaded}"
+no_scipy("morlab run")
 """
 
 # an average-setting experiment with the oracle on, run through the CLI
