@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, ModelError, ParameterError
+from .errors import DivergenceError, ModelError, ParameterError, check_integer
 from .momdp import AVERAGE, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap
 
@@ -35,8 +35,8 @@ class CriticState:
             raise ParameterError("avg_reward must have one tracker per objective")
         if not self.step_size > 0:
             raise ParameterError("critic step size must be positive")
-        if self.batch_size < 1 or self.n_iterations < 1:
-            raise ParameterError("batch size and iteration count must be >= 1")
+        check_integer("batch_size", self.batch_size, 1)
+        check_integer("n_iterations", self.n_iterations, 1)
 
     @classmethod
     def zeros(cls, n_objectives: int, feature_dim: int, step_size: float,
@@ -54,25 +54,25 @@ class CriticState:
 class TdFixedPoint:
     """Exact TD quantities for a fixed policy.
 
-    ``A`` is stored per objective (shape (M, d2, d2)) because discounted
-    objectives may carry different discount factors; in the average setting all
-    slices are identical. The margin ``lambda_A`` and the bound ``r_w_bound``
-    are computed on first access: the gate of ``compute_td_fixed_point`` only
-    certifies that the margin is above 1e-10.
+    ``A`` holds one (d2, d2) slice per distinct discount, in ascending order
+    of discount: objectives with equal discounts (all M in the average
+    setting) share a slice, and objective i's is ``A[slice_of[i]]``. The
+    margin ``lambda_A`` and the bound ``r_w_bound`` are computed on first
+    access: the gate of ``compute_td_fixed_point`` only certifies that the
+    margin is above 1e-10.
     """
 
-    A: np.ndarray            # (M, d2, d2)
+    A: np.ndarray            # (G, d2, d2), G the number of distinct discounts
+    slice_of: np.ndarray     # (M,) index into A of each objective's slice
     b: np.ndarray            # (M, d2)
-    w_star: np.ndarray       # (M, d2), solves A w + b = 0
+    w_star: np.ndarray       # (M, d2), solves A[slice_of[i]] w + b = 0
     c_a: float               # strict upper bound on ||A||_F
-    gamma: np.ndarray        # (M,) discount of each slice of A; equal entries share a slice
     r_bound: float           # bound on the centred reward: 2 r_max average, r_max discounted
 
     @cached_property
     def lambda_A(self) -> float:
         """Uniform negative-definiteness margin of A + A^T over the slices."""
-        _, first = np.unique(self.gamma, return_index=True)
-        return min(_margin(self.A[i]) for i in first)
+        return min(_margin(a) for a in self.A)
 
     @cached_property
     def r_w_bound(self) -> float:
@@ -231,17 +231,16 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     _check_features(env, features)
     d, gamma = evaluation.d, evaluation.gamma
     d2 = features.dim
-    M = env.n_objectives
     # one-hot features: A and b are the leading blocks of D(gamma P - I) and (r - offset) D
     P, eye, d_lead = evaluation.P[:d2, :d2], np.eye(d2), d[:d2, None]
     b = ((evaluation.r - evaluation.offset[:, None]) * d)[:, :d2]
     # objectives with equal discounts (all M in the average setting) share one
-    # slice of A: one margin check and one stacked solve per group
-    A = np.empty((M, d2, d2))
-    w_star = np.empty((M, d2))
-    for g in np.unique(gamma):
-        group = np.flatnonzero(gamma == g)
-        A[group] = a = d_lead * (g * P - eye)
+    # slice of A: one margin check and one stacked solve per slice
+    discounts, slice_of = np.unique(gamma, return_inverse=True)
+    A = d_lead * (discounts[:, None, None] * P - eye)
+    w_star = np.empty(b.shape)
+    for g, a in enumerate(A):
+        group = np.flatnonzero(slice_of == g)
         rhs = b[group].T
         _check_margin(a)
         w = np.linalg.solve(a, -rhs)
@@ -249,8 +248,8 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
         w_star[group] = w.T
     # the analysis bounds the centred reward r - J by 2 r_max, twice r itself
     r_bound = (2.0 if evaluation.setting == AVERAGE else 1.0) * env.r_max
-    c_a = max(float(np.linalg.norm(A[i], "fro")) for i in range(M)) + 1e-6
-    return TdFixedPoint(A=A, b=b, w_star=w_star, c_a=c_a, gamma=gamma, r_bound=r_bound)
+    c_a = max(float(np.linalg.norm(a, "fro")) for a in A) + 1e-6
+    return TdFixedPoint(A=A, slice_of=slice_of, b=b, w_star=w_star, c_a=c_a, r_bound=r_bound)
 
 
 def theory_critic_step(fixed_point: TdFixedPoint) -> float:
@@ -271,9 +270,8 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     if not 0 <= objective < env.n_objectives:
         raise ParameterError(f"objective {objective} out of range")
     values = features.values(w)                    # (S,)
-    next_values = np.einsum("sax,x->sa", env.transition, values)
     delta_bar = (env.reward[objective] - evaluation.offset[objective]
-                 + evaluation.gamma[objective] * next_values - values[:, None])
+                 + evaluation.gamma[objective] * env.expected_next(values) - values[:, None])
     return evaluation.d[:, None] * evaluation.probs * delta_bar
 
 

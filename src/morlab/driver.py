@@ -16,7 +16,7 @@ from .critic import (
     td_errors,
     theory_critic_step,
 )
-from .errors import DivergenceError, MorlabError, ParameterError
+from .errors import DivergenceError, MorlabError, ParameterError, check_integer
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
 from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
@@ -58,10 +58,10 @@ class MoacConfig:
 
     def __post_init__(self):
         check_setting(self.setting)
-        if self.actor_iterations < 1 or self.actor_batch_size < 1:
-            raise ParameterError("actor iteration and batch counts must be >= 1")
-        if self.critic_iterations < 1 or self.critic_batch_size < 1:
-            raise ParameterError("critic iteration and batch counts must be >= 1")
+        for name in ("actor_iterations", "actor_batch_size", "critic_iterations",
+                     "critic_batch_size", "oracle_every"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         for name in ("critic_step_size", "actor_step_size"):
             value = getattr(self, name)
             if value is None or not 0.0 < value < np.inf:
@@ -69,10 +69,6 @@ class MoacConfig:
         if self.setting == AVERAGE and self.actor_step_size > 1:
             # the actor's reward tracker advances with this step: no running mean above 1
             raise ParameterError("actor_step_size must be at most 1 in the average setting")
-        if self.oracle_every < 1:
-            raise ParameterError("oracle_every must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.features not in FEATURE_KINDS:
             raise ParameterError(f"features must be one of {tuple(FEATURE_KINDS)}")
         if not isinstance(self.momentum, MomentumSchedule):
@@ -248,8 +244,8 @@ def estimate_gradient_lipschitz(
     across objectives.
     """
     check_setting(setting)
-    if n_probes < 1:
-        raise ParameterError(f"n_probes must be >= 1, got {n_probes}")
+    check_integer("n_probes", n_probes, 1)
+    check_integer("seed", seed, 0)
     if not 0 < radius < np.inf:
         raise ParameterError(f"radius must be finite and positive, got {radius}")
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 it, and a layer that knows where a failure happened adds that with ``within``."""
 
 import copy
+from numbers import Integral
 
 
 class MorlabError(Exception):
@@ -25,6 +26,13 @@ class MorlabError(Exception):
 
 class ParameterError(MorlabError, ValueError):
     """An argument is outside its documented domain (bad probability, eta, theta, ...)."""
+
+
+def check_integer(name: str, value, minimum: int):
+    """ParameterError naming ``name`` unless ``value`` is an int or a numpy
+    integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class ModelError(MorlabError):

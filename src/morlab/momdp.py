@@ -106,8 +106,21 @@ class TabularMomdp:
         """``transition`` as padded rows (next_states, probs), each of shape
         (S * A, R): row s * A + a lists the R or fewer next states s' of
         P(s' | s, a) > 0 in increasing order, padded on the right with state 0
-        and probability exactly 0.0."""
+        and probability exactly 0.0. ``expected_next`` sums over them, at
+        O(S * A * R) cost against the dense tensor's O(S^2 * A)."""
         return _padded_rows(self.transition.reshape(self.n_states * self.n_actions, self.n_states))
+
+    def expected_next(self, values: np.ndarray) -> np.ndarray:
+        """(..., S, A) sums sum_s' P(s' | s, a) v(s') of the finite (..., S)
+        ``values`` over ``transition_rows``. Each starts from +0.0 and adds its
+        terms in increasing s', whatever the layout of ``values``; a padded
+        term is +-0.0 and leaves every partial sum unchanged."""
+        next_states, probs = self.transition_rows
+        terms = probs * np.take(values, next_states, axis=-1)   # (..., S * A, R)
+        total = np.zeros(terms.shape[:-1])
+        for j in range(terms.shape[-1]):
+            total += terms[..., j]
+        return total.reshape(values.shape[:-1] + (self.n_states, self.n_actions))
 
     def to_json_dict(self) -> dict:
         return {
@@ -559,21 +572,7 @@ class PolicyEvaluation:
         """(M, S, A) exact advantages Q(s, a) - V(s)."""
         env = self.env
         V, _ = self.values
-        if V.flags.c_contiguous:
-            # einsum sums over contiguous rows with SIMD partial sums: keep its bits
-            PV = np.einsum("sax,mx->msa", env.transition, V)
-        else:
-            # a strided V (the Poisson solve's) einsum sums in x order, one term
-            # at a time; so does this sum over the padded rows, from +0.0, in
-            # increasing s': the same bits at a twentieth of the cost. A padded
-            # term is +-0.0 and leaves every partial sum unchanged
-            next_states, probs = env.transition_rows
-            terms = probs * V.take(next_states, axis=1)   # (M, S * A, R)
-            PV = np.zeros(terms.shape[:2])
-            for j in range(terms.shape[2]):
-                PV += terms[:, :, j]
-            PV = PV.reshape(V.shape[0], env.n_states, env.n_actions)
-        Q = env.reward - self.offset[:, None, None] + self.gamma[:, None, None] * PV
+        Q = env.reward - self.offset[:, None, None] + self.gamma[:, None, None] * env.expected_next(V)
         return Q - V[:, :, None]
 
 

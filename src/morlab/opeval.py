@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_integer
 from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
@@ -74,8 +74,8 @@ def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DE
 def generate_logged_data(env: TabularMomdp, behavior: PolicyParams, n: int, seed: int) -> LoggedDataset:
     """Roll the chain n steps under the behavior policy and keep exact
     behavior probabilities for every logged action."""
-    if n < 1:
-        raise ParameterError("need at least one logged record")
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0)
     sampler = MarkovSampler(env, seed)
     probs = behavior.probability_matrix()
     s_arr, a_arr, _ = sampler.sample_policy_batch(probs, n)

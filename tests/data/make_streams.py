@@ -7,8 +7,9 @@ writes (seed CSVs and JSONL, ``.DONE`` markers, ``summary.json`` and
 metrics records, the final and sampled theta, ``t_hat`` and
 ``lambda_initial``. It also holds the digest of one logged-data file: the
 sampler's long draw in ``generate_logged_data``, whose states and actions
-reach the file directly. It also records the Python, numpy and scipy versions the
-digests were made with; floating-point results may differ under others.
+reach the file directly. It also records the Python and numpy versions the
+digests were made with; floating-point results may differ under others. No
+morlab code path loads scipy, so its version is not recorded.
 
 A change that moves the seeded stream regenerates the file and says why:
 
@@ -25,7 +26,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 CORPUS = Path(__file__).with_name("streams.json")
 
@@ -81,8 +81,7 @@ LOG_POLICY_SEED, LOG_RECORDS, LOG_SEED = 18, 20_000, 2024
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _sha(data: bytes) -> str:

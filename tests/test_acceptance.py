@@ -106,13 +106,13 @@ def test_criterion_2_td_fixed_point():
             features = default_feature_map(n_states)
             fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
             for i in range(2):
-                residual = np.max(np.abs(fp.A[i] @ fp.w_star[i] + fp.b[i]))
+                residual = np.max(np.abs(fp.A[fp.slice_of[i]] @ fp.w_star[i] + fp.b[i]))
                 assert residual <= 1e-10
                 worst_residual = max(worst_residual, residual)
                 assert np.linalg.norm(fp.w_star[i]) <= fp.r_w_bound + 1e-12
                 for _ in range(20):
                     w = rng.normal(size=features.dim)
-                    assert w @ fp.A[i] @ w < 0.0
+                    assert w @ fp.A[fp.slice_of[i]] @ w < 0.0
             factor = 4.0 if setting == AVERAGE else 2.0
             assert fp.r_w_bound == pytest.approx(factor * env.r_max / fp.lambda_A)
     elapsed = time.monotonic() - start

@@ -169,7 +169,7 @@ class TestFixedPoint:
             features = default_feature_map(5)
             fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
             for i in range(2):
-                residual = fp.A[i] @ fp.w_star[i] + fp.b[i]
+                residual = fp.A[fp.slice_of[i]] @ fp.w_star[i] + fp.b[i]
                 assert np.max(np.abs(residual)) <= 1e-10
                 assert np.linalg.norm(fp.w_star[i]) <= fp.r_w_bound + 1e-12
             factor = 4.0 if setting == AVERAGE else 2.0
@@ -184,7 +184,7 @@ class TestFixedPoint:
         for _ in range(100):
             w = rng.normal(size=fp.A.shape[-1])
             for i in range(env.n_objectives):
-                assert w @ fp.A[i] @ w < 0
+                assert w @ fp.A[fp.slice_of[i]] @ w < 0
 
     def test_expected_update_vanishes_at_fixed_point(self):
         rng = np.random.default_rng(300)
@@ -250,7 +250,7 @@ class TestFixedPoint:
                            discounts=[0.95, 0.6])
         policy = random_policy(rng, 4, 2)
         fp = compute_td_fixed_point(PolicyEvaluation(env, policy, DISCOUNTED), default_feature_map(4))
-        assert not np.allclose(fp.A[0], fp.A[1])
+        assert not np.allclose(fp.A[fp.slice_of[0]], fp.A[fp.slice_of[1]])
 
 
 def _discount_variants():
@@ -271,7 +271,8 @@ _EPS = np.finfo(float).eps
 
 
 class TestGroupedFixedPoint:
-    """The grouped solve of w* (one factorization per distinct TD slice)
+    """The TD slices (one per distinct discount) against the dense-feature
+    products, and the grouped solve of w* (one factorization per slice)
     against the per-objective reference solves."""
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
@@ -285,7 +286,7 @@ class TestGroupedFixedPoint:
         ]
         for policy in policies:
             fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
-            ref = td_fixed_point_reference(fp.A, fp.b)
+            ref = td_fixed_point_reference(fp.A[fp.slice_of], fp.b)
             for w, w_ref in zip(fp.w_star, ref):
                 assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
 
@@ -303,14 +304,36 @@ class TestGroupedFixedPoint:
         policy = PolicyParams(theta, env.n_states, env.n_actions)
         fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting),
                                     default_feature_map(env.n_states))
-        ref = td_fixed_point_reference(fp.A, fp.b)
-        for A, b, w, w_ref in zip(fp.A, fp.b, fp.w_star, ref):
+        ref = td_fixed_point_reference(fp.A[fp.slice_of], fp.b)
+        for A, b, w, w_ref in zip(fp.A[fp.slice_of], fp.b, fp.w_star, ref):
             # two backward-stable solves agree to cond(A) * eps; the residual
             # may differ from the reference's by at most one rounding of A w
             assert np.linalg.norm(w - w_ref) <= np.linalg.cond(A) * _EPS * np.linalg.norm(w_ref)
             scale_Aw = np.linalg.norm(A, 2) * np.linalg.norm(w_ref)
             assert (np.linalg.norm(A @ w + b)
                     <= np.linalg.norm(A @ w_ref + b) + _EPS * scale_Aw)
+
+    @pytest.mark.parametrize("setting, kind", [(AVERAGE, "default"), (DISCOUNTED, "default"),
+                                               (DISCOUNTED, "complete")])
+    @pytest.mark.parametrize("env_name", sorted(_TD_ENVS))
+    def test_slices_are_the_dense_feature_products(self, env_name, setting, kind):
+        # A[slice_of[i]] and b are, bit for bit, the dense-feature products
+        # Phi^T D (gamma_i P Phi - Phi) and ((r - offset) D) Phi: each entry
+        # of a product with one-hot Phi adds one term to exact zeros
+        env = _TD_ENVS[env_name]
+        features = {"default": default_feature_map, "complete": complete_feature_map}[kind](env.n_states)
+        phi = feature_matrix(features)
+        rng = np.random.default_rng(911)
+        for scale in (0.0, 1.0):
+            evaluation = PolicyEvaluation(env, random_policy(rng, env.n_states, env.n_actions, scale),
+                                          setting)
+            fp = compute_td_fixed_point(evaluation, features)
+            D = np.diag(evaluation.d)
+            assert fp.A.shape[0] == len(set(evaluation.gamma.tolist()))
+            assert np.array_equal(fp.b, ((evaluation.r - evaluation.offset[:, None]) @ D) @ phi)
+            for i, g in enumerate(evaluation.gamma):
+                dense = phi.T @ (D @ (g * evaluation.P @ phi - phi))
+                assert np.array_equal(fp.A[fp.slice_of[i]], dense)
 
 
 def _gate_outcome(gate, *args):
@@ -446,6 +469,18 @@ class TestZetaApprox:
 
 
 class TestRunCritic:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
+        ("n_iterations", 2.5), ("n_iterations", 0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # a float count used to pass and fail later in run_critic with a bare
+        # TypeError from slicing; True ran as a batch of one
+        counts = dict(batch_size=2, n_iterations=2)
+        counts[field] = value
+        with pytest.raises(ParameterError, match=field):
+            CriticState.zeros(2, 1, 0.1, **counts)
+
     def test_single_step_matches_manual_td(self):
         env = two_state_env()
         features = default_feature_map(2)

@@ -347,6 +347,48 @@ class TestRunMoac:
             estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, n_probes=n_probes,
                                         radius=radius, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_probes", 2.5), ("n_probes", True), ("seed", -1), ("seed", 1.5), ("seed", False),
+    ])
+    def test_lipschitz_probe_rejects_non_integer_counts(self, field, value):
+        # a float count or seed used to escape as a bare TypeError from range()
+        # or numpy; a negative seed as numpy's ValueError
+        arguments = dict(n_probes=2, seed=0)
+        arguments[field] = value
+        with pytest.raises(ParameterError, match=field):
+            estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, **arguments)
+
+    def test_lipschitz_probe_takes_numpy_integers(self):
+        got = estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, n_probes=np.int64(2),
+                                          seed=np.int32(3))
+        assert got == estimate_gradient_lipschitz(two_state_env(), DISCOUNTED, n_probes=2, seed=3)
+
+
+class TestConfigIntegers:
+    """Every count and the seed of ``MoacConfig`` must be an integer (a Python
+    or numpy int, not a bool) of at least its minimum; anything else is a
+    ParameterError naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("actor_iterations", 2.5), ("actor_iterations", 0), ("actor_iterations", True),
+        ("actor_batch_size", 2.5), ("actor_batch_size", 0),
+        ("critic_iterations", 2.5), ("critic_iterations", 0),
+        ("critic_batch_size", 2.5), ("critic_batch_size", -1),
+        ("oracle_every", 1.5), ("oracle_every", 0),
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", "3"),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            small_config(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        fields = dict(actor_iterations=3, actor_batch_size=16, critic_iterations=3,
+                      critic_batch_size=10, oracle_every=2, seed=5)
+        config = small_config(**{k: np.int64(v) for k, v in fields.items()})
+        want = run_moac(two_state_env(), small_config(**fields))
+        got = run_moac(two_state_env(), config)
+        assert [r.grad_norm_sq for r in got.records] == [r.grad_norm_sq for r in want.records]
+
 
 class TestTrends:
     def test_gradient_norm_decays_as_weights_converge(self):

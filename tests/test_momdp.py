@@ -18,16 +18,21 @@ from morlab import (
     build_fishwood,
     build_resource_gathering,
     compute_stationary_distribution,
+    compute_td_fixed_point,
+    default_feature_map,
     load_env_json,
     save_env_json,
     uniform_policy,
 )
+from morlab.critic import expected_td_errors
 from morlab.momdp import MarkovSampler
 
 from util import (
     advantages_reference,
     compute_exact_objective,
     dense_policy_batch,
+    expected_td_errors_reference,
+    next_values_reference,
     permute_momdp,
     permute_tabular_policy,
     random_momdp,
@@ -565,6 +570,13 @@ class TestExactObjective:
             assert np.allclose(j1, j2, atol=1e-10)
 
 
+_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+}
+
+
 class TestAdvantages:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -575,11 +587,54 @@ class TestAdvantages:
         n_actions=st.integers(1, 4),
         n_objectives=st.integers(1, 3),
     )
-    def test_equal_to_dense_einsum(self, seed, sparse, setting, n_states, n_actions, n_objectives):
-        # the next-state expectation P V must keep every bit of the dense einsum
+    def test_equal_to_dense_references(self, seed, sparse, setting, n_states, n_actions,
+                                       n_objectives):
+        # P V sums each row from +0.0 in increasing s': the bits of the
+        # sequential dense referee in every case. einsum adds a strided V (the
+        # Poisson solve's for M > 1) the same way, one term at a time, so the
+        # bits are its bits too. A C-ordered V (the discounted solves, and
+        # M = 1) einsum adds with SIMD partial sums, in another order. Any
+        # order of the S products of a row is within gamma_S sum_x P|V| of the
+        # exact sum, gamma_n = n u / (1 - n u) and u = eps / 2 (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 3.1), so the two
+        # are within 2 gamma_S sum_x P|V| of each other. The bound below takes
+        # gamma_{S+1}: the slack, a relative 1/S, covers the rounding of the
+        # bound's own sum and products, a relative (S + 3) u at most.
         rng = np.random.default_rng(seed)
         build = random_sparse_momdp if sparse else random_momdp
         env = build(rng, n_states, n_actions, n_objectives)
         policy = random_policy(rng, n_states, n_actions, scale=float(rng.uniform(0.0, 3.0)))
         evaluation = PolicyEvaluation(env, policy, setting)
-        assert np.array_equal(evaluation.advantages, advantages_reference(evaluation))
+        assert np.array_equal(evaluation.advantages, advantages_reference(evaluation, sequential=True))
+        V, _ = evaluation.values
+        if not V.flags.c_contiguous:
+            assert np.array_equal(evaluation.advantages, advantages_reference(evaluation))
+            return
+        u = np.finfo(float).eps / 2
+        n = n_states + 1
+        bound = 2 * n * u / (1 - n * u) * next_values_reference(env, np.abs(V), sequential=True)
+        gap = np.abs(next_values_reference(env, V) - next_values_reference(env, V, sequential=True))
+        assert np.all(gap <= bound)
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
+                             ids=["fishwood", "resource_gathering"])
+    def test_lab_models_keep_the_einsum_bits(self, env, setting, layout):
+        # the lab's models have at most 2 next states per (s, a), so the
+        # einsum forms' bits hold for every memory layout of the values
+        features = default_feature_map(env.n_states)
+        rng = np.random.default_rng(2200)
+        to_layout = _LAYOUTS[layout]
+        for scale in (0.0, 1.0, 3.0):
+            evaluation = PolicyEvaluation(env, random_policy(rng, env.n_states, env.n_actions, scale),
+                                          setting)
+            V, J = evaluation.values
+            evaluation.values = (to_layout(V), J)
+            assert np.array_equal(evaluation.advantages, advantages_reference(evaluation))
+            weights = np.vstack([compute_td_fixed_point(evaluation, features).w_star,
+                                 rng.normal(0.0, 1.0, size=(2, features.dim))])
+            for i, w in enumerate(to_layout(weights)):
+                objective = i % env.n_objectives
+                assert np.array_equal(expected_td_errors(evaluation, features, w, objective),
+                                      expected_td_errors_reference(evaluation, features, w, objective))

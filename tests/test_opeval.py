@@ -132,6 +132,18 @@ class TestGeneratedLogs:
         with pytest.raises(ParameterError):
             generate_logged_data(env, uniform_policy(env), n=0, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", True), ("seed", -1), ("seed", 1.5), ("seed", True),
+    ])
+    def test_rejects_non_integer_count_or_seed(self, field, value):
+        # a float n or seed used to escape as a bare TypeError or ValueError
+        # from numpy, and a bool ran silently as 1 or 0
+        env = build_fishwood(0.4, 0.5)
+        arguments = dict(n=3, seed=0)
+        arguments[field] = value
+        with pytest.raises(ParameterError, match=field):
+            generate_logged_data(env, uniform_policy(env), **arguments)
+
     def test_deterministic_under_seed(self):
         env = build_fishwood(0.4, 0.5)
         behavior = uniform_policy(env)

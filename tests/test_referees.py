@@ -1,0 +1,80 @@
+"""Sampled quantities against their exact oracles on the lab's own models.
+
+Each cell compares the mean of a sampled quantity with its oracle. Seeds,
+sizes and bounds were fixed before the first run and are not tuned to pass.
+The average-setting cells are strict xfails: the average-reward TD errors
+converge to the wrong limit (ROADMAP item 1), and the fix for it flips them.
+"""
+
+import numpy as np
+import pytest
+
+from morlab import (
+    AVERAGE,
+    DISCOUNTED,
+    PolicyEvaluation,
+    build_fishwood,
+    build_resource_gathering,
+    compute_td_fixed_point,
+    default_feature_map,
+    expected_td_gradient,
+    uniform_policy,
+)
+from morlab.critic import CriticState, run_critic
+from morlab.driver import estimate_objective_gradients
+from morlab.momdp import MarkovSampler
+
+from util import draw, random_policy
+
+_ITEM_1 = ("ROADMAP item 1: the average-setting TD error subtracts the tracker its own "
+           "reward has updated, so the sampled quantity tracks a shrunk limit")
+
+
+@pytest.mark.parametrize("setting", [
+    pytest.param(AVERAGE, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),
+    DISCOUNTED,
+])
+def test_critic_reaches_td_fixed_point_on_fishwood(setting):
+    # 400 inner iterations of D = 500 at beta = 0.3 from w = 0, one chain per
+    # seed, under one N(0, 0.5) logit policy; the average cell gives a
+    # relative error near beta^2 = 9e-2 on every seed today, the discounted
+    # control about 1e-4 at most
+    env = build_fishwood(0.25, 0.65)
+    features = default_feature_map(env.n_states)
+    policy = random_policy(np.random.default_rng(0), env.n_states, env.n_actions, scale=0.5)
+    w_star = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features).w_star
+    N, D = 400, 500
+    for seed in range(4):
+        critic = CriticState.zeros(env.n_objectives, features.dim, 0.3, D, N)
+        w = run_critic(env, draw(env, seed, policy, N * D), critic, features, setting).weights
+        relative = ((w - w_star) ** 2).sum() / (w_star ** 2).sum()
+        assert relative <= 1e-2, (seed, relative)
+
+
+@pytest.mark.xfail(strict=True, reason=_ITEM_1)
+def test_actor_mean_matches_expected_td_gradient_on_resource_gathering():
+    # the uniform policy at the critic's fixed point w*: 8,000 chained
+    # batches of B = 128 at actor step 0.5 after a 2,000-step burn-in. The
+    # mean is 23-39% off per objective today, against a batch-means standard
+    # error of 2-3% of each gradient's norm
+    env = build_resource_gathering()
+    features = default_feature_map(env.n_states)
+    policy = uniform_policy(env)
+    evaluation = PolicyEvaluation(env, policy, AVERAGE)
+    w_star = compute_td_fixed_point(evaluation, features).w_star
+    probs = evaluation.probs
+    sampler = MarkovSampler(env, 0)
+    sampler.sample_policy_batch(probs, 2_000)
+    B, K = 128, 8_000
+    steps = sampler.sample_policy_batch(probs, B * K)
+    grads = np.array([
+        estimate_objective_gradients(env, policy, w_star, [x[k * B:(k + 1) * B] for x in steps],
+                                     AVERAGE, features, 0.5, probs)[0]
+        for k in range(K)
+    ])
+    mean = grads.mean(axis=0)
+    for i in range(env.n_objectives):
+        want = expected_td_gradient(evaluation, features, w_star[i], i)
+        error = np.linalg.norm(mean[i] - want) / np.linalg.norm(want)
+        standard_error = np.sqrt(grads[:, i].var(axis=0, ddof=1).sum() / K) / np.linalg.norm(want)
+        assert error <= 0.1, (i, error, standard_error)

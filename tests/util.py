@@ -364,15 +364,39 @@ def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w_star
 
 
-def advantages_reference(evaluation: PolicyEvaluation) -> np.ndarray:
-    """Reference for ``PolicyEvaluation.advantages``: Q - V with the next-state
-    expectation P V as one dense ``einsum`` over the (S, A, S) transition
-    tensor."""
+def next_values_reference(env: TabularMomdp, V: np.ndarray, sequential: bool = False) -> np.ndarray:
+    """Reference for ``TabularMomdp.expected_next`` of (M, S) values: the
+    (M, S, A) sums P V over the dense (S, A, S) transition tensor, as one
+    ``einsum`` or, with ``sequential``, one next state s' at a time in
+    increasing order from +0.0."""
+    if not sequential:
+        return np.einsum("sax,mx->msa", env.transition, V)
+    PV = np.zeros((V.shape[0], env.n_states, env.n_actions))
+    for x in range(env.n_states):
+        PV += env.transition[:, :, x] * V[:, x, None, None]
+    return PV
+
+
+def advantages_reference(evaluation: PolicyEvaluation, sequential: bool = False) -> np.ndarray:
+    """Reference for ``PolicyEvaluation.advantages``: Q - V with the
+    next-state expectation P V from ``next_values_reference``."""
     env = evaluation.env
     V, _ = evaluation.values
-    PV = np.einsum("sax,mx->msa", env.transition, V)
+    PV = next_values_reference(env, V, sequential)
     Q = env.reward - evaluation.offset[:, None, None] + evaluation.gamma[:, None, None] * PV
     return Q - V[:, :, None]
+
+
+def expected_td_errors_reference(evaluation: PolicyEvaluation, features, w: np.ndarray,
+                                 objective: int) -> np.ndarray:
+    """Reference for ``critic.expected_td_errors``: the next-state expectation
+    of the values as one dense ``einsum`` over the transition tensor."""
+    env = evaluation.env
+    values = features.values(w)
+    next_values = np.einsum("sax,x->sa", env.transition, values)
+    delta_bar = (env.reward[objective] - evaluation.offset[objective]
+                 + evaluation.gamma[objective] * next_values - values[:, None])
+    return evaluation.d[:, None] * evaluation.probs * delta_bar
 
 
 def eigvalsh_margin(a: np.ndarray) -> float:
