@@ -4,8 +4,9 @@
 For each config below the corpus holds the digest of every file ``morlab run``
 writes (seed CSVs and JSONL, ``.DONE`` markers, ``summary.json`` and
 ``config.ini``) and of the raw bytes of each seed's ``run_moac`` result: the
-metrics records, the final and sampled theta, ``t_hat`` and
-``lambda_initial``. It also holds the digest of one logged-data file: the
+sampled fields of the metrics records (``records_sampled``) and their exact
+oracle fields (``records_oracle``) apart, the final and sampled theta,
+``t_hat`` and ``lambda_initial``. It also holds the digest of one logged-data file: the
 sampler's long draw in ``generate_logged_data``, whose states and actions
 reach the file directly. It also records the Python and numpy versions the
 digests were made with; floating-point results may differ under others. No
@@ -97,15 +98,27 @@ def _array_bytes(value) -> bytes:
     return f"{arr.dtype.str}{arr.shape};".encode() + arr.tobytes()
 
 
+# the MetricsRecord fields of the sampled stream and of the exact oracle, each
+# digested on its own, so a change to the oracle alone moves only
+# records_oracle
+SAMPLED_FIELDS = ("t", "reward_mean", "grad_norm_sq", "lam", "eta")
+ORACLE_FIELDS = ("critic_err", "j_exact", "pareto_gap")
+
+
+def _records_digest(records, names) -> str:
+    """Digest of the ``names`` fields of ``records``, field by field in step order."""
+    return _sha(b"".join(_array_bytes(getattr(rec, name)) for rec in records for name in names))
+
+
 def result_digests(result) -> dict:
-    """Digests of one ``MoacResult``: the records field by field in step
-    order, the two thetas, t_hat and lambda_initial."""
+    """Digests of one ``MoacResult``: the sampled and the oracle fields of the
+    records, the two thetas, t_hat and lambda_initial."""
     from dataclasses import fields
 
     from morlab import MetricsRecord
-    names = [f.name for f in fields(MetricsRecord)]
-    records = b"".join(_array_bytes(getattr(rec, name)) for rec in result.records for name in names)
-    return {"records": _sha(records),
+    assert [f.name for f in fields(MetricsRecord)] == [*SAMPLED_FIELDS, *ORACLE_FIELDS]
+    return {"records_sampled": _records_digest(result.records, SAMPLED_FIELDS),
+            "records_oracle": _records_digest(result.records, ORACLE_FIELDS),
             "final_theta": _sha(_array_bytes(result.final_policy.theta)),
             "sampled_theta": _sha(_array_bytes(result.sampled_policy.theta)),
             "t_hat": _sha(_array_bytes(result.t_hat)),
