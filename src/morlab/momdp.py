@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, ParameterError
+from .errors import ModelError, ParameterError, check_integer
 
 AVERAGE = "average"
 DISCOUNTED = "discounted"
@@ -218,10 +218,11 @@ class MarkovSampler:
 
     Successive calls continue a single unbroken chain through the shared
     ``state``, so one draw split into consecutive slices equals chained calls
-    of the slices' lengths.
+    of the slices' lengths. ``seed`` is an integer >= 0.
     """
 
     def __init__(self, env: TabularMomdp, seed: int):
+        check_integer("seed", seed, 0)
         self.env = env
         self.rng = np.random.default_rng(seed)
         self.state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
@@ -234,8 +235,9 @@ class MarkovSampler:
         the current state. The step loop records the flat index K * s + j of
         the cell (a, s') each step draws from ``transition_support``; states,
         actions and next states are gathers of that one index array, so batch
-        arithmetic stays vectorized downstream.
+        arithmetic stays vectorized downstream. ``n`` is an integer >= 0.
         """
+        check_integer("n", n, 0)
         probs = np.asarray(action_probs, dtype=float)
         shape = (self.env.n_states, self.env.n_actions)
         if probs.shape != shape:

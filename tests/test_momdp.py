@@ -279,6 +279,30 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_step(sampler, 7)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_rejects_a_seed_that_is_not_an_integer_of_at_least_0(self, seed):
+        with pytest.raises(ParameterError, match=r"seed must be an integer >= 0"):
+            MarkovSampler(two_state_env(), seed)
+
+    @pytest.mark.parametrize("n", [2.5, -1, True, np.float64(4.0)])
+    def test_rejects_a_count_that_is_not_an_integer_of_at_least_0(self, n):
+        sampler = MarkovSampler(two_state_env(), seed=0)
+        state, rng_state = sampler.state, sampler.rng.bit_generator.state
+        with pytest.raises(ParameterError, match=r"n must be an integer >= 0"):
+            sampler.sample_policy_batch(np.full((2, 2), 0.5), n)
+        # a rejected call draws nothing
+        assert sampler.state == state and sampler.rng.bit_generator.state == rng_state
+
+    def test_numpy_integers_and_zero_steps(self):
+        env = two_state_env()
+        probs = np.full((2, 2), 0.5)
+        fast, ref = MarkovSampler(env, np.int64(4)), MarkovSampler(env, 4)
+        for part in (*fast.sample_policy_batch(probs, 0), *fast.sample_policy_batch(probs, np.int32(0))):
+            assert part.shape == (0,) and part.dtype == np.int64
+        for got, want in zip(fast.sample_policy_batch(probs, np.int64(25)),
+                             ref.sample_policy_batch(probs, 25)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("seed", [None, 5, 6])
     def test_transition_support_cells_and_probabilities(self, seed):
         # resource_gathering (seed None) and random sparse models, all with padded rows
