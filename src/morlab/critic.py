@@ -59,7 +59,8 @@ class TdFixedPoint:
     setting) share a slice, and objective i's is ``A[slice_of[i]]``. The
     margin ``lambda_A`` and the bound ``r_w_bound`` are computed on first
     access: the gate of ``compute_td_fixed_point`` only certifies that the
-    margin is above 1e-10.
+    margin is above 1e-10. ``w_star`` is a copy of the evaluation's
+    ``lead_values(d2)``.
     """
 
     A: np.ndarray            # (G, d2, d2), G the number of distinct discounts
@@ -226,26 +227,22 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     margin lambda_A and the norm bounds are the same for either orientation of
     the outer product. ModelError if a slice of A has a margin of at most
     1e-10; the margin itself is computed only when ``lambda_A`` is read.
+    With one-hot features diag(d) > 0 cancels from A w + b = 0, so w* is
+    the value solve ``evaluation.lead_values(d2)``, read after the gate.
     """
     env = evaluation.env
     _check_features(env, features)
-    d, gamma = evaluation.d, evaluation.gamma
-    d2 = features.dim
+    d, d2 = evaluation.d, features.dim
     # one-hot features: A and b are the leading blocks of D(gamma P - I) and (r - offset) D
     P, eye, d_lead = evaluation.P[:d2, :d2], np.eye(d2), d[:d2, None]
     b = ((evaluation.r - evaluation.offset[:, None]) * d)[:, :d2]
     # objectives with equal discounts (all M in the average setting) share one
-    # slice of A: one margin check and one stacked solve per slice
-    discounts, slice_of = np.unique(gamma, return_inverse=True)
+    # slice of A and one margin check
+    discounts, slice_of = np.unique(evaluation.gamma, return_inverse=True)
     A = d_lead * (discounts[:, None, None] * P - eye)
-    w_star = np.empty(b.shape)
-    for g, a in enumerate(A):
-        group = np.flatnonzero(slice_of == g)
-        rhs = b[group].T
+    for a in A:
         _check_margin(a)
-        w = np.linalg.solve(a, -rhs)
-        w -= np.linalg.solve(a, a @ w + rhs)          # one refinement pass
-        w_star[group] = w.T
+    w_star = evaluation.lead_values(d2).copy()
     # the analysis bounds the centred reward r - J by 2 r_max, twice r itself
     r_bound = (2.0 if evaluation.setting == AVERAGE else 1.0) * env.r_max
     c_a = max(float(np.linalg.norm(a, "fro")) for a in A) + 1e-6

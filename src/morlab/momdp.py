@@ -515,12 +515,13 @@ class PolicyEvaluation:
     The action probabilities ``probs`` (S, A), the state kernel ``P``
     (P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)) and the expected one-step reward
     ``r`` (M, S) are built on construction. The stationary distribution ``d``,
-    the value functions ``values`` and the ``advantages`` are solved once, on
-    first use, so a quantity no caller asks for is never solved (a discounted
-    objective, for instance, never needs ``d``).
+    the value solves ``lead_values``, the value functions ``values`` and the
+    ``advantages`` are solved once, on first use, so a quantity no caller asks
+    for is never solved (a discounted objective, for instance, never needs
+    ``d``).
 
     The setting enters Q = r - offset + gamma P V as data: ``gamma`` (M,) is
-    the discounts (ones if average), ``offset`` (M,) is 0 (J if average).
+    the discounts (ones if average), ``offset`` (M,) is 0 (J = r d if average).
     """
 
     def __init__(self, env: TabularMomdp, policy, setting: str):
@@ -533,6 +534,7 @@ class PolicyEvaluation:
             raise ParameterError("policy dimensions do not match the environment")
         self.P = np.einsum("sa,sax->sx", self.probs, env.transition)
         self.r = np.einsum("sa,msa->ms", self.probs, env.reward)
+        self._lead_values: dict[int, np.ndarray] = {}
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -540,34 +542,48 @@ class PolicyEvaluation:
         return compute_stationary_distribution(self.P)
 
     @cached_property
+    def offset(self) -> np.ndarray:
+        """(M,) reward offset: zeros when discounted, J = r d in the average setting."""
+        return np.zeros(self.env.n_objectives) if self.setting == DISCOUNTED else self.r @ self.d
+
+    def lead_values(self, k: int) -> np.ndarray:
+        """(M, k) solution X of (I - gamma_i P[:k, :k]) x_i = (r_i - offset_i)[:k]:
+        the values with every state from k on held at 0, which ``values``
+        (k = S, or S - 1 if average) and ``compute_td_fixed_point``
+        (k = ``features.dim``) share. One ``np.linalg.solve`` per distinct
+        discount, right-hand sides stacked; memoized per k, read-only."""
+        X = self._lead_values.get(k)
+        if X is None:
+            discounts, group_of = np.unique(self.gamma, return_inverse=True)
+            rhs = (self.r - self.offset[:, None])[:, :k]
+            P, eye = self.P[:k, :k], np.eye(k)
+            X = np.empty(rhs.shape)
+            for g, gamma in enumerate(discounts):
+                group = np.flatnonzero(group_of == g)
+                X[group] = np.linalg.solve(eye - gamma * P, rhs[group].T).T
+            X.setflags(write=False)
+            self._lead_values[k] = X
+        return X
+
+    @cached_property
     def values(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact per-objective (V, J): V has shape (M, S), J shape (M,).
 
-        Discounted: V solves (I - gamma_i P_pi) V = r_pi exactly and
-        J = <initial_distribution, V>. Average: V is the differential value
-        from the Poisson equation, pinned by sum_s d(s) V(s) = 0, and J is the
-        stationary per-step reward.
+        Discounted: V solves (I - gamma_i P_pi) V = r_pi (``lead_values(S)``)
+        and J = <initial_distribution, V>. Average: J = r d is the stationary
+        per-step reward and V the differential value of V = r - J + P_pi V,
+        ``lead_values(S - 1)`` with the last state at 0, shifted to d V = 0.
         """
-        env, P, r = self.env, self.P, self.r
-        S, M = env.n_states, env.n_objectives
-        if self.setting == DISCOUNTED:  # I - gamma P is singular at gamma = 1: Poisson solve
-            V = np.empty((M, S))
-            for i in range(M):
-                V[i] = np.linalg.solve(np.eye(S) - env.discounts[i] * P, r[i])
+        env = self.env
+        if self.setting == DISCOUNTED:
+            V = self.lead_values(env.n_states)
             return V, V @ env.initial_distribution
-        d = self.d
-        J = r @ d
-        # (I - P + 1 d^T) is invertible for irreducible chains and its solution
-        # already satisfies the d-weighted pinning
-        A = np.eye(S) - P + np.outer(np.ones(S), d)
-        V = np.linalg.solve(A, (r - J[:, None]).T).T
-        V -= (V @ d)[:, None]
-        return V, J
-
-    @cached_property
-    def offset(self) -> np.ndarray:
-        """(M,) reward offset: zeros when discounted, J in the average setting."""
-        return np.zeros(self.env.n_objectives) if self.setting == DISCOUNTED else self.values[1]
+        # I - P[:-1, :-1] is invertible for an irreducible chain, and the
+        # last Poisson row holds too: d (r - J + P V - V) = 0 with d > 0
+        V = np.zeros((env.n_objectives, env.n_states))
+        V[:, :-1] = self.lead_values(env.n_states - 1)
+        V -= (V @ self.d)[:, None]
+        return V, self.offset
 
     @cached_property
     def advantages(self) -> np.ndarray:

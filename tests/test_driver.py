@@ -436,9 +436,9 @@ class TestTrends:
 
 
 class TestOracleCost:
-    """Work counts of the exact oracle on resource_gathering (M = 3, average
-    setting): one factorization per distinct TD slice, one strong-components
-    search per non-zero pattern of P_pi."""
+    """Work counts of the exact oracle on resource_gathering (M = 3): one
+    value solve per distinct discount and feature dimension, shared by V and
+    w*, and one strong-components search per non-zero pattern of P_pi."""
 
     @staticmethod
     def counting(monkeypatch, owner, name):
@@ -452,18 +452,31 @@ class TestOracleCost:
         monkeypatch.setattr(owner, name, wrapper)
         return calls
 
-    def test_one_oracle_step_makes_four_dense_solves(self, monkeypatch):
+    def dense_solves(self, monkeypatch, setting: str, features) -> list[int]:
+        """The ndim of the matrix of each ``np.linalg.solve`` one oracle step
+        on resource_gathering makes: w*, (V, J) and the Pareto gap."""
         env = build_resource_gathering()
-        evaluation = PolicyEvaluation(env, uniform_policy(env), AVERAGE)
+        evaluation = PolicyEvaluation(env, uniform_policy(env), setting)
         solves = self.counting(monkeypatch, np.linalg, "solve")
-        compute_td_fixed_point(evaluation, default_feature_map(env.n_states))
+        compute_td_fixed_point(evaluation, features(env.n_states))
         evaluation.values
         pareto_stationarity_gap(evaluation)
-        # the model: stationary distribution, Poisson equation, and one solve
-        # plus one refinement for the three identical TD slices; the exact
-        # min-norm QP of the Pareto gap adds one batched solve of its face systems
-        dims = [np.ndim(args[0]) for args in solves]
-        assert dims.count(2) == 4 and dims.count(3) == 1 and len(dims) == 5
+        return [np.ndim(args[0]) for args in solves]
+
+    def test_one_oracle_step_makes_two_dense_solves(self, monkeypatch):
+        # the stationary distribution, and one value solve for the three
+        # objectives that serves both V and w*; the exact min-norm QP of the
+        # Pareto gap adds one batched solve of its face systems
+        dims = self.dense_solves(monkeypatch, AVERAGE, default_feature_map)
+        assert dims.count(2) == 2 and dims.count(3) == 1 and len(dims) == 3
+
+    @pytest.mark.parametrize("features, dense", [(default_feature_map, 3), (complete_feature_map, 2)])
+    def test_discounted_oracle_step_solves_once_per_discount(self, monkeypatch, features, dense):
+        # the stationary distribution, the value solve (k = S) and, with
+        # default features, the TD solve (k = S - 1); the three objectives
+        # share one discount, and complete features read w* from the value solve
+        dims = self.dense_solves(monkeypatch, DISCOUNTED, features)
+        assert dims.count(2) == dense and dims.count(3) == 1 and len(dims) == dense + 1
 
     def test_run_searches_the_graph_once(self):
         import morlab.momdp

@@ -594,6 +594,58 @@ class TestExactObjective:
             assert np.allclose(j1, j2, atol=1e-10)
 
 
+class TestValueSolves:
+    """``PolicyEvaluation.lead_values``: one memoized solve per k and
+    distinct discount, read by ``values`` (k = S discounted, S - 1 average)
+    and by ``compute_td_fixed_point``."""
+
+    @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering(),
+                                     random_momdp(np.random.default_rng(3), 12, 3, 3)],
+                             ids=["fishwood", "resource_gathering", "random"])
+    def test_average_values_solve_the_poisson_equation(self, env):
+        rng = np.random.default_rng(5)
+        for scale in (0.0, 1.0):
+            evaluation = PolicyEvaluation(env, random_policy(rng, env.n_states, env.n_actions, scale),
+                                          AVERAGE)
+            V, J = evaluation.values
+            d, P, r = evaluation.d, evaluation.P, evaluation.r
+            assert J.tobytes() == (r @ d).tobytes()
+            # the (I - P + 1 d^T) solve, whose solution meets d V = 0 already
+            S = env.n_states
+            ref = np.linalg.solve(np.eye(S) - P + np.outer(np.ones(S), d), (r - J[:, None]).T).T
+            assert np.max(np.abs(V - ref)) <= 1e-11 * max(1.0, np.abs(ref).max())
+            assert np.max(np.abs(r - J[:, None] + V @ P.T - V)) <= 1e-11
+            assert np.max(np.abs(V @ d)) <= 1e-13 * max(1.0, np.abs(V).max())
+
+    def test_discounted_values_match_per_objective_solves(self):
+        env = build_fishwood(0.25, 0.65, discount=(0.8, 0.95))
+        rng = np.random.default_rng(6)
+        for scale in (0.0, 1.0):
+            evaluation = PolicyEvaluation(env, random_policy(rng, 4, 2, scale), DISCOUNTED)
+            V, J = evaluation.values
+            for i, gamma in enumerate(env.discounts):
+                ref = np.linalg.solve(np.eye(4) - gamma * evaluation.P, evaluation.r[i])
+                assert np.max(np.abs(V[i] - ref)) <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(J, V @ env.initial_distribution)
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_one_read_only_solve_per_dimension(self, monkeypatch, setting):
+        env = build_resource_gathering()
+        evaluation = PolicyEvaluation(env, uniform_policy(env), setting)
+        evaluation.d, evaluation.offset   # the stationary solve
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or real(*args))
+        k = env.n_states - 1
+        X = evaluation.lead_values(k)
+        assert evaluation.lead_values(k) is X and len(solves) == 1   # three objectives, one discount
+        assert not X.flags.writeable
+        fp = compute_td_fixed_point(evaluation, default_feature_map(env.n_states))
+        assert np.array_equal(fp.w_star, X) and fp.w_star.flags.writeable
+        assert not np.shares_memory(fp.w_star, X)
+        assert len(solves) == 1
+
+
 _LAYOUTS = {
     "C": np.ascontiguousarray,
     "F": np.asfortranarray,
