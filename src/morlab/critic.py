@@ -284,9 +284,12 @@ def expected_td_update(evaluation: PolicyEvaluation, features: FeatureMap,
 def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
                         features: FeatureMap) -> float:
     """Worst-objective stationary-weighted squared gap between the exact value
-    function and its fixed-point linear approximation."""
+    function and its fixed-point linear approximation, max_i d (V_i - Phi w_i*)^2.
+    The average-setting V is defined up to a constant, so there the gap is
+    centred first: zeta is the largest d-weighted variance of V_i - Phi w_i*."""
     _check_features(evaluation.env, features)
     V, _ = evaluation.values
-    approx = features.values(fixed_point.w_star)     # (M, S)
-    gaps = ((V - approx) ** 2) @ evaluation.d
-    return float(gaps.max())
+    gaps = V - features.values(fixed_point.w_star)   # (M, S)
+    if evaluation.setting == AVERAGE:
+        gaps -= (gaps @ evaluation.d)[:, None]
+    return float(((gaps ** 2) @ evaluation.d).max())

@@ -11,6 +11,7 @@ from morlab import (
     AVERAGE,
     DISCOUNTED,
     DivergenceError,
+    FeatureMap,
     ModelError,
     ParameterError,
     PolicyEvaluation,
@@ -479,6 +480,54 @@ class TestZetaApprox:
         )
         assert zeta == pytest.approx(expected, rel=1e-12)
         assert zeta >= 0.0
+
+
+    @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
+                             ids=["fishwood", "resource_gathering"])
+    def test_average_default_features_zero_modulo_constants(self, env):
+        # with default features w* is V less its value in the last state, a
+        # constant the average-setting zeta does not count
+        features = default_feature_map(env.n_states)
+        policy = random_policy(np.random.default_rng(0), env.n_states, env.n_actions)
+        evaluation = PolicyEvaluation(env, policy, AVERAGE)
+        fp = compute_td_fixed_point(evaluation, features)
+        assert 0.0 <= compute_zeta_approx(evaluation, fp, features) <= 1e-24
+
+    @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
+                             ids=["fishwood", "resource_gathering"])
+    def test_average_matches_dense_referee(self, env):
+        # two states with zero features: a gap that no constant removes,
+        # against w* from the dense-feature products and V from the
+        # (I - P + 1 d^T) Poisson solve
+        S = env.n_states
+        features = FeatureMap(S, S - 2)
+        policy = random_policy(np.random.default_rng(0), S, env.n_actions)
+        evaluation = PolicyEvaluation(env, policy, AVERAGE)
+        fp = compute_td_fixed_point(evaluation, features)
+        phi, d, P = feature_matrix(features), evaluation.d, evaluation.P
+        D = np.diag(d)
+        J = evaluation.r @ d
+        A = phi.T @ D @ (P @ phi - phi)
+        b = (evaluation.r - J[:, None]) @ D @ phi
+        w = td_fixed_point_reference(np.repeat(A[None], env.n_objectives, axis=0), b)
+        V = np.linalg.solve(np.eye(S) - P + np.outer(np.ones(S), d), (evaluation.r - J[:, None]).T).T
+        gaps = V - w @ phi.T
+        gaps -= (gaps @ d)[:, None]
+        expected = float(((gaps ** 2) @ d).max())
+        assert expected > 1e-6   # far above the rounding floor of default features
+        assert compute_zeta_approx(evaluation, fp, features) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [default_feature_map, complete_feature_map])
+    def test_discounted_is_the_plain_weighted_gap(self, kind):
+        # no centring in the discounted setting: the d-weighted squared gap, bit for bit
+        env = build_fishwood(0.25, 0.65, discount=(0.8, 0.95))
+        features = kind(env.n_states)
+        evaluation = PolicyEvaluation(env, random_policy(np.random.default_rng(1), 4, 2),
+                                      DISCOUNTED)
+        fp = compute_td_fixed_point(evaluation, features)
+        V, _ = evaluation.values
+        expected = float((((V - features.values(fp.w_star)) ** 2) @ evaluation.d).max())
+        assert _bytes(compute_zeta_approx(evaluation, fp, features)) == _bytes(expected)
 
 
 class TestRunCritic:
