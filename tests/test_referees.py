@@ -30,6 +30,29 @@ _ITEM_1 = ("ROADMAP item 1: the average-setting TD error subtracts the tracker i
            "reward has updated, so the sampled quantity tracks a shrunk limit")
 
 
+@pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
+                         ids=["fishwood", "resource_gathering"])
+def test_sampler_visitation_matches_stationary_distribution(env):
+    # one chain under one N(0, 0.5) logit policy: a 2,000-step burn-in, then
+    # 200,000 steps in 50 batches of 4,000; each state's visit frequency
+    # within 5 batch-means standard errors of d. A state that no batch
+    # visits has a batch-means error of 0; its count over n steps has an
+    # independent-draws standard deviation of sqrt(n d (1 - d)), and the
+    # positive correlation of a chain's visits only widens it, so the error
+    # of its frequency is floored at sqrt(d / n). About 0.1 s per model.
+    policy = random_policy(np.random.default_rng(0), env.n_states, env.n_actions, scale=0.5)
+    d = PolicyEvaluation(env, policy, AVERAGE).d
+    probs = policy.probability_matrix()
+    sampler = MarkovSampler(env, 0)
+    sampler.sample_policy_batch(probs, 2_000)
+    n, batches = 200_000, 50
+    states = sampler.sample_policy_batch(probs, n)[0].reshape(batches, -1)
+    freq = np.array([np.bincount(row, minlength=env.n_states) for row in states]) / states.shape[1]
+    standard_error = np.maximum(freq.std(axis=0, ddof=1) / np.sqrt(batches), np.sqrt(d / n))
+    error = np.abs(freq.mean(axis=0) - d)
+    assert np.all(error <= 5 * standard_error), np.max(error / standard_error)
+
+
 @pytest.mark.parametrize("setting", [
     pytest.param(AVERAGE, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),
     DISCOUNTED,
