@@ -19,6 +19,7 @@ SETTINGS = (AVERAGE, DISCOUNTED)
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10   # bound on the residual max|d P - d| of a stationary solve
+_POISSON_TOL = 1e-12      # relative Poisson residual above which pinned values are re-solved
 
 
 def check_setting(setting: str) -> str:
@@ -572,18 +573,30 @@ class PolicyEvaluation:
         Discounted: V solves (I - gamma_i P_pi) V = r_pi (``lead_values(S)``)
         and J = <initial_distribution, V>. Average: J = r d is the stationary
         per-step reward and V the differential value of V = r - J + P_pi V,
-        ``lead_values(S - 1)`` with the last state at 0, shifted to d V = 0.
+        ``lead_values(S - 1)`` with the last state at 0, shifted to d V = 0;
+        if that V misses the Poisson equation by more than 1e-12 of its
+        scale, (I - P_pi + 1 d^T) V = r - J is solved instead.
         """
         env = self.env
         if self.setting == DISCOUNTED:
             V = self.lead_values(env.n_states)
             return V, V @ env.initial_distribution
+        d, J, S = self.d, self.offset, env.n_states
         # I - P[:-1, :-1] is invertible for an irreducible chain, and the
         # last Poisson row holds too: d (r - J + P V - V) = 0 with d > 0
-        V = np.zeros((env.n_objectives, env.n_states))
-        V[:, :-1] = self.lead_values(env.n_states - 1)
-        V -= (V @ self.d)[:, None]
-        return V, self.offset
+        V = np.zeros((env.n_objectives, S))
+        V[:, :-1] = self.lead_values(S - 1)
+        V -= (V @ d)[:, None]
+        # the pinned solution nears a constant as d(last state) shrinks, and
+        # the shift cancels digits; the (I - P + 1 d^T) solve, invertible for
+        # irreducible chains and already d-pinned, does not
+        centred = self.r - J[:, None]
+        residual = np.abs(centred + V @ self.P.T - V).max()
+        if not residual <= _POISSON_TOL * (np.abs(V).max() + np.abs(centred).max()):
+            A = np.eye(S) - self.P + np.outer(np.ones(S), d)
+            V = np.linalg.solve(A, centred.T).T
+            V -= (V @ d)[:, None]
+        return V, J
 
     @cached_property
     def advantages(self) -> np.ndarray:

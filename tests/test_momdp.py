@@ -617,6 +617,27 @@ class TestValueSolves:
             assert np.max(np.abs(r - J[:, None] + V @ P.T - V)) <= 1e-11
             assert np.max(np.abs(V @ d)) <= 1e-13 * max(1.0, np.abs(V).max())
 
+    def test_skewed_policies_fall_back_to_the_poisson_solve(self, monkeypatch):
+        # N(0, 3) logits make some states rare: the values pinned at the last
+        # state then miss the Poisson equation by up to 4e-7 of their scale,
+        # and the (I - P + 1 d^T) solve takes over
+        env = build_resource_gathering()
+        rng = np.random.default_rng(5)
+        real, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or real(*args))
+        fallbacks = 0
+        for _ in range(10):
+            evaluation = PolicyEvaluation(env, random_policy(rng, env.n_states, env.n_actions, 3.0),
+                                          AVERAGE)
+            evaluation.offset   # the stationary solve
+            solves.clear()
+            V, J = evaluation.values
+            fallbacks += len(solves) - 1
+            centred = evaluation.r - J[:, None]
+            residual = np.abs(centred + V @ evaluation.P.T - V).max()
+            assert residual <= 1e-12 * (np.abs(V).max() + np.abs(centred).max())
+        assert 0 < fallbacks < 10
+
     def test_discounted_values_match_per_objective_solves(self):
         env = build_fishwood(0.25, 0.65, discount=(0.8, 0.95))
         rng = np.random.default_rng(6)
