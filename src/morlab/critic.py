@@ -238,7 +238,7 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     b = ((evaluation.r - evaluation.offset[:, None]) * d)[:, :d2]
     # objectives with equal discounts (all M in the average setting) share one
     # slice of A and one margin check
-    discounts, slice_of = np.unique(evaluation.gamma, return_inverse=True)
+    discounts, slice_of = evaluation.discount_groups
     A = d_lead * (discounts[:, None, None] * P - eye)
     for a in A:
         _check_margin(a)

@@ -543,6 +543,11 @@ class PolicyEvaluation:
         return compute_stationary_distribution(self.P)
 
     @cached_property
+    def discount_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct entries of ``gamma``, ascending, and each objective's index into them."""
+        return np.unique(self.gamma, return_inverse=True)
+
+    @cached_property
     def offset(self) -> np.ndarray:
         """(M,) reward offset: zeros when discounted, J = r d in the average setting."""
         return np.zeros(self.env.n_objectives) if self.setting == DISCOUNTED else self.r @ self.d
@@ -555,7 +560,7 @@ class PolicyEvaluation:
         discount, right-hand sides stacked; memoized per k, read-only."""
         X = self._lead_values.get(k)
         if X is None:
-            discounts, group_of = np.unique(self.gamma, return_inverse=True)
+            discounts, group_of = self.discount_groups
             rhs = (self.r - self.offset[:, None])[:, :k]
             P, eye = self.P[:k, :k], np.eye(k)
             X = np.empty(rhs.shape)
