@@ -481,7 +481,6 @@ class TestZetaApprox:
         assert zeta == pytest.approx(expected, rel=1e-12)
         assert zeta >= 0.0
 
-
     @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
                              ids=["fishwood", "resource_gathering"])
     def test_average_default_features_zero_modulo_constants(self, env):
