@@ -580,7 +580,9 @@ class PolicyEvaluation:
         per-step reward and V the differential value of V = r - J + P_pi V,
         ``lead_values(S - 1)`` with the last state at 0, shifted to d V = 0;
         if that V misses the Poisson equation by more than 1e-12 of its
-        scale, (I - P_pi + 1 d^T) V = r - J is solved instead.
+        scale, (I - P_pi + 1 d^T) V = r - J is solved instead. ModelError
+        if either solve finds its matrix singular (a chain reducible in
+        floating point whose ``d`` passed its check).
         """
         env = self.env
         if self.setting == DISCOUNTED:
@@ -590,17 +592,21 @@ class PolicyEvaluation:
         # I - P[:-1, :-1] is invertible for an irreducible chain, and the
         # last Poisson row holds too: d (r - J + P V - V) = 0 with d > 0
         V = np.zeros((env.n_objectives, S))
-        V[:, :-1] = self.lead_values(S - 1)
-        V -= (V @ d)[:, None]
-        # the pinned solution nears a constant as d(last state) shrinks, and
-        # the shift cancels digits; the (I - P + 1 d^T) solve, invertible for
-        # irreducible chains and already d-pinned, does not
-        centred = self.r - J[:, None]
-        residual = np.abs(centred + V @ self.P.T - V).max()
-        if not residual <= _POISSON_TOL * (np.abs(V).max() + np.abs(centred).max()):
-            A = np.eye(S) - self.P + np.outer(np.ones(S), d)
-            V = np.linalg.solve(A, centred.T).T
+        try:
+            V[:, :-1] = self.lead_values(S - 1)
             V -= (V @ d)[:, None]
+            # the pinned solution nears a constant as d(last state) shrinks, and
+            # the shift cancels digits; the (I - P + 1 d^T) solve, invertible for
+            # irreducible chains and already d-pinned, does not
+            centred = self.r - J[:, None]
+            residual = np.abs(centred + V @ self.P.T - V).max()
+            if not residual <= _POISSON_TOL * (np.abs(V).max() + np.abs(centred).max()):
+                A = np.eye(S) - self.P + np.outer(np.ones(S), d)
+                V = np.linalg.solve(A, centred.T).T
+                V -= (V @ d)[:, None]
+        except np.linalg.LinAlgError as exc:
+            raise ModelError("Poisson equations of the induced chain are singular: "
+                             "numerically reducible, no unique differential value") from exc
         return V, J
 
     @cached_property

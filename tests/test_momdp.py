@@ -20,12 +20,14 @@ from morlab import (
     compute_stationary_distribution,
     compute_td_fixed_point,
     default_feature_map,
+    exact_policy_gradient,
     load_env_json,
+    pareto_stationarity_gap,
     save_env_json,
     uniform_policy,
 )
 from morlab.critic import expected_td_errors
-from morlab.momdp import MarkovSampler
+from morlab.momdp import MarkovSampler, value_functions
 
 from util import (
     advantages_reference,
@@ -637,6 +639,22 @@ class TestValueSolves:
             residual = np.abs(centred + V @ evaluation.P.T - V).max()
             assert residual <= 1e-12 * (np.abs(V).max() + np.abs(centred).max())
         assert 0 < fallbacks < 10
+
+    @pytest.mark.parametrize("scale, draw", [(30.0, 23), (50.0, 19), (50.0, 21)])
+    def test_singular_value_solves_raise_model_error(self, scale, draw):
+        # near-reducible chains whose d passes its residual check: the (I - P
+        # + 1 d^T) fallback (N(0, 30), draw 23) or the pinned lead_values(S - 1)
+        # solve (N(0, 50), draws 19 and 21) is exactly singular in floating point
+        env = build_resource_gathering()
+        rng = np.random.default_rng(5)
+        draws = [rng.normal(0.0, 30.0, size=env.n_states * env.n_actions) for _ in range(40)]
+        draws += [rng.normal(0.0, 50.0, size=env.n_states * env.n_actions) for _ in range(40)]
+        policy = PolicyParams(draws[draw + (40 if scale == 50.0 else 0)], env.n_states, env.n_actions)
+        for oracle in (lambda: exact_policy_gradient(PolicyEvaluation(env, policy, AVERAGE)),
+                       lambda: pareto_stationarity_gap(PolicyEvaluation(env, policy, AVERAGE)),
+                       lambda: value_functions(env, policy, AVERAGE)):
+            with pytest.raises(ModelError, match="singular"):
+                oracle()
 
     def test_discounted_values_match_per_objective_solves(self):
         env = build_fishwood(0.25, 0.65, discount=(0.8, 0.95))
