@@ -9,7 +9,6 @@ import math
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -286,6 +285,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         for seed in seeds:
             run_seed(cfg, env, seed, out)
     else:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing: only for a pool
         jobs = [(cfg, env, seed, str(out)) for seed in seeds]
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             list(pool.map(_worker, jobs))

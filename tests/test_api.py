@@ -138,3 +138,16 @@ def test_no_morlab_path_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src), "MORLAB_WORKERS": "1"})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported where a run starts one: importing the package and
+    # its CLI loads neither it nor what it pulls in
+    src = Path(morlab.__file__).resolve().parents[1]
+    code = ("import sys\nimport morlab, morlab.cli\n"
+            "pool = ('multiprocessing', 'concurrent', 'logging', 'socket', 'subprocess')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in pool))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
