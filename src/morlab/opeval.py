@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
 DEFAULT_CAP = 10.0
-CHUNK_RECORDS = 4096     # records formatted per write in save_logged_data
+CHUNK_RECORDS = 4096     # records per write in save_logged_data, lines per parse in load_logged_data
 _RECORD_LINE = '{{"s": {}, "a": {}, "r": {!r}, "pb": {!r}}}\n'.format
 _NUMBERS = frozenset((int, float))   # JSON numbers; bool and str are not
 
@@ -103,36 +104,44 @@ def save_logged_data(dataset: LoggedDataset, path: str):
 
 def load_logged_data(path: str) -> LoggedDataset:
     """Read a JSON-lines log. ``s`` and ``a`` must be JSON integers, ``pb`` and
-    every entry of the list ``r`` JSON numbers; anything else is a ``DataError``."""
-    states, actions, rewards, probs = [], [], [], []
+    every entry of the list ``r`` JSON numbers; anything else is a ``DataError``.
+
+    Parses ``CHUNK_RECORDS`` lines at a time and keeps each chunk as numpy
+    columns only, so memory holds the columns, not every record's objects.
+    """
+    chunks, lineno = [], 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+            for lines in iter(lambda: list(islice(fh, CHUNK_RECORDS)), []):
+                states, actions, rewards, probs = [], [], [], []
+                for lineno, line in enumerate(lines, start=lineno + 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        doc = json.loads(line)
+                        s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
+                        if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
+                                and type(r) is list and _NUMBERS.issuperset(map(type, r))):
+                            raise TypeError("s and a must be integers, pb a number and r a list of numbers")
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
+                    states.append(s)
+                    actions.append(a)
+                    rewards.append(r)
+                    probs.append(pb)
+                if not states:
                     continue
+                widths = {len(r) for r in rewards} | {rows.shape[1] for _, _, rows, _ in chunks[:1]}
+                if len(widths) != 1:
+                    raise DataError("logged-data records disagree on the number of objectives")
                 try:
-                    doc = json.loads(line)
-                    s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
-                    if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
-                            and type(r) is list and _NUMBERS.issuperset(map(type, r))):
-                        raise TypeError("s and a must be integers, pb a number and r a list of numbers")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
-                states.append(s)
-                actions.append(a)
-                rewards.append(r)
-                probs.append(pb)
+                    chunks.append((np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                                   np.array(rewards, dtype=float), np.array(probs, dtype=float)))
+                except OverflowError as exc:   # an integer beyond int64 or float range
+                    raise DataError(f"logged-data value out of range: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: logged-data file is not UTF-8 text: {exc}") from exc
-    if not states:
+    if not chunks:
         raise DataError("logged-data file contains no records")
-    widths = {len(r) for r in rewards}
-    if len(widths) != 1:
-        raise DataError("logged-data records disagree on the number of objectives")
-    try:
-        columns = (np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
-                   np.array(rewards, dtype=float), np.array(probs, dtype=float))
-    except OverflowError as exc:   # an integer beyond int64 or float range
-        raise DataError(f"logged-data value out of range: {exc}") from exc
-    return LoggedDataset(*columns)
+    return LoggedDataset(*map(np.concatenate, zip(*chunks)))

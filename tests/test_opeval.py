@@ -32,6 +32,9 @@ from util import (
 )
 
 
+_GOOD_RECORD = '{"s": 0, "a": 1, "r": [1.0, 0.5], "pb": 0.5}\n'
+
+
 def logit_policy(probs: np.ndarray) -> PolicyParams:
     return PolicyParams(np.log(probs).ravel(), probs.shape[0], probs.shape[1])
 
@@ -282,6 +285,74 @@ class TestLoggedDataIO:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_loader_streams(self, tmp_path):
+        # the twin of test_writer_streams: holding all 50k records as Python
+        # objects until the last line peaks near 14 MB; a chunk at a time, the
+        # numpy columns (2.4 MB, twice while they are concatenated) dominate
+        env = build_resource_gathering()
+        data = generate_logged_data(env, uniform_policy(env), n=50_000, seed=10)
+        path = tmp_path / "log.jsonl"
+        save_logged_data(data, str(path))
+        tracemalloc.start()
+        try:
+            loaded = load_logged_data(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 50_000
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("bad_line", [CHUNK_RECORDS + 1, 2 * CHUNK_RECORDS + 1])
+    def test_loader_names_bad_line_past_a_chunk_boundary(self, tmp_path, bad_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(_GOOD_RECORD * (bad_line - 1) + '{"s": 0, "a": 1.0, "r": [1.0, 0.5], "pb": 0.5}\n'
+                        + _GOOD_RECORD * 3)
+        with pytest.raises(DataError, match=f"at line {bad_line}:"):
+            load_logged_data(str(path))
+
+    def test_loader_counts_blank_lines_across_a_chunk_boundary(self, tmp_path):
+        # blank lines CHUNK_RECORDS and CHUNK_RECORDS + 1 straddle the first
+        # boundary; they are skipped, yet counted in the line numbers
+        text = _GOOD_RECORD * (CHUNK_RECORDS - 1) + "\n  \n" + _GOOD_RECORD
+        path = tmp_path / "blank.jsonl"
+        path.write_text(text)
+        assert len(load_logged_data(str(path))) == CHUNK_RECORDS
+        path.write_text(text + '{"s": true, "a": 1, "r": [1.0, 0.5], "pb": 0.5}\n')
+        with pytest.raises(DataError, match=f"at line {CHUNK_RECORDS + 3}:"):
+            load_logged_data(str(path))
+
+    def test_loader_rejects_width_change_in_a_later_chunk(self, tmp_path):
+        path = tmp_path / "widths.jsonl"
+        path.write_text(_GOOD_RECORD * (CHUNK_RECORDS + 2) + '{"s": 0, "a": 1, "r": [1.0, 0.5, 2.0], "pb": 0.5}\n')
+        with pytest.raises(DataError, match="disagree"):
+            load_logged_data(str(path))
+
+    def test_loader_rejects_blank_lines_only(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n \n" * (CHUNK_RECORDS + 1))
+        with pytest.raises(DataError, match="contains no records"):
+            load_logged_data(str(path))
+
+    def test_loader_rejects_non_utf8_bytes_in_a_later_chunk(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes((_GOOD_RECORD * (CHUNK_RECORDS + 5)).encode() + b'{"s": 0, "a": 1, "r": [1.0], "pb": 0.5}\xe9\n')
+        with pytest.raises(DataError, match="UTF-8"):
+            load_logged_data(str(path))
+
+    def test_loader_round_trip_across_chunks(self, tmp_path):
+        env = build_resource_gathering()
+        rng = np.random.default_rng(8)
+        data = generate_logged_data(env, random_policy(rng, env.n_states, env.n_actions, scale=1.0),
+                                    n=2 * CHUNK_RECORDS + 1, seed=9)
+        save_logged_data(data, str(tmp_path / "log.jsonl"))
+        loaded = load_logged_data(str(tmp_path / "log.jsonl"))
+        for name, dtype in (("states", np.int64), ("actions", np.int64), ("rewards", np.float64),
+                            ("behavior_probs", np.float64)):
+            column = getattr(loaded, name)
+            assert np.array_equal(column, getattr(data, name)), name
+            assert column.dtype == dtype and column.flags.c_contiguous, name
+        assert loaded.rewards.shape == (2 * CHUNK_RECORDS + 1, 3)
 
     def test_loader_rejects_zero_support(self, tmp_path):
         path = tmp_path / "zero.jsonl"
