@@ -264,7 +264,8 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     """
     env = evaluation.env
     _check_features(env, features)
-    if not 0 <= objective < env.n_objectives:
+    check_integer("objective", objective, 0)
+    if objective >= env.n_objectives:
         raise ParameterError(f"objective {objective} out of range")
     values = features.values(w)                    # (S,)
     delta_bar = (env.reward[objective] - evaluation.offset[objective]

@@ -56,8 +56,8 @@ class TabularMomdp:
 
     def validate(self):
         S, A, M = self.n_states, self.n_actions, self.n_objectives
-        if min(S, A, M) < 1:
-            raise ParameterError("n_states, n_actions, n_objectives must be positive")
+        for name in ("n_states", "n_actions", "n_objectives"):
+            check_integer(name, getattr(self, name), 1)
         if self.transition.shape != (S, A, S):
             raise ParameterError(f"transition tensor must have shape {(S, A, S)}")
         if self.reward.shape != (M, S, A):
@@ -84,19 +84,6 @@ class TabularMomdp:
             raise ParameterError("each discount must lie in (0, 1)")
 
     @cached_property
-    def transition_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Non-zero pattern of ``transition``, cached for sparse sampling.
-
-        Returns (actions, next_states, cell_probs), each of shape (S, K) with K
-        the most non-zero (a, s') cells of any state. Row s lists its cells in
-        row-major (a, s') order with their probabilities P(s' | s, a); the
-        padding on the right points at cell (0, 0) with probability exactly 0.0.
-        """
-        cells, cell_probs = _padded_rows(self.transition.reshape(self.n_states, -1))
-        actions, next_states = np.divmod(cells, self.n_states)
-        return actions, next_states, cell_probs
-
-    @cached_property
     def reward_rows(self) -> np.ndarray:
         """``reward`` as a C-ordered (S * A, M) table, row s * A + a the M
         rewards of (s, a)."""
@@ -107,9 +94,17 @@ class TabularMomdp:
         """``transition`` as padded rows (next_states, probs), each of shape
         (S * A, R): row s * A + a lists the R or fewer next states s' of
         P(s' | s, a) > 0 in increasing order, padded on the right with state 0
-        and probability exactly 0.0. ``expected_next`` sums over them, at
-        O(S * A * R) cost against the dense tensor's O(S^2 * A)."""
-        return _padded_rows(self.transition.reshape(self.n_states * self.n_actions, self.n_states))
+        and probability exactly 0.0. The one layout of the transition law
+        that the sampler, ``PolicyEvaluation.P`` and ``expected_next`` read,
+        at O(S * A * R) cost against the dense tensor's O(S^2 * A)."""
+        nonzero = self.transition != 0
+        counts = nonzero.sum(axis=2).ravel()
+        filled = np.arange(counts.max()) < counts[:, None]
+        next_states = np.zeros(filled.shape, dtype=np.int64)
+        next_states[filled] = np.flatnonzero(nonzero) % self.n_states
+        probs = np.zeros(filled.shape)
+        probs[filled] = self.transition[nonzero]
+        return next_states, probs
 
     def expected_next(self, values: np.ndarray) -> np.ndarray:
         """(..., S, A) sums sum_s' P(s' | s, a) v(s') of the finite (..., S)
@@ -154,21 +149,6 @@ class TabularMomdp:
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ParameterError(f"bad environment document: {exc!r}") from exc
         return cls(**fields)
-
-
-def _padded_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, values) of the non-zero entries of each row of the 2-D
-    ``table``, each of shape (rows, K) with K the most of any row; a row lists
-    its entries in column order, padded on the right with column 0 and value
-    exactly 0.0."""
-    nonzero = table != 0
-    counts = nonzero.sum(axis=1)
-    filled = np.arange(counts.max()) < counts[:, None]
-    columns = np.zeros(filled.shape, dtype=np.int64)
-    columns[filled] = np.flatnonzero(nonzero) % table.shape[1]
-    values = np.zeros(filled.shape)
-    values[filled] = table[nonzero]
-    return columns, values
 
 
 def save_env_json(env: TabularMomdp, path: str):
@@ -227,16 +207,15 @@ class MarkovSampler:
         self.env = env
         self.rng = np.random.default_rng(seed)
         self.state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
-        self._next_state_of_cell = env.transition_support[1].ravel().tolist()
+        self._next_state_of_cell = env.transition_rows[0].ravel().tolist()
 
     def sample_policy_batch(self, action_probs: np.ndarray, n: int):
         """Draw n chained (s, a, s') steps under the (S, A) policy matrix.
 
         Uses one uniform per step against the joint (action, next-state) law of
-        the current state. The step loop records the flat index K * s + j of
-        the cell (a, s') each step draws from ``transition_support``; states,
-        actions and next states are gathers of that one index array, so batch
-        arithmetic stays vectorized downstream. ``n`` is an integer >= 0.
+        the current state and records the flat index c of the ``transition_rows``
+        slot it draws; with K = A * R, states, actions and next states are the
+        vectorized c // K, c % K // R and gather at c. ``n`` is an integer >= 0.
         """
         check_integer("n", n, 0)
         probs = np.asarray(action_probs, dtype=float)
@@ -254,29 +233,32 @@ class MarkovSampler:
             s = next_state_of_cell[c]
         self.state = s
         cells = np.array(cells, dtype=np.int64)
-        actions, next_states, _ = self.env.transition_support
-        return cells // K, actions.ravel()[cells], next_states.ravel()[cells]
+        next_states, _ = self.env.transition_rows
+        states, actions = np.divmod(cells, K)
+        actions //= next_states.shape[1]
+        return states, actions, next_states.ravel()[cells]
 
     def _policy_table(self, probs: np.ndarray) -> np.ndarray:
-        """(S, K) per-state cumulative joint law over the cells of ``transition_support``.
+        """(S, A * R) per-state cumulative joint law over the slots of
+        ``transition_rows``, rows s * A to s * A + A - 1 side by side.
 
-        Each cell's joint probability is pi(a | s) times its transition
-        probability; on the padding that product is +0.0, since both factors
-        are >= 0. The row-wise sequential cumsum leaves out only cells whose
-        transition probability, and so whose joint probability, is exactly
-        0.0. Adding 0.0 leaves a float sum unchanged, so each entry equals the
-        dense (S, A*S) cumsum at its cell, and a right bisection picks the same
-        cell as ``np.searchsorted(..., side="right")`` over the dense row would.
-        The last real entry of each row is exactly 1.0 and every uniform is
-        below it, so the padding is never drawn.
+        Each slot's joint probability is pi(a | s) times its transition
+        probability, +0.0 on the padding since both factors are >= 0. Against
+        the dense (S, A*S) row-wise cumsum, this one leaves out only cells of
+        transition probability 0.0 and adds only +0.0 slots, neither of which
+        changes a float sum, so each entry equals the dense cumsum at its cell.
+        A right bisection picks the cell ``np.searchsorted(..., side="right")``
+        picks in the dense row: a padding slot repeats the entry of a real slot
+        on its left, and a row ends at exactly 1.0, above every uniform.
+        ParameterError unless each row of ``probs`` lies in [0, 1] and sums
+        to 1 within 1e-12.
         """
-        env = self.env
         if not np.all((probs >= 0) & (probs <= 1)):
             raise ParameterError("action probabilities must lie in [0, 1]")
-        actions, _, cell_probs = env.transition_support
-        cum = (probs[np.arange(env.n_states)[:, None], actions] * cell_probs).cumsum(axis=1)
-        if not np.all(cum[:, -1] > 0):
-            raise ParameterError("every state needs an action of positive probability")
+        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+            raise ParameterError("every row of action probabilities must sum to 1 within 1e-12")
+        _, cell_probs = self.env.transition_rows
+        cum = (probs.reshape(-1, 1) * cell_probs).reshape(len(probs), -1).cumsum(axis=1)
         cum /= cum[:, -1:]
         return cum
 
@@ -533,7 +515,13 @@ class PolicyEvaluation:
         self.probs = policy.probability_matrix()
         if self.probs.shape != (env.n_states, env.n_actions):
             raise ParameterError("policy dimensions do not match the environment")
-        self.P = np.einsum("sa,sax->sx", self.probs, env.transition)
+        # each P_pi(s, s') adds pi(a|s) P(s'|s, a) over the slots of
+        # ``transition_rows`` in increasing a from +0.0; padding adds +0.0
+        next_states, cell_probs = env.transition_rows
+        S = env.n_states
+        bins = np.arange(S).repeat(next_states.size // S) * S + next_states.ravel()
+        self.P = np.bincount(bins, (self.probs.reshape(-1, 1) * cell_probs).ravel(),
+                             minlength=S * S).reshape(S, S)
         self.r = np.einsum("sa,msa->ms", self.probs, env.reward)
         self._lead_values: dict[int, np.ndarray] = {}
 

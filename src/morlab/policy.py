@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .momdp import PolicyEvaluation, TabularMomdp, _json_floats, _json_int, read_json
 
 
@@ -24,7 +24,9 @@ class FeatureMap:
     dim: int
 
     def __post_init__(self):
-        if not 1 <= self.dim <= self.n_states:
+        check_integer("n_states", self.n_states, 1)
+        check_integer("feature dim", self.dim, 1)
+        if self.dim > self.n_states:
             raise ParameterError(f"feature dim must be in [1, {self.n_states}], got {self.dim}")
 
     def values(self, w: np.ndarray) -> np.ndarray:
@@ -62,6 +64,8 @@ class PolicyParams:
     n_actions: int
 
     def __post_init__(self):
+        check_integer("n_states", self.n_states, 1)
+        check_integer("n_actions", self.n_actions, 1)
         self.theta = np.asarray(self.theta, dtype=float)
         expected = self.n_states * self.n_actions
         if self.theta.shape != (expected,):

@@ -65,6 +65,22 @@ def test_traced_targets_resolve():
         assert callable(obj), span
 
 
+def test_only_the_model_reads_the_dense_transition_tensor():
+    # every computation reads the padded rows ``TabularMomdp.transition_rows``;
+    # the dense (S, A, S) tensor is the model's own, for its validation, its
+    # JSON writer and the rows themselves
+    readers = []
+    for path in sorted(Path(morlab.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "TabularMomdp"
+                 for node in ast.walk(cls)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "transition"
+                    and id(node) not in owned]
+    assert readers == []
+
+
 def test_benchmark_selftest_passes():
     # the benchmark builds MoacConfig, ExperimentConfig and PolicyParams
     # itself; its self-test runs each check on a real output of this tree

@@ -198,7 +198,7 @@ class TestFixedPoint:
             for i in range(2):
                 upd = expected_td_update(evaluation, features, fp.w_star[i], i)
                 assert np.max(np.abs(upd)) <= 1e-10
-            for objective in (-1, 2):
+            for objective in (-1, 2, True, 1.0, np.float64(0.0)):
                 with pytest.raises(ParameterError):
                     expected_td_update(evaluation, features, fp.w_star[0], objective)
 

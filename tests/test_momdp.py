@@ -37,6 +37,7 @@ from util import (
     next_values_reference,
     permute_momdp,
     permute_tabular_policy,
+    policy_kernel_reference,
     random_momdp,
     random_policy,
     random_sparse_momdp,
@@ -191,6 +192,17 @@ class TestValidation:
         with pytest.raises(ParameterError, match="finite"):
             TabularMomdp(2, 2, 2, **arrays)
 
+    @pytest.mark.parametrize("field", ["n_states", "n_actions", "n_objectives"])
+    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), True, 0],
+                             ids=["float", "numpy-float", "bool", "zero"])
+    def test_rejects_a_count_that_is_not_an_integer_of_at_least_1(self, field, value):
+        env = two_state_env()
+        counts = dict(n_states=2, n_actions=2, n_objectives=2)
+        counts[field] = value
+        with pytest.raises(ParameterError, match=rf"{field} must be an integer >= 1"):
+            TabularMomdp(**counts, transition=env.transition, reward=env.reward,
+                         discounts=env.discounts, initial_distribution=env.initial_distribution)
+
     def test_json_missing_key_raises_parameter_error(self):
         doc = build_fishwood(0.3, 0.7).to_json_dict()
         del doc["reward"]
@@ -306,22 +318,24 @@ class TestSampling:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [None, 5, 6])
-    def test_transition_support_cells_and_probabilities(self, seed):
+    def test_transition_rows_next_states_and_probabilities(self, seed):
         # resource_gathering (seed None) and random sparse models, all with padded rows
         env = (build_resource_gathering() if seed is None
                else random_sparse_momdp(np.random.default_rng(seed), 30, 3, 1))
-        actions, next_states, cell_probs = env.transition_support
-        S, K = env.n_states, cell_probs.shape[1]
+        next_states, probs = env.transition_rows
+        S, A, R = env.n_states, env.n_actions, probs.shape[1]
+        assert next_states.shape == probs.shape == (S * A, R) and next_states.dtype == np.int64
         padded = 0
         for s in range(S):
-            nonzero = np.flatnonzero(env.transition[s])
-            k = nonzero.size
-            a, ns = actions[s, :k], next_states[s, :k]
-            assert np.array_equal(a * S + ns, nonzero)   # row-major (a, s') order
-            assert np.array_equal(cell_probs[s, :k], env.transition[s, a, ns])
-            assert not np.any(actions[s, k:]) and not np.any(next_states[s, k:])
-            assert cell_probs[s, k:].tobytes() == bytes(8 * (K - k))   # +0.0, bit for bit
-            padded += K - k
+            for a in range(A):
+                row = s * A + a
+                nonzero = np.flatnonzero(env.transition[s, a])   # increasing s'
+                k = nonzero.size
+                assert np.array_equal(next_states[row, :k], nonzero)
+                assert np.array_equal(probs[row, :k], env.transition[s, a, nonzero])
+                assert not np.any(next_states[row, k:])
+                assert probs[row, k:].tobytes() == bytes(8 * (R - k))   # +0.0, bit for bit
+                padded += R - k
         assert padded > 0
 
 
@@ -435,7 +449,8 @@ class TestPolicyBatchMatchesDenseReference:
         env = build_fishwood(0.25, 0.65)
         sampler = MarkovSampler(env, seed=0)
         good = np.full((env.n_states, env.n_actions), 0.5)
-        for row in ([np.nan, 1.0], [-0.5, 1.0], [np.inf, 0.5], [1.5, 0.5], [0.0, 0.0]):
+        for row in ([np.nan, 1.0], [-0.5, 1.0], [np.inf, 0.5], [1.5, 0.5], [0.0, 0.0],
+                    [0.1, 0.1], [1.0, 1.0]):
             probs = good.copy()
             probs[2] = row
             with pytest.raises(ParameterError):
@@ -753,3 +768,33 @@ class TestAdvantages:
                 objective = i % env.n_objectives
                 assert np.array_equal(expected_td_errors(evaluation, features, w, objective),
                                       expected_td_errors_reference(evaluation, features, w, objective))
+
+
+class TestPolicyKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sparse=st.booleans(),
+        n_states=st.integers(2, 40),
+        n_actions=st.integers(1, 4),
+        scale=st.sampled_from([0.0, 1.0, 3.0, 800.0]),
+    )
+    def test_equal_to_the_sequential_referee(self, seed, sparse, n_states, n_actions, scale):
+        # each P_pi(s, s') adds its terms in increasing a from +0.0; a padded
+        # slot adds +0.0 and leaves the sum unchanged. Logits of scale 800
+        # underflow some action probabilities to 0.0.
+        rng = np.random.default_rng(seed)
+        build = random_sparse_momdp if sparse else random_momdp
+        env = build(rng, n_states, n_actions, 1)
+        evaluation = PolicyEvaluation(env, random_policy(rng, n_states, n_actions, scale), AVERAGE)
+        assert np.array_equal(evaluation.P, policy_kernel_reference(env, evaluation.probs,
+                                                                    sequential=True))
+
+    @pytest.mark.parametrize("env", [build_fishwood(0.25, 0.65), build_resource_gathering()],
+                             ids=["fishwood", "resource_gathering"])
+    def test_lab_models_keep_the_einsum_bits(self, env):
+        rng = np.random.default_rng(2500)
+        for scale in (0.0, 1.0, 3.0, 800.0):
+            evaluation = PolicyEvaluation(env, random_policy(rng, env.n_states, env.n_actions, scale),
+                                          DISCOUNTED)
+            assert np.array_equal(evaluation.P, policy_kernel_reference(env, evaluation.probs))

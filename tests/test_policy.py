@@ -59,6 +59,14 @@ class TestActionProbabilities:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0)
 
+    @pytest.mark.parametrize("n_states, n_actions", [(4.0, 2), (4, 2.0), (True, 8), (8, True),
+                                                     (np.float64(4.0), 2), (0, 2)],
+                             ids=["float-states", "float-actions", "bool-states", "bool-actions",
+                                  "numpy-float-states", "zero-states"])
+    def test_counts_that_are_not_integers_of_at_least_1_rejected(self, n_states, n_actions):
+        with pytest.raises(ParameterError, match=r"n_(states|actions) must be an integer >= 1"):
+            PolicyParams(np.zeros(8), n_states, n_actions)
+
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ParameterError):
             PolicyParams(np.array([np.nan, 0.0]), 1, 2)
@@ -142,14 +150,21 @@ class TestFeatureMaps:
         sol = np.linalg.lstsq(phi, np.ones(4), rcond=None)[0]
         assert np.linalg.norm(phi @ sol - np.ones(4)) < 1e-12
 
-    @pytest.mark.parametrize("n_states, dim", [(3, 0), (3, 4), (1, 0), (4, -1)],
-                             ids=["zero", "above-n-states", "one-state-default", "negative"])
+    @pytest.mark.parametrize("n_states, dim", [(3, 0), (3, 4), (1, 0), (4, -1), (4, 2.5), (4, True),
+                                               (4, np.float64(2.0))],
+                             ids=["zero", "above-n-states", "one-state-default", "negative",
+                                  "fraction", "bool", "numpy-float"])
     def test_dim_outside_range_rejected(self, n_states, dim):
         with pytest.raises(ParameterError, match="dim"):
             FeatureMap(n_states, dim)
         if dim == n_states - 1:
             with pytest.raises(ParameterError):
                 default_feature_map(n_states)
+
+    @pytest.mark.parametrize("n_states", [4.0, True, 0])
+    def test_state_count_that_is_not_an_integer_of_at_least_1_rejected(self, n_states):
+        with pytest.raises(ParameterError, match=r"n_states must be an integer >= 1"):
+            FeatureMap(n_states, 1)
 
 
 class TestExactGradient:

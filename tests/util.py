@@ -364,6 +364,19 @@ def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w_star
 
 
+def policy_kernel_reference(env: TabularMomdp, probs: np.ndarray, sequential: bool = False) -> np.ndarray:
+    """Reference for ``PolicyEvaluation.P``: the (S, S) sums
+    sum_a pi(a|s) P(s'|s, a) over the dense (S, A, S) transition tensor, as
+    one ``einsum`` or, with ``sequential``, one action a at a time in
+    increasing order from +0.0."""
+    if not sequential:
+        return np.einsum("sa,sax->sx", probs, env.transition)
+    P = np.zeros((env.n_states, env.n_states))
+    for a in range(env.n_actions):
+        P += probs[:, a, None] * env.transition[:, a]
+    return P
+
+
 def next_values_reference(env: TabularMomdp, V: np.ndarray, sequential: bool = False) -> np.ndarray:
     """Reference for ``TabularMomdp.expected_next`` of (M, S) values: the
     (M, S, A) sums P V over the dense (S, A, S) transition tensor, as one
