@@ -20,6 +20,7 @@ SETTINGS = (AVERAGE, DISCOUNTED)
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10   # bound on the residual max|d P - d| of a stationary solve
 _POISSON_TOL = 1e-12      # relative Poisson residual above which pinned values are re-solved
+_ARRAY_FIELDS = ("transition", "reward", "discounts", "initial_distribution")
 
 
 def check_setting(setting: str) -> str:
@@ -32,9 +33,13 @@ def check_setting(setting: str) -> str:
 class TabularMomdp:
     """Finite MDP with an M-dimensional reward.
 
-    Immutable after construction; rewards are deterministic per (state, action),
-    so any per-step stochastic reward has to be folded into the state encoding
-    (see :func:`build_fishwood`).
+    Immutable after construction: the model holds private read-only copies
+    of ``transition``, ``reward``, ``discounts`` and ``initial_distribution``,
+    and its cached ``transition_rows`` and ``reward_rows`` are read-only too,
+    so an in-place edit raises ``ValueError`` rather than going unseen by the
+    cached rows. Rewards are deterministic per (state, action), so any
+    per-step stochastic reward has to be folded into the state encoding (see
+    :func:`build_fishwood`).
     """
 
     n_states: int
@@ -48,11 +53,15 @@ class TabularMomdp:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.reward = np.asarray(self.reward, dtype=float)
-        self.discounts = np.asarray(self.discounts, dtype=float)
-        self.initial_distribution = np.asarray(self.initial_distribution, dtype=float)
+        for name in _ARRAY_FIELDS:
+            setattr(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         self.validate()
+
+    def __setstate__(self, state):
+        """pickle, ``copy`` and ``deepcopy`` restore arrays writeable: rebuild
+        the model from its fields, dropping the cached rows."""
+        self.__dict__.update((name, state[name]) for name in self.__dataclass_fields__)
+        self.__post_init__()
 
     def validate(self):
         S, A, M = self.n_states, self.n_actions, self.n_objectives
@@ -87,7 +96,7 @@ class TabularMomdp:
     def reward_rows(self) -> np.ndarray:
         """``reward`` as a C-ordered (S * A, M) table, row s * A + a the M
         rewards of (s, a)."""
-        return np.ascontiguousarray(self.reward.reshape(self.n_objectives, -1).T)
+        return _read_only(np.ascontiguousarray(self.reward.reshape(self.n_objectives, -1).T))
 
     @cached_property
     def transition_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +113,7 @@ class TabularMomdp:
         next_states[filled] = np.flatnonzero(nonzero) % self.n_states
         probs = np.zeros(filled.shape)
         probs[filled] = self.transition[nonzero]
-        return next_states, probs
+        return _read_only(next_states), _read_only(probs)
 
     def expected_next(self, values: np.ndarray) -> np.ndarray:
         """(..., S, A) sums sum_s' P(s' | s, a) v(s') of the finite (..., S)
@@ -149,6 +158,11 @@ class TabularMomdp:
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ParameterError(f"bad environment document: {exc!r}") from exc
         return cls(**fields)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def save_env_json(env: TabularMomdp, path: str):

@@ -1,5 +1,7 @@
 """Environment builders, sampling, and exact chain quantities."""
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -229,6 +231,49 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError):
             load_env_json(str(path))
+
+
+class TestFrozenModel:
+    """A model holds private read-only copies of its arrays, so an in-place
+    edit raises rather than being missed by the cached rows."""
+
+    @pytest.mark.parametrize("name", ["transition", "reward", "discounts", "initial_distribution",
+                                      "reward_rows", "transition_rows"])
+    def test_every_array_is_read_only(self, name):
+        env = build_fishwood(0.3, 0.6)
+        arrays = getattr(env, name)
+        for array in arrays if isinstance(arrays, tuple) else (arrays,):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.5
+
+    def test_edit_of_the_law_raises(self):
+        env = build_fishwood(0.3, 0.6)
+        before = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED).P.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            env.transition[0, 0] = [0, 0, 0, 1.0]
+        assert np.array_equal(PolicyEvaluation(env, uniform_policy(env), DISCOUNTED).P, before)
+
+    def test_constructor_copies_its_arguments(self):
+        base = two_state_env()
+        arrays = {name: getattr(base, name).copy()
+                  for name in ("transition", "reward", "discounts", "initial_distribution")}
+        env = TabularMomdp(2, 2, 2, **arrays)
+        for name, array in arrays.items():
+            assert array.flags.writeable and not np.shares_memory(array, getattr(env, name)), name
+        arrays["transition"][0, 0] = [0.0, 1.0]
+        assert np.array_equal(env.transition, base.transition)
+
+    @pytest.mark.parametrize("clone", [pickle.loads, copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_stay_read_only(self, clone):
+        env = build_fishwood(0.3, 0.6)
+        env.transition_rows   # cached before the copy
+        copied = clone(pickle.dumps(env)) if clone is pickle.loads else clone(env)
+        for name in ("transition", "reward", "discounts", "initial_distribution", "reward_rows"):
+            assert not getattr(copied, name).flags.writeable, name
+        assert not any(array.flags.writeable for array in copied.transition_rows)
+        assert np.array_equal(copied.transition, env.transition)
 
 
 class TestSampling:
