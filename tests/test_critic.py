@@ -23,6 +23,7 @@ from morlab import (
     compute_zeta_approx,
     complete_feature_map,
     default_feature_map,
+    expected_td_gradient,
     expected_td_update,
     theory_critic_step,
     uniform_policy,
@@ -452,6 +453,30 @@ class TestFeatureStateCount:
         }
         with pytest.raises(ParameterError, match="the features are for 3 states, the model has 2"):
             calls[entry]()
+
+
+class TestWeightShape:
+    """The exact TD oracles take the weights of one objective, shape (dim,),
+    and reject any other shape or a non-numeric w with ParameterError."""
+
+    @pytest.mark.parametrize("entry", [expected_td_errors, expected_td_update, expected_td_gradient])
+    @pytest.mark.parametrize("w", [np.zeros(5), np.zeros(2), np.zeros((2, 3)), np.zeros(()),
+                                   np.array(["0", "0", "0"]), np.array([True, False, True])],
+                             ids=["(5,)", "(2,)", "(2, 3)", "scalar", "str", "bool"])
+    def test_rejected(self, entry, w):
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)   # dim 3
+        evaluation = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED)
+        with pytest.raises(ParameterError, match=r"w must be a numeric array of shape \(3,\)"):
+            entry(evaluation, features, w, 0)
+
+    @pytest.mark.parametrize("entry", [expected_td_errors, expected_td_update, expected_td_gradient])
+    def test_integer_weights_match_float_weights(self, entry):
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)
+        evaluation = PolicyEvaluation(env, uniform_policy(env), AVERAGE)
+        w = np.array([1, -2, 3])
+        assert np.array_equal(entry(evaluation, features, w, 1), entry(evaluation, features, w.astype(float), 1))
 
 
 class TestZetaApprox:
