@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -14,9 +15,11 @@ from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
 DEFAULT_CAP = 10.0
-CHUNK_RECORDS = 4096     # records per write in save_logged_data, lines per parse in load_logged_data
-_RECORD_LINE = '{{"s": {}, "a": {}, "r": {!r}, "pb": {!r}}}\n'.format
+CHUNK_RECORDS = 1024     # records per write in save_logged_data, lines per parse in load_logged_data
 _NUMBERS = frozenset((int, float))   # JSON numbers; bool and str are not
+_INTEGERS = frozenset((int,))
+_LISTS = frozenset((list,))
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -98,8 +101,9 @@ def save_logged_data(dataset: LoggedDataset, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, len(dataset), CHUNK_RECORDS):
             rows = slice(lo, lo + CHUNK_RECORDS)
-            fh.writelines(map(_RECORD_LINE, dataset.states[rows].tolist(), dataset.actions[rows].tolist(),
-                              dataset.rewards[rows].tolist(), dataset.behavior_probs[rows].tolist()))
+            fh.writelines([f'{{"s": {s}, "a": {a}, "r": {r!r}, "pb": {pb!r}}}\n' for s, a, r, pb in zip(
+                dataset.states[rows].tolist(), dataset.actions[rows].tolist(),
+                dataset.rewards[rows].tolist(), dataset.behavior_probs[rows].tolist())])
 
 
 def load_logged_data(path: str) -> LoggedDataset:
@@ -108,40 +112,86 @@ def load_logged_data(path: str) -> LoggedDataset:
 
     Parses ``CHUNK_RECORDS`` lines at a time and keeps each chunk as numpy
     columns only, so memory holds the columns, not every record's objects.
+    Each chunk is first decoded in one pass (``_decode_chunk``); a chunk that
+    pass does not accept goes through ``_check_lines``, which names the first
+    bad line.
     """
-    chunks, lineno = [], 0
+    columns, lineno = [[], [], [], []], 0   # states, actions, rewards, probs: one array per chunk
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lines in iter(lambda: list(islice(fh, CHUNK_RECORDS)), []):
-                states, actions, rewards, probs = [], [], [], []
-                for lineno, line in enumerate(lines, start=lineno + 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        doc = json.loads(line)
-                        s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
-                        if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
-                                and type(r) is list and _NUMBERS.issuperset(map(type, r))):
-                            raise TypeError("s and a must be integers, pb a number and r a list of numbers")
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
-                    states.append(s)
-                    actions.append(a)
-                    rewards.append(r)
-                    probs.append(pb)
+                parsed = _decode_chunk(lines)
+                if parsed is None:
+                    parsed = _check_lines(lines, lineno)
+                lineno += len(lines)
+                states, actions, rewards, probs = parsed
                 if not states:
                     continue
-                widths = {len(r) for r in rewards} | {rows.shape[1] for _, _, rows, _ in chunks[:1]}
+                widths = {len(r) for r in rewards} | {rows.shape[1] for rows in columns[2][:1]}
                 if len(widths) != 1:
                     raise DataError("logged-data records disagree on the number of objectives")
                 try:
-                    chunks.append((np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
-                                   np.array(rewards, dtype=float), np.array(probs, dtype=float)))
+                    arrays = (np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                              np.array(rewards, dtype=float), np.array(probs, dtype=float))
                 except OverflowError as exc:   # an integer beyond int64 or float range
                     raise DataError(f"logged-data value out of range: {exc}") from exc
+                for column, array in zip(columns, arrays):
+                    column.append(array)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: logged-data file is not UTF-8 text: {exc}") from exc
-    if not chunks:
+    if not columns[0]:
         raise DataError("logged-data file contains no records")
-    return LoggedDataset(*map(np.concatenate, zip(*chunks)))
+    # join one column at a time and drop its chunks before the next: the peak
+    # is the columns plus the largest one, not the columns twice
+    for k, pieces in enumerate(columns):
+        columns[k] = np.concatenate(pieces)
+    return LoggedDataset(*columns)
+
+
+def _decode_chunk(lines: list[str]):
+    """The (states, actions, rewards, probs) lists of a chunk whose every
+    non-blank line is a good record, decoded and checked a column at a time;
+    None if any line is not.
+
+    Accepts exactly what ``_check_lines`` accepts, with the same lists: a
+    stripped line starts and ends with no JSON whitespace, so ``raw_decode``
+    from 0 ending at ``len(line)`` is ``json.loads`` without "Extra data".
+    """
+    lines = list(filter(None, map(str.strip, lines)))
+    try:
+        decoded = list(map(_RAW_DECODE, lines))
+        if list(map(len, lines)) != list(map(itemgetter(1), decoded)):
+            return None
+        docs = list(map(itemgetter(0), decoded))
+        states, actions, rewards, probs = (list(map(itemgetter(key), docs)) for key in ("s", "a", "r", "pb"))
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    if (_INTEGERS.issuperset(map(type, states)) and _INTEGERS.issuperset(map(type, actions))
+            and _NUMBERS.issuperset(map(type, probs)) and _LISTS.issuperset(map(type, rewards))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(rewards)))):
+        return states, actions, rewards, probs
+    return None
+
+
+def _check_lines(lines: list[str], lineno: int):
+    """The (states, actions, rewards, probs) lists of a chunk checked one line
+    at a time; a ``DataError`` names the first bad line, counting from
+    ``lineno + 1``."""
+    states, actions, rewards, probs = [], [], [], []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
+            if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
+                    and type(r) is list and _NUMBERS.issuperset(map(type, r))):
+                raise TypeError("s and a must be integers, pb a number and r a list of numbers")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
+        states.append(s)
+        actions.append(a)
+        rewards.append(r)
+        probs.append(pb)
+    return states, actions, rewards, probs

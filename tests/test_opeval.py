@@ -1,9 +1,13 @@
 """Capped importance-sampling scores and the synthetic log generator."""
 
+import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morlab import (
     AVERAGE,
@@ -21,10 +25,12 @@ from morlab import (
     uniform_policy,
 )
 
+from morlab import opeval
 from morlab.opeval import CHUNK_RECORDS
 
 from util import (
     compute_exact_objective,
+    load_logged_data_reference,
     ncis_score,
     random_momdp,
     random_policy,
@@ -359,6 +365,174 @@ class TestLoggedDataIO:
         path.write_text('{"s": 0, "a": 0, "r": [1.0], "pb": 0.0}\n')
         with pytest.raises(DataError):
             load_logged_data(str(path))
+
+
+_RECORD = _GOOD_RECORD.rstrip("\n")
+_WIDE = '{"s": 0, "a": 1, "r": [1.0, 0.5, 2.0], "pb": 0.5}'
+_BAD = '{"s": 0, "a": 1.0, "r": [1.0, 0.5], "pb": 0.5}'
+_OPEN = _RECORD[:-1] + ', "x": [{}'   # with the next line "{}]}" a record over two lines
+
+
+def _log(*lines: str, end: str = "\n") -> str:
+    return "\n".join(lines) + end
+
+
+def _with(**fields) -> str:
+    """_RECORD with some field texts replaced."""
+    doc = {"s": "0", "a": "1", "r": "[1.0, 0.5]", "pb": "0.5"} | fields
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+
+
+def _bad_at(line: int, total: int) -> str:
+    return _log(*(_BAD if k == line else _RECORD for k in range(1, total + 1)))
+
+
+_C = CHUNK_RECORDS
+_LOADER_CASES = {
+    "ws-space": _log(" " + _RECORD + "  ", _RECORD),
+    "ws-tab": _log("\t" + _RECORD + "\t", _RECORD),
+    "ws-formfeed": _log("\x0c" + _RECORD + "\x0c"),
+    "ws-nel": _log("\x85" + _RECORD + "\x85"),
+    "ws-ideographic": _log("\u3000" + _RECORD + "\u3000"),
+    "crlf": _log(_RECORD, _RECORD, end="\r\n").replace("\n", "\r\n"),
+    "lone-cr": _log(_RECORD, _RECORD).replace("\n", "\r"),
+    "bom": _log("\ufeff" + _RECORD),
+    "reordered-keys": _log('{"pb": 0.25, "r": [2, 0.5], "a": 3, "s": 7}', _RECORD),
+    "extra-keys": _log(_RECORD[:-1] + ', "t": 3, "note": "x"}'),
+    "nested-extra": _log('{"s": 0, "x": {"y": [1, {"z": null}], "w": "\u00e9"}, "a": 1, "r": [1.0, 0.5], "pb": 0.5}'),
+    "duplicate-key": _log('{"s": 0, "a": 1, "r": [1.0, 0.5], "pb": 0.5, "s": 2}'),
+    "split-record": _log(_RECORD, _OPEN, "{}]}", _RECORD),
+    "two-on-one-line": _log(_RECORD, _RECORD + " " + _RECORD, _RECORD),
+    "split-then-two": _log(_OPEN, "{}]}", _RECORD + " " + _RECORD),
+    "extra-data": _log(_RECORD, _RECORD + " x"),
+    "extra-brace": _log(_RECORD, _RECORD + "}"),
+    "not-an-object": _log(_RECORD, "[1, 2]", '"s"', "3"),
+    "missing-key": _log(_RECORD, '{"s": 0, "a": 1, "r": [1.0]}'),
+    "nan": _log(_RECORD, _with(r="[NaN, 0.5]")),
+    "infinity": _log(_RECORD, _with(pb="Infinity")),
+    "1e400": _log(_with(r="[1e400, 0.5]")),
+    "int-beyond-int64": _log(_RECORD, _with(s=str(2 ** 63))),
+    "int-beyond-float": _log(_RECORD, _with(r="[1" + "0" * 400 + ", 0.5]")),
+    "int-beyond-digit-limit": _log(_RECORD, _with(a="1" * 5000)),
+    "bool": _log(_RECORD, _with(s="true")),
+    "bool-entry": _log(_RECORD, _with(r="[false, 0.5]")),
+    "string": _log(_RECORD, _with(pb='"0.5"')),
+    "null": _log(_RECORD, _with(pb="null")),
+    "empty-r": _log(_with(r="[]"), _with(r="[]")),
+    "width-change-in-chunk": _log(_RECORD, _WIDE),
+    "width-change-across-chunks": _log(*[_RECORD] * _C, _WIDE),
+    "width-then-type-in-chunk": _log(_RECORD, _WIDE, _BAD),
+    "width-then-type-in-next-chunk": _log(_RECORD, _WIDE, *[_RECORD] * _C, _BAD),
+    "range-then-type-in-chunk": _log(_with(s=str(2 ** 64)), _BAD),
+    "bad-line-1": _bad_at(1, 2 * _C + 3),
+    "bad-line-chunk": _bad_at(_C, 2 * _C + 3),
+    "bad-line-chunk-plus-1": _bad_at(_C + 1, 2 * _C + 3),
+    "bad-line-last": _bad_at(2 * _C + 3, 2 * _C + 3),
+    "no-final-newline": _log(_RECORD, _RECORD, end=""),
+    "no-final-newline-bad": _log(_RECORD, _BAD, end=""),
+    "blank-lines": _log("", _RECORD, "  ", "\t", _RECORD, ""),
+    "deep-nesting-after-bad-line": _log(_RECORD, _BAD, "[" * 100_000),
+    "blank-only": _log("", " ", "\u3000"),
+    "empty": "",
+}
+
+
+def assert_loaders_agree(path) -> bool:
+    """``load_logged_data`` returns what the reference returns, with equal
+    bytes and dtypes, or raises the same error type with the same text.
+    True if the log was accepted."""
+    try:
+        expected = load_logged_data_reference(str(path))
+    except Exception as exc:   # the reference's own error is the expectation
+        with pytest.raises(type(exc)) as info:
+            load_logged_data(str(path))
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return False
+    loaded = load_logged_data(str(path))
+    for name in ("states", "actions", "rewards", "behavior_probs"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    return True
+
+
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u3000", "\r"])
+_NUMBER = st.floats() | st.integers(-(2 ** 70), 2 ** 70) | st.sampled_from([True, None, "1"])
+
+
+@st.composite
+def _good_line(draw) -> str:
+    """A record the loader accepts, two objectives wide, in any key order,
+    maybe with an extra key and whitespace around it."""
+    doc = {"s": draw(st.integers(0, 2 ** 63 - 1)), "a": draw(st.integers(0, 3)),
+           "r": draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-5, 5),
+                              min_size=2, max_size=2)),
+           "pb": draw(st.floats(1e-3, 1.0) | st.just(1))}
+    if draw(st.booleans()):
+        doc = dict(reversed(doc.items())) | {"x": [1, {"y": None}]}
+    return draw(_WHITESPACE) + json.dumps(doc) + draw(_WHITESPACE)
+
+
+@st.composite
+def _any_line(draw) -> str:
+    """A record whose fields may have any JSON type or range."""
+    doc = {"s": draw(st.integers(-3, 2 ** 64) | _NUMBER), "a": draw(st.integers(0, 5)),
+           "r": draw(st.lists(st.floats() | st.integers(-5, 5), min_size=0, max_size=3)
+                     | st.sampled_from([[True], "r", {}])),
+           "pb": draw(_NUMBER)}
+    return draw(_WHITESPACE) + json.dumps(doc) + draw(_WHITESPACE)
+
+
+@st.composite
+def _log_lines(draw) -> list[str]:
+    """Half the logs hold good records and blank lines only; the other half
+    mix in bad records, junk, and lines split or joined."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(_good_line(), _good_line(), _WHITESPACE), max_size=12))
+    junk = st.text(alphabet=' {}[]":,0123456789.eEtruefalsnx\t', max_size=12)
+    lines = draw(st.lists(st.one_of(_good_line(), _good_line(), _any_line(), junk, _WHITESPACE), max_size=12))
+    if lines and draw(st.booleans()):   # split one line in two
+        k = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[k])))
+        lines[k:k + 1] = [lines[k][:cut], lines[k][cut:]]
+    if len(lines) > 1 and draw(st.booleans()):   # join two lines into one
+        k = draw(st.integers(0, len(lines) - 2))
+        lines[k:k + 2] = [lines[k] + draw(_WHITESPACE) + lines[k + 1]]
+    return lines
+
+
+class TestLoaderMatchesReference:
+    """``load_logged_data`` against ``util.load_logged_data_reference``, the
+    one-``json.loads``-per-line loader it replaced."""
+
+    @pytest.mark.parametrize("name", list(_LOADER_CASES))
+    def test_fixed_case(self, tmp_path, name):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(_LOADER_CASES[name].encode("utf-8"))
+        assert_loaders_agree(path)
+
+    @pytest.mark.parametrize("later", [1, _C, _C + 1])
+    def test_non_utf8_bytes(self, tmp_path, later):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(_log(*[_RECORD] * later).encode() + b'{"s": 0, "a": 1, "r": [1.0, 0.5], "pb": 0.5}\xe9\n')
+        assert_loaders_agree(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_log_lines(), final_newline=st.booleans(), chunk=st.integers(1, 4))
+    def test_random_logs(self, tmp_path_factory, lines, final_newline, chunk):
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        path.write_bytes(_log(*lines, end="\n" if final_newline else "").encode("utf-8"))
+        with mock.patch.object(opeval, "CHUNK_RECORDS", chunk):
+            assert_loaders_agree(path)
+
+    def test_good_logs_take_the_one_pass_decode(self, tmp_path):
+        env = build_resource_gathering()
+        data = generate_logged_data(env, uniform_policy(env), n=2 * _C + 1, seed=3)
+        path = tmp_path / "log.jsonl"
+        save_logged_data(data, str(path))
+        path.write_text(" " + path.read_text().replace("\n", "\r\n\n \u3000", 7))
+        with mock.patch.object(opeval, "_check_lines", side_effect=AssertionError("per-line path taken")):
+            assert assert_loaders_agree(path)
 
 
 def assert_writer_matches_reference(data: LoggedDataset, tmp_path):

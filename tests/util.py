@@ -11,11 +11,13 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from morlab import AVERAGE, LoggedDataset, ModelError, ParameterError, PolicyEvaluation, PolicyParams, TabularMomdp
+from morlab import (AVERAGE, DataError, LoggedDataset, ModelError, ParameterError, PolicyEvaluation, PolicyParams,
+                    TabularMomdp, opeval)
 from morlab.critic import CriticState, run_critic
 from morlab.experiment import load_metrics_csv
 from morlab.momdp import MarkovSampler
@@ -168,6 +170,51 @@ def save_logged_data_reference(dataset: LoggedDataset, path: str):
         for s, a, r, pb in zip(dataset.states, dataset.actions, dataset.rewards, dataset.behavior_probs):
             fh.write(json.dumps({"s": int(s), "a": int(a), "r": r.tolist(), "pb": float(pb)}))
             fh.write("\n")
+
+
+_NUMBERS = frozenset((int, float))   # JSON numbers; bool and str are not
+
+
+def load_logged_data_reference(path: str) -> LoggedDataset:
+    """Reference for ``load_logged_data``: one ``json.loads`` and one type
+    check per line, ``opeval.CHUNK_RECORDS`` lines at a time, each chunk's
+    width and range checked before the next is read."""
+    chunks, lineno = [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lines in iter(lambda: list(islice(fh, opeval.CHUNK_RECORDS)), []):
+                states, actions, rewards, probs = [], [], [], []
+                for lineno, line in enumerate(lines, start=lineno + 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        doc = json.loads(line)
+                        s, a, r, pb = doc["s"], doc["a"], doc["r"], doc["pb"]
+                        if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
+                                and type(r) is list and _NUMBERS.issuperset(map(type, r))):
+                            raise TypeError("s and a must be integers, pb a number and r a list of numbers")
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
+                    states.append(s)
+                    actions.append(a)
+                    rewards.append(r)
+                    probs.append(pb)
+                if not states:
+                    continue
+                widths = {len(r) for r in rewards} | {rows.shape[1] for _, _, rows, _ in chunks[:1]}
+                if len(widths) != 1:
+                    raise DataError("logged-data records disagree on the number of objectives")
+                try:
+                    chunks.append((np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                                   np.array(rewards, dtype=float), np.array(probs, dtype=float)))
+                except OverflowError as exc:   # an integer beyond int64 or float range
+                    raise DataError(f"logged-data value out of range: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: logged-data file is not UTF-8 text: {exc}") from exc
+    if not chunks:
+        raise DataError("logged-data file contains no records")
+    return LoggedDataset(*map(np.concatenate, zip(*chunks)))
 
 
 def two_state_env() -> TabularMomdp:
