@@ -295,7 +295,8 @@ class TestLoggedDataIO:
     def test_loader_streams(self, tmp_path):
         # the twin of test_writer_streams: holding all 50k records as Python
         # objects until the last line peaks near 14 MB; a chunk at a time, the
-        # numpy columns (2.4 MB, twice while they are concatenated) dominate
+        # numpy columns (2.4 MB, plus the largest while they are joined one at
+        # a time) dominate, about 3.8 MB
         env = build_resource_gathering()
         data = generate_logged_data(env, uniform_policy(env), n=50_000, seed=10)
         path = tmp_path / "log.jsonl"
