@@ -267,7 +267,7 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
 
     The conditional TD error is enumerated over next states; in the average
     setting the reward tracker is held at its limit, the exact objective value.
-    ``w`` is a numeric array of shape (features.dim,); any other is a
+    ``w`` is a finite numeric array of shape (features.dim,); any other is a
     ``ParameterError``.
     """
     env = evaluation.env
@@ -279,6 +279,8 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     if w.shape != (features.dim,) or w.dtype.kind not in "iuf":
         raise ParameterError(f"w must be a numeric array of shape ({features.dim},), "
                              f"got {w.dtype} of shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("w must be finite")
     values = features.values(w)                    # (S,)
     delta_bar = (env.reward[objective] - evaluation.offset[objective]
                  + evaluation.gamma[objective] * env.expected_next(values) - values[:, None])

@@ -401,7 +401,7 @@ def summarize(run_dir: str | Path) -> dict:
 
 
 def _jsonify(arr: np.ndarray) -> list:
-    return [None if np.isnan(x) else float(x) for x in arr]
+    return [None if x != x else x for x in arr.tolist()]   # x != x: NaN
 
 
 def write_summary(run_dir: str | Path, summary: dict) -> Path:

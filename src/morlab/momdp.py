@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -20,7 +19,6 @@ SETTINGS = (AVERAGE, DISCOUNTED)
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10   # bound on the residual max|d P - d| of a stationary solve
 _POISSON_TOL = 1e-12      # relative Poisson residual above which pinned values are re-solved
-_ARRAY_FIELDS = ("transition", "reward", "discounts", "initial_distribution")
 
 
 def check_setting(setting: str) -> str:
@@ -29,45 +27,40 @@ def check_setting(setting: str) -> str:
     return setting
 
 
-@dataclass
 class TabularMomdp:
     """Finite MDP with an M-dimensional reward.
 
-    Immutable after construction: the model holds private read-only copies
-    of ``transition``, ``reward``, ``discounts`` and ``initial_distribution``,
-    and its cached ``transition_rows`` and ``reward_rows`` are read-only too,
-    so an in-place edit raises ``ValueError`` rather than going unseen by the
-    cached rows. Rewards are deterministic per (state, action), so any
-    per-step stochastic reward has to be folded into the state encoding (see
-    :func:`build_fishwood`).
+    The law is held once, as the padded ``transition_rows``: the constructor
+    validates the dense ``transition`` (S, A, S) and keeps only its rows.
+    ``reward`` (M, S, A) in [0, r_max], ``discounts`` (M,) in (0, 1) and
+    ``initial_distribution`` (S,) are private copies. Every array is
+    read-only, so an in-place edit raises ``ValueError``; pickle and copies
+    rebuild the model through the constructor. Rewards are deterministic per
+    (state, action), so any per-step stochastic reward has to be folded into
+    the state encoding (see :func:`build_fishwood`).
     """
 
-    n_states: int
-    n_actions: int
-    n_objectives: int
-    transition: np.ndarray            # (S, A, S), each row a distribution over next states
-    reward: np.ndarray                # (M, S, A), values in [0, r_max]
-    discounts: np.ndarray             # (M,), per-objective discount in (0, 1)
-    initial_distribution: np.ndarray  # (S,)
-    r_max: float = 1.0
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, n_states: int, n_actions: int, n_objectives: int, transition: np.ndarray,
+                 reward: np.ndarray, discounts: np.ndarray, initial_distribution: np.ndarray,
+                 r_max: float = 1.0, metadata: dict | None = None):
+        self.n_states, self.n_actions, self.n_objectives = n_states, n_actions, n_objectives
+        transition = np.asarray(transition, dtype=float)   # validated, read into rows, dropped
+        self.reward = _read_only(np.array(reward, dtype=float))
+        self.discounts = _read_only(np.array(discounts, dtype=float))
+        self.initial_distribution = _read_only(np.array(initial_distribution, dtype=float))
+        self.r_max, self.metadata = r_max, {} if metadata is None else metadata
+        self._validate(transition)
+        self.transition_rows = _padded_rows(transition)
 
-    def __post_init__(self):
-        for name in _ARRAY_FIELDS:
-            setattr(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
-        self.validate()
+    def __reduce__(self):
+        return type(self), (self.n_states, self.n_actions, self.n_objectives, self.transition, self.reward,
+                            self.discounts, self.initial_distribution, self.r_max, self.metadata)
 
-    def __setstate__(self, state):
-        """pickle, ``copy`` and ``deepcopy`` restore arrays writeable: rebuild
-        the model from its fields, dropping the cached rows."""
-        self.__dict__.update((name, state[name]) for name in self.__dataclass_fields__)
-        self.__post_init__()
-
-    def validate(self):
+    def _validate(self, transition: np.ndarray):
         S, A, M = self.n_states, self.n_actions, self.n_objectives
         for name in ("n_states", "n_actions", "n_objectives"):
             check_integer(name, getattr(self, name), 1)
-        if self.transition.shape != (S, A, S):
+        if transition.shape != (S, A, S):
             raise ParameterError(f"transition tensor must have shape {(S, A, S)}")
         if self.reward.shape != (M, S, A):
             raise ParameterError(f"reward tensor must have shape {(M, S, A)}")
@@ -75,12 +68,13 @@ class TabularMomdp:
             raise ParameterError(f"discounts must have shape {(M,)}")
         if self.initial_distribution.shape != (S,):
             raise ParameterError(f"initial_distribution must have shape {(S,)}")
-        for name in ("transition", "reward", "discounts", "initial_distribution"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name, array in (("transition", transition), ("reward", self.reward),
+                            ("discounts", self.discounts), ("initial_distribution", self.initial_distribution)):
+            if not np.all(np.isfinite(array)):
                 raise ParameterError(f"{name} entries must be finite")
-        if np.any(self.transition < 0):
+        if np.any(transition < 0):
             raise ParameterError("transition entries must be non-negative")
-        row_sums = self.transition.sum(axis=2)
+        row_sums = transition.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
             raise ParameterError("every transition row must sum to 1 within 1e-12")
         if abs(self.initial_distribution.sum() - 1.0) > _ROW_SUM_TOL or np.any(self.initial_distribution < 0):
@@ -92,28 +86,21 @@ class TabularMomdp:
         if np.any(self.discounts <= 0) or np.any(self.discounts >= 1):
             raise ParameterError("each discount must lie in (0, 1)")
 
+    @property
+    def transition(self) -> np.ndarray:
+        """The dense (S, A, S) law, rebuilt read-only from the rows on each
+        read and not held. A cell sums +0.0, its one entry or none, and +0.0
+        padding, so it is the validated input bit for bit (-0.0 reads +0.0)."""
+        next_states, probs = self.transition_rows
+        S, A = self.n_states, self.n_actions
+        cells = np.arange(S * A).repeat(probs.shape[1]) * S + next_states.ravel()
+        return _read_only(np.bincount(cells, probs.ravel(), minlength=S * A * S).reshape(S, A, S))
+
     @cached_property
     def reward_rows(self) -> np.ndarray:
         """``reward`` as a C-ordered (S * A, M) table, row s * A + a the M
         rewards of (s, a)."""
         return _read_only(np.ascontiguousarray(self.reward.reshape(self.n_objectives, -1).T))
-
-    @cached_property
-    def transition_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``transition`` as padded rows (next_states, probs), each of shape
-        (S * A, R): row s * A + a lists the R or fewer next states s' of
-        P(s' | s, a) > 0 in increasing order, padded on the right with state 0
-        and probability exactly 0.0. The one layout of the transition law
-        that the sampler, ``PolicyEvaluation.P`` and ``expected_next`` read,
-        at O(S * A * R) cost against the dense tensor's O(S^2 * A)."""
-        nonzero = self.transition != 0
-        counts = nonzero.sum(axis=2).ravel()
-        filled = np.arange(counts.max()) < counts[:, None]
-        next_states = np.zeros(filled.shape, dtype=np.int64)
-        next_states[filled] = np.flatnonzero(nonzero) % self.n_states
-        probs = np.zeros(filled.shape)
-        probs[filled] = self.transition[nonzero]
-        return _read_only(next_states), _read_only(probs)
 
     def expected_next(self, values: np.ndarray) -> np.ndarray:
         """(..., S, A) sums sum_s' P(s' | s, a) v(s') of the finite (..., S)
@@ -160,6 +147,23 @@ class TabularMomdp:
         return cls(**fields)
 
 
+def _padded_rows(transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, A, S) ``transition`` as padded rows (next_states, probs), each
+    of shape (S * A, R): row s * A + a lists the R or fewer next states s' of
+    P(s' | s, a) > 0 in increasing order, padded on the right with state 0
+    and probability exactly 0.0. The one layout of the transition law that
+    the model holds and that the sampler, ``PolicyEvaluation.P`` and
+    ``expected_next`` read, at O(S * A * R) cost against the dense O(S^2 * A)."""
+    nonzero = transition != 0
+    counts = nonzero.sum(axis=2).ravel()
+    filled = np.arange(counts.max()) < counts[:, None]
+    next_states = np.zeros(filled.shape, dtype=np.int64)
+    next_states[filled] = np.flatnonzero(nonzero) % transition.shape[2]
+    probs = np.zeros(filled.shape)
+    probs[filled] = transition[nonzero]
+    return _read_only(next_states), _read_only(probs)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -175,7 +179,7 @@ def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:   # also a file that is not UTF-8
+        except (ValueError, RecursionError) as exc:   # also not UTF-8, or nested too deep
             raise ParameterError(f"{path} is not a JSON file: {exc}") from exc
 
 

@@ -188,7 +188,7 @@ def _check_lines(lines: list[str], lineno: int):
             if not (type(s) is int and type(a) is int and type(pb) in _NUMBERS
                     and type(r) is list and _NUMBERS.issuperset(map(type, r))):
                 raise TypeError("s and a must be integers, pb a number and r a list of numbers")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"bad logged-data record at line {lineno}: {exc}") from exc
         states.append(s)
         actions.append(a)

@@ -770,6 +770,8 @@ class TestCliCommands:
         ("ncis", "dataset", b"\xff\xfe{"),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [NaN, 1.0], "pb": 0.5}\n'),
         ("ncis", "dataset", '{"s": 0, "a": 0, "r": [], "pb": 0.5}\n'),
+        ("ncis", "dataset", '{"s": 0, "a": 0, "r": [1.0, 0.5], "pb": 0.5}\n' + "[" * 100_000 + "\n"),
+        ("ncis", "policy", "[" * 100_000),
         ("run", "env", "n_states: 2"),
         ("run", "env", "[2, 2, 2]"),
         ("run", "env", None),
@@ -782,14 +784,17 @@ class TestCliCommands:
         ("run", "env", _fishwood_with_entry("transition", (0, 0, 0), "0.7")),
         ("run", "env", _fishwood_with_entry("reward", (0, 3, 0), True)),
         ("run", "env", MISSING),
+        ("run", "env", "[" * 100_000),
         ("run", "out", ""),
     ], ids=["policy-not-json", "policy-without-theta", "policy-list", "policy-linear",
             "policy-string-actions", "policy-string-theta", "policy-bool-theta",
             "dataset-directory", "dataset-not-utf8", "dataset-nan-reward",
-            "dataset-empty-reward", "env-not-json", "env-list", "env-directory",
+            "dataset-empty-reward", "dataset-deep-nesting", "policy-deep-nesting",
+            "env-not-json", "env-list", "env-directory",
             "env-without-n_objectives", "env-float-states", "env-string-r_max",
             "env-huge-int-r_max", "env-infinite-r_max", "env-string-discounts",
-            "env-string-transition", "env-bool-reward", "env-missing", "out-is-a-file"])
+            "env-string-transition", "env-bool-reward", "env-missing", "env-deep-nesting",
+            "out-is-a-file"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, command, target, content):
         # content None makes the file a directory
         bad = tmp_path / "bad"

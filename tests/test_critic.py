@@ -1,7 +1,5 @@
 """TD errors, the mini-batch critic loop, and the exact fixed-point oracle."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,10 +257,15 @@ def _discount_variants():
     """resource_gathering and fishwood with equal, partly equal and distinct
     discounts: one, two and M groups of identical TD slices."""
     rg = build_resource_gathering()
+
+    def rg_with(discounts):
+        return TabularMomdp(rg.n_states, rg.n_actions, rg.n_objectives, rg.transition, rg.reward,
+                            np.array(discounts), rg.initial_distribution)
+
     return {
         "rg-equal": rg,
-        "rg-paired": replace(rg, discounts=np.array([0.9, 0.8, 0.9])),
-        "rg-distinct": replace(rg, discounts=np.array([0.95, 0.9, 0.8])),
+        "rg-paired": rg_with([0.9, 0.8, 0.9]),
+        "rg-distinct": rg_with([0.95, 0.9, 0.8]),
         "fw-equal": build_fishwood(0.3, 0.7),
         "fw-distinct": build_fishwood(0.3, 0.7, discount=(0.9, 0.8)),
     }
@@ -469,6 +472,15 @@ class TestWeightShape:
         evaluation = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED)
         with pytest.raises(ParameterError, match=r"w must be a numeric array of shape \(3,\)"):
             entry(evaluation, features, w, 0)
+
+    @pytest.mark.parametrize("entry", [expected_td_errors, expected_td_update, expected_td_gradient])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, entry, bad):
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)
+        evaluation = PolicyEvaluation(env, uniform_policy(env), DISCOUNTED)
+        with pytest.raises(ParameterError, match="w must be finite"):
+            entry(evaluation, features, np.array([bad, 0.0, 0.0]), 0)
 
     @pytest.mark.parametrize("entry", [expected_td_errors, expected_td_update, expected_td_gradient])
     def test_integer_weights_match_float_weights(self, entry):

@@ -3,6 +3,8 @@
 import copy
 import pickle
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from morlab import (
     uniform_policy,
 )
 from morlab.critic import expected_td_errors
+from morlab import momdp
 from morlab.momdp import MarkovSampler, value_functions
 
+import util
 from util import (
     advantages_reference,
     compute_exact_objective,
@@ -233,9 +237,24 @@ class TestValidation:
             load_env_json(str(path))
 
 
+def built_with_transition(module, build, *args):
+    """The model ``build(*args)`` returns and, as a float array, the dense
+    ``transition`` it passed to ``module.TabularMomdp``."""
+    passed = []
+
+    def capture(*fields, **named):
+        passed.append(named["transition"] if "transition" in named else fields[3])
+        return TabularMomdp(*fields, **named)
+
+    with mock.patch.object(module, "TabularMomdp", capture):
+        env = build(*args)
+    return env, np.asarray(passed[-1], dtype=float)
+
+
 class TestFrozenModel:
-    """A model holds private read-only copies of its arrays, so an in-place
-    edit raises rather than being missed by the cached rows."""
+    """A model holds private read-only copies of its arrays and its law as
+    read-only padded rows only, so an in-place edit raises rather than being
+    missed by the cached rows."""
 
     @pytest.mark.parametrize("name", ["transition", "reward", "discounts", "initial_distribution",
                                       "reward_rows", "transition_rows"])
@@ -264,16 +283,52 @@ class TestFrozenModel:
         arrays["transition"][0, 0] = [0.0, 1.0]
         assert np.array_equal(env.transition, base.transition)
 
+    @pytest.mark.parametrize("module, build, args", [
+        (momdp, build_fishwood, (0.3, 0.6)),
+        (momdp, build_fishwood, (0.8, 0.95, (0.9, 0.99))),
+        (momdp, build_resource_gathering, ()),
+        (util, random_momdp, (np.random.default_rng(3), 6, 3, 2)),
+        (util, random_sparse_momdp, (np.random.default_rng(4), 40, 4, 3)),
+        (util, two_state_env, ()),
+    ], ids=["fishwood", "fishwood-distinct", "resource_gathering", "random", "random-sparse", "two-state"])
+    def test_dense_law_is_rebuilt_bit_for_bit_and_read_only(self, module, build, args):
+        env, passed = built_with_transition(module, build, *args)
+        dense = env.transition
+        assert dense.dtype == passed.dtype and dense.shape == passed.shape
+        assert dense.tobytes() == passed.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            dense[0, 0, 0] = 0.5
+        # rebuilt from the rows on request, never held
+        assert env.transition is not dense and "transition" not in vars(env)
+
+    def test_model_retains_no_dense_tensor(self):
+        # the dense (400, 4, 400) law is 5.1 MB; the rows (at most 4 slots
+        # a cell) and the reward are 0.13 MB. Budget: construction 2 s.
+        base = random_sparse_momdp(np.random.default_rng(11), 400, 4, 2)
+        inputs = (base.transition, base.reward, base.discounts, base.initial_distribution)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            env = TabularMomdp(400, 4, 2, *inputs)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0
+        assert retained < 2 ** 20
+        assert env.transition.tobytes() == inputs[0].tobytes()
+
     @pytest.mark.parametrize("clone", [pickle.loads, copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])
     def test_copies_stay_read_only(self, clone):
         env = build_fishwood(0.3, 0.6)
-        env.transition_rows   # cached before the copy
+        env.reward_rows   # cached before the copy
         copied = clone(pickle.dumps(env)) if clone is pickle.loads else clone(env)
         for name in ("transition", "reward", "discounts", "initial_distribution", "reward_rows"):
             assert not getattr(copied, name).flags.writeable, name
         assert not any(array.flags.writeable for array in copied.transition_rows)
-        assert np.array_equal(copied.transition, env.transition)
+        assert type(copied) is TabularMomdp and copied.to_json_dict() == env.to_json_dict()
+        for got, want in zip((*copied.transition_rows, copied.reward_rows), (*env.transition_rows, env.reward_rows)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSampling:

@@ -329,6 +329,12 @@ class TestLoggedDataIO:
         with pytest.raises(DataError, match=f"at line {CHUNK_RECORDS + 3}:"):
             load_logged_data(str(path))
 
+    def test_loader_names_a_line_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(_GOOD_RECORD + "[" * 100_000 + "\n")
+        with pytest.raises(DataError, match="at line 2: maximum recursion depth"):
+            load_logged_data(str(path))
+
     def test_loader_rejects_width_change_in_a_later_chunk(self, tmp_path):
         path = tmp_path / "widths.jsonl"
         path.write_text(_GOOD_RECORD * (CHUNK_RECORDS + 2) + '{"s": 0, "a": 1, "r": [1.0, 0.5, 2.0], "pb": 0.5}\n')
@@ -432,6 +438,7 @@ _LOADER_CASES = {
     "no-final-newline": _log(_RECORD, _RECORD, end=""),
     "no-final-newline-bad": _log(_RECORD, _BAD, end=""),
     "blank-lines": _log("", _RECORD, "  ", "\t", _RECORD, ""),
+    "deep-nesting": _log(_RECORD, "[" * 100_000, _RECORD),
     "deep-nesting-after-bad-line": _log(_RECORD, _BAD, "[" * 100_000),
     "blank-only": _log("", " ", "\u3000"),
     "empty": "",
