@@ -33,8 +33,9 @@ class CriticState:
             raise ParameterError("weights must have shape (n_objectives, feature_dim)")
         if self.avg_reward.shape != (self.weights.shape[0],):
             raise ParameterError("avg_reward must have one tracker per objective")
-        if not self.step_size > 0:
-            raise ParameterError("critic step size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ParameterError("critic step size must be positive and finite, "
+                                 f"got {self.step_size}")
         check_integer("batch_size", self.batch_size, 1)
         check_integer("n_iterations", self.n_iterations, 1)
 
@@ -142,8 +143,37 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     rewards and the (M,) trackers after the batch.
     """
     _check_features(env, features)
+    _check_weights(env, features, weights)
+    D = _check_batch(batch)
     base, r, mu = _reward_terms(env, batch, setting, mu, step_size)
-    return _add_values(env, base, batch[0], batch[2], features.values(weights), setting), r, mu
+    pairs = np.concatenate((batch[0], batch[2]))
+    return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, D)), r, mu
+
+
+def _check_batch(batch) -> int:
+    """The length of a (states, actions, next_states) batch; ParameterError
+    unless it is three arrays of one length."""
+    if len(batch) != 3:
+        raise ParameterError("a batch is a (states, actions, next_states) triple")
+    n = len(batch[0])
+    if len(batch[1]) != n or len(batch[2]) != n:
+        raise ParameterError("a batch needs states, actions and next states of one "
+                             f"length, got {[len(x) for x in batch]}")
+    return n
+
+
+def _check_weights(env: TabularMomdp, features: FeatureMap, weights: np.ndarray):
+    """ParameterError unless ``weights`` holds one (dim,) row per objective."""
+    if np.shape(weights) != (env.n_objectives, features.dim):
+        raise ParameterError(f"critic weights must have shape ({env.n_objectives}, "
+                             f"{features.dim}), got {np.shape(weights)}")
+
+
+def _discount(env: TabularMomdp, setting: str, D: int):
+    """The discounts of ``_add_values`` on D steps, None in the average
+    setting: an F-ordered (M, D) block, the layout of the values it scales,
+    which numpy multiplies in half the time of a broadcast (M, 1) column."""
+    return None if setting == AVERAGE else np.full((D, env.n_objectives), env.discounts).T
 
 
 def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_size: float):
@@ -151,7 +181,7 @@ def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_s
     s_arr, a_arr, _ = batch
     # (M, D) with the objective axis contiguous, the layout env.reward[:, s, a]
     # has: later sums and products over it keep their bits
-    r = np.take(env.reward_rows, s_arr * env.n_actions + a_arr, axis=0).T
+    r = env.reward_rows.take(s_arr * env.n_actions + a_arr, axis=0).T
     if setting != AVERAGE:
         return r, r, mu
     # the tracker recursion over Python floats, one objective at a time; the
@@ -166,13 +196,17 @@ def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_s
     return r - np.array(rows), r, np.array(last)
 
 
-def _add_values(env: TabularMomdp, base, s_arr, ns_arr, values, setting: str) -> np.ndarray:
+def _add_values(base, state_values, pairs, discount) -> np.ndarray:
     """The weight half of ``td_errors``: ``base`` plus the values of s' less
-    those of s, gathered from the (M, S) state ``values``."""
-    v_s, v_n = values[:, s_arr], values[:, ns_arr]     # (M, D)
-    if setting != AVERAGE:  # kept apart: the tracker path groups (r - mu) + (v' - v)
-        return base + env.discounts[:, None] * v_n - v_s
-    return base + (v_n - v_s)
+    those of s. ``pairs`` holds the D states, then the D next states, and one
+    gather from the (S, M) ``state_values`` (row s: the M values of state s)
+    reads both."""
+    v = state_values.take(pairs, axis=0).T      # (M, 2D), F-ordered
+    D = base.shape[1]
+    v_s, v_n = v[:, :D], v[:, D:]
+    if discount is None:  # kept apart: the tracker path groups (r - mu) + (v' - v)
+        return base + (v_n - v_s)
+    return base + discount * v_n - v_s
 
 
 def run_critic(
@@ -195,31 +229,43 @@ def run_critic(
     """
     check_setting(setting)
     _check_features(env, features)
-    beta = critic.step_size
     N, D = critic.n_iterations, critic.batch_size
-    if len(batch[0]) != N * D:
+    if _check_batch(batch) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
-    # the update stays a product with one-hot rows: BLAS need not add a
-    # state's terms in np.bincount's step order, so a bincount update could
-    # move the last bit of the weights and, with them, the stream
+    _check_weights(env, features, critic.weights)
+    base, _, mu = _reward_terms(env, batch, setting, critic.avg_reward.copy(), critic.step_size)
+    discount, step = _discount(env, setting, D), critic.step_size / D
+    # one (S, M) value buffer for the whole loop, zero past row dim: w is a
+    # view of its first dim rows, so the update writes the values the next
+    # slice gathers
+    values = np.zeros((features.n_states, env.n_objectives))
+    w = values[:features.dim].T
+    w[...] = critic.weights
+    # slice k's states then next states as row k, one gather per slice
+    pairs = np.concatenate((batch[0].reshape(N, D), batch[2].reshape(N, D)), axis=1)
+    # the update stays a product with the slice's one-hot rows phi(s): BLAS
+    # need not add a state's terms in np.bincount's step order, so a bincount
+    # update could move the last bit of the weights and, with them, the
+    # stream. A slice gathers its own rows; one (N * D, dim) gather for the
+    # batch was no faster and left a larger heap
     phi = np.eye(features.n_states, features.dim)
-    base, _, mu = _reward_terms(env, batch, setting, critic.avg_reward.copy(), beta)
-    w = critic.weights.copy()
-    for k in range(1, N + 1):
-        part = slice((k - 1) * D, k * D)
-        s_arr = batch[0][part]
-        # the bits of delta @ phi[s_arr] depend on delta's memory order, which
-        # the gathers in _add_values set: values[:, s_arr] is F-ordered,
-        # np.take(values, s_arr, axis=1) C-ordered. Swapping them gives equal
-        # deltas in another layout, yet moved the final weights in 75 of 400
-        # random discounted runs (0 of 400 average ones). A faster gather must
-        # keep this layout or announce a stream change.
-        delta = _add_values(env, base[:, part], s_arr, batch[2][part], features.values(w), setting)
-        w = w + (beta / D) * (delta @ phi[s_arr])
-        if not np.abs(w).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
-            raise DivergenceError(f"critic weights diverged at inner critic iteration {k}",
-                                  iteration=k)
-    return replace(critic, weights=w, avg_reward=mu)
+    for k in range(N):
+        # the bits of delta @ phi depend on delta's memory order, which the
+        # gather in _add_values sets in the discounted setting: it is
+        # F-ordered, and so is each of its (M, D) halves. A C-ordered gather,
+        # such as np.take(values, s, axis=1) on (M, S) values, gives equal
+        # deltas in another layout, yet moved the final weights in 314 of 400
+        # random fishwood runs and 19 of 400 resource_gathering ones at
+        # N = 10, D = 50 (none in the average setting, whose delta takes the
+        # C order of its centred rewards). A faster gather must keep this
+        # layout or announce a stream change.
+        lo, p = k * D, pairs[k]
+        delta = _add_values(base[:, lo:lo + D], values, p, discount)
+        w += step * (delta @ phi.take(p[:D], axis=0))
+        if not np.abs(values).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
+            raise DivergenceError(f"critic weights diverged at inner critic iteration {k + 1}",
+                                  iteration=k + 1)
+    return replace(critic, weights=w.copy(), avg_reward=mu)
 
 
 def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -> TdFixedPoint:

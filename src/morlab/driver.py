@@ -117,6 +117,8 @@ def estimate_objective_gradients(
     parameter space happens once for all M objectives.
     """
     check_setting(setting)
+    if len(batch[0]) == 0:
+        raise ParameterError("the actor batch is empty")
     M, S, A = env.n_objectives, env.n_states, env.n_actions
     delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
     cells = (np.arange(M)[:, None] * S + batch[0]) * A + batch[1]    # (M, B)
@@ -172,9 +174,9 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
             )
     lam = uniform_weights(env.n_objectives)
     lam_initial = lam.values.copy()
-    thetas: list[np.ndarray] = []
     records: list[MetricsRecord] = []
     T = config.actor_iterations
+    thetas = np.empty((T, policy.theta.size))
     critic_steps = config.critic_iterations * config.critic_batch_size
     for t in range(1, T + 1):
         oracle_now = config.oracle_diagnostics and (
@@ -212,7 +214,7 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
                 j_exact=j_exact,
                 pareto_gap=gap,
             ))
-            thetas.append(policy.theta.copy())
+            thetas[t - 1] = policy.theta
             new_theta = policy.theta + config.actor_step_size * combined
             if not np.all(np.isfinite(new_theta)):
                 raise DivergenceError("policy parameters diverged")

@@ -491,6 +491,55 @@ class TestWeightShape:
         assert np.array_equal(entry(evaluation, features, w, 1), entry(evaluation, features, w.astype(float), 1))
 
 
+class TestCriticMisuse:
+    """td_errors and run_critic reject weights that are not (M, dim) for the
+    model and features, and a batch whose three arrays differ in length, with
+    ParameterError (CLI exit 2)."""
+
+    # fishwood has S = 4 and M = 2, and default features have dim 3: (2, 4)
+    # and (2, 7) weights used to give silently wrong TD errors, (2, 2) a bare
+    # IndexError, (3, 3) and (3,) bare ValueErrors
+    BAD_WEIGHTS = [(2, 4), (2, 7), (2, 2), (3, 3), (1, 3), (3,)]
+
+    @staticmethod
+    def model():
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)
+        return env, features, draw(env, 2, uniform_policy(env), 20)
+
+    @pytest.mark.parametrize("shape", BAD_WEIGHTS, ids=str)
+    def test_td_errors_weight_shape(self, shape):
+        env, features, batch = self.model()
+        with pytest.raises(ParameterError, match=r"critic weights must have shape \(2, 3\)") as e:
+            td_errors(env, features, np.ones(shape), batch, DISCOUNTED, np.zeros(2), 0.1)
+        assert e.value.exit_code == 2
+
+    @pytest.mark.parametrize("shape", BAD_WEIGHTS[:-1], ids=str)
+    def test_run_critic_weight_shape(self, shape):
+        env, features, batch = self.model()
+        critic = CriticState(weights=np.ones(shape), avg_reward=np.zeros(shape[0]), step_size=0.1,
+                             batch_size=10, n_iterations=2)
+        with pytest.raises(ParameterError, match=r"critic weights must have shape \(2, 3\)"):
+            run_critic(env, batch, critic, features, DISCOUNTED)
+
+    @pytest.mark.parametrize("short", [1, 2], ids=["actions", "next_states"])
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_batch_lengths_must_agree(self, short, setting):
+        env, features, batch = self.model()
+        batch = list(batch)
+        batch[short] = batch[short][:-1]
+        critic = CriticState.zeros(2, features.dim, 0.1, batch_size=10, n_iterations=2)
+        with pytest.raises(ParameterError, match="one length"):
+            td_errors(env, features, critic.weights, batch, setting, np.zeros(2), 0.1)
+        with pytest.raises(ParameterError, match="one length"):
+            run_critic(env, batch, critic, features, setting)
+
+    def test_batch_must_be_a_triple(self):
+        env, features, batch = self.model()
+        with pytest.raises(ParameterError, match="triple"):
+            td_errors(env, features, np.zeros((2, 3)), batch[:2], DISCOUNTED, np.zeros(2), 0.1)
+
+
 class TestZetaApprox:
     def test_complete_features_zero_gap(self):
         rng = np.random.default_rng(600)
@@ -578,6 +627,14 @@ class TestRunCritic:
         counts[field] = value
         with pytest.raises(ParameterError, match=field):
             CriticState.zeros(2, 1, 0.1, **counts)
+
+    @pytest.mark.parametrize("step", [np.inf, -np.inf, np.nan, 0.0, -0.1])
+    def test_step_size_must_be_positive_and_finite(self, step):
+        # an infinite step used to pass and end the run in DivergenceError
+        # (exit 3) at inner iteration 1
+        with pytest.raises(ParameterError, match="step size must be positive and finite") as e:
+            CriticState.zeros(2, 1, step, batch_size=2, n_iterations=2)
+        assert e.value.exit_code == 2
 
     def test_single_step_matches_manual_td(self):
         env = two_state_env()
@@ -736,3 +793,27 @@ class TestRunCriticEquivalence:
             want = run_critic_reference(env, batch, critic, features, setting)
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.avg_reward, want.avg_reward)
+
+    @pytest.mark.parametrize("env_name, setting, N, D", [
+        ("fishwood", DISCOUNTED, 10, 50), ("fishwood", AVERAGE, 10, 50),
+        ("resource_gathering", DISCOUNTED, 10, 50), ("resource_gathering", AVERAGE, 10, 50),
+        ("fishwood", AVERAGE, 2, 25), ("resource_gathering", AVERAGE, 2, 25),
+    ])
+    def test_workload_shapes_match_reference(self, env_name, setting, N, D):
+        # the benchmark's critic shapes, 400 random policies, weights,
+        # trackers and steps each: at this count a C-ordered delta, equal in
+        # value, moved the final weights in 75 of 400 discounted runs
+        env = build_fishwood(0.25, 0.65) if env_name == "fishwood" else build_resource_gathering()
+        rng = np.random.default_rng(2800 + N)
+        S, A, M = env.n_states, env.n_actions, env.n_objectives
+        features = default_feature_map(S)
+        for seed in range(400):
+            policy = random_policy(rng, S, A, scale=rng.uniform(0.0, 2.0))
+            weights = rng.normal(0.0, rng.uniform(0.1, 10.0), size=(M, features.dim))
+            critic = CriticState(weights=weights, avg_reward=rng.uniform(-0.5, 1.0, size=M),
+                                 step_size=rng.uniform(0.05, 0.5), batch_size=D, n_iterations=N)
+            batch = draw(env, seed, policy, N * D)
+            got = run_critic(env, batch, critic, features, setting)
+            want = run_critic_reference(env, batch, critic, features, setting)
+            assert got.weights.tobytes() == want.weights.tobytes(), seed
+            assert got.avg_reward.tobytes() == want.avg_reward.tobytes(), seed

@@ -114,6 +114,38 @@ class TestGradientEstimates:
         assert reward_mean.shape == (2,)
 
 
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 7), (2, 2), (3, 3), (3,)], ids=str)
+    def test_weight_shape_rejected(self, shape):
+        # fishwood with default features has dim 3: (2, 7) weights used to
+        # return gradients up to 0.09 off those of their first 3 columns,
+        # (2, 2) weights a bare IndexError
+        env = build_fishwood(0.3, 0.6)
+        policy = uniform_policy(env)
+        with pytest.raises(ParameterError, match=r"critic weights must have shape \(2, 3\)"):
+            estimate_objective_gradients(env, policy, np.zeros(shape), draw(env, 1, policy, 32),
+                                         DISCOUNTED, default_feature_map(env.n_states), 0.1,
+                                         policy.probability_matrix())
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_batch_lengths_must_agree(self, setting):
+        env = build_fishwood(0.3, 0.6)
+        policy = uniform_policy(env)
+        s, a, ns = draw(env, 1, policy, 32)
+        with pytest.raises(ParameterError, match="one length"):
+            estimate_objective_gradients(env, policy, np.zeros((2, 3)), (s, a[:-1], ns), setting,
+                                         default_feature_map(env.n_states), 0.1,
+                                         policy.probability_matrix())
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_empty_batch_rejected(self, setting):
+        # an empty batch used to return NaN gradients with a RuntimeWarning
+        env = build_fishwood(0.3, 0.6)
+        policy = uniform_policy(env)
+        with pytest.raises(ParameterError, match="empty"):
+            estimate_objective_gradients(env, policy, np.zeros((2, 3)), draw(env, 1, policy, 0),
+                                         setting, default_feature_map(env.n_states), 0.1,
+                                         policy.probability_matrix())
+
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     @pytest.mark.parametrize("n_objectives", [2, 3])
     def test_matches_add_at_reference(self, setting, n_objectives):
