@@ -33,6 +33,8 @@ class CriticState:
             raise ParameterError("weights must have shape (n_objectives, feature_dim)")
         if self.avg_reward.shape != (self.weights.shape[0],):
             raise ParameterError("avg_reward must have one tracker per objective")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.avg_reward).all()):
+            raise ParameterError("critic weights and reward trackers must be finite")
         if not 0.0 < self.step_size < np.inf:
             raise ParameterError("critic step size must be positive and finite, "
                                  f"got {self.step_size}")
@@ -129,25 +131,29 @@ def _check_margin(a: np.ndarray):
 
 
 def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batch,
-              setting: str, mu: np.ndarray, step_size: float):
-    """TD errors of all M objectives along one chained batch, weights held fixed.
+              setting: str, mu: np.ndarray):
+    """TD errors of all M objectives along one chained batch, weights and
+    reward trackers held fixed.
 
     ``batch`` is the (states, actions, next_states) triple drawn by
-    ``MarkovSampler.sample_policy_batch``; ``weights`` has shape (M, d2). In
-    the average setting the reward trackers start at ``mu`` and follow
-    mu_t = (1 - beta) mu_{t-1} + beta r_t with beta = ``step_size``, and each
-    sample's error uses the tracker its own reward has just updated; the
-    discounted setting leaves ``mu`` as it is.
+    ``MarkovSampler.sample_policy_batch``; ``weights`` has shape (M, d2) and
+    ``mu`` holds the M reward trackers, finite. In the average setting each
+    sample's error is centred by ``mu``, the sampled twin of
+    ``expected_td_errors`` with its tracker held at J; the discounted setting
+    does not read ``mu``.
 
-    Returns (delta, rewards, trackers): the (M, D) TD errors, the (M, D)
-    rewards and the (M,) trackers after the batch.
+    Returns (delta, rewards): the (M, D) TD errors and the (M, D) rewards.
     """
     _check_features(env, features)
     _check_weights(env, features, weights)
     D = _check_batch(batch)
-    base, r, mu = _reward_terms(env, batch, setting, mu, step_size)
+    mu = np.asarray(mu)
+    if mu.shape != (env.n_objectives,) or mu.dtype.kind not in "iuf" or not np.isfinite(mu).all():
+        raise ParameterError(f"reward trackers must be a finite array of shape ({env.n_objectives},)")
     pairs = np.concatenate((batch[0], batch[2]))
-    return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, D)), r, mu
+    r = _rewards(env, batch, pairs)
+    base = r - mu[:, None] if setting == AVERAGE else r
+    return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, D)), r
 
 
 def _check_batch(batch) -> int:
@@ -176,24 +182,33 @@ def _discount(env: TabularMomdp, setting: str, D: int):
     return None if setting == AVERAGE else np.full((D, env.n_objectives), env.discounts).T
 
 
-def _reward_terms(env: TabularMomdp, batch, setting: str, mu: np.ndarray, step_size: float):
-    """The weight-free half of ``td_errors``: (r or r - mu_t, r, trackers after)."""
-    s_arr, a_arr, _ = batch
+def _rewards(env: TabularMomdp, batch, pairs: np.ndarray) -> np.ndarray:
+    """The (M, D) rewards of a batch whose states and next states are
+    ``pairs``; ParameterError unless those lie in [0, S) and the actions in
+    [0, A), checked with one min and one max of each index array."""
+    _, a_arr, _ = batch
+    for name, idx, n in (("states", pairs, env.n_states), ("actions", a_arr, env.n_actions)):
+        if idx.size and not (idx.min() >= 0 and idx.max() < n):
+            raise ParameterError(f"batch {name} must lie in [0, {n}), "
+                                 f"got {idx.min()} to {idx.max()}")
     # (M, D) with the objective axis contiguous, the layout env.reward[:, s, a]
     # has: later sums and products over it keep their bits
-    r = env.reward_rows.take(s_arr * env.n_actions + a_arr, axis=0).T
-    if setting != AVERAGE:
-        return r, r, mu
-    # the tracker recursion over Python floats, one objective at a time; the
-    # rows are rebuilt C-ordered, the layout the critic's update reads
+    return env.reward_rows.take(batch[0] * env.n_actions + a_arr, axis=0).T
+
+
+def _centred_rewards(r: np.ndarray, mu: np.ndarray, step_size: float):
+    """(r_t - mu_{t-1}, trackers after) along the (M, D) rewards ``r`` for
+    mu_t = (1 - beta) mu_{t-1} + beta r_t from ``mu``, beta = ``step_size``."""
+    # the recursion over Python floats, one objective at a time; the rows are
+    # rebuilt C-ordered, the layout the critic's update reads
     keep = 1.0 - float(step_size)
     rows, last = (step_size * r).tolist(), mu.tolist()
     for i, row in enumerate(rows):
         y = last[i]
         for t, c in enumerate(row):
-            row[t] = y = keep * y + c
+            row[t], y = y, keep * y + c
         last[i] = y
-    return r - np.array(rows), r, np.array(last)
+    return r - np.array(rows), np.array(last)
 
 
 def _add_values(base, state_values, pairs, discount) -> np.ndarray:
@@ -224,8 +239,8 @@ def run_critic(
     iteration evaluates all M TD errors on its D steps with the weights held
     fixed, then applies the averaged semi-gradient update
     w_i += (beta / D) * sum_tau delta_i * phi(s_tau). The weight-free terms are
-    computed once per batch: one tracker recursion over N * D steps hands each
-    slice the state N chained ``td_errors`` calls would.
+    computed once per batch: one tracker recursion over N * D steps centres
+    each reward by the tracker from before its own update.
     """
     check_setting(setting)
     _check_features(env, features)
@@ -233,7 +248,11 @@ def run_critic(
     if _check_batch(batch) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
     _check_weights(env, features, critic.weights)
-    base, _, mu = _reward_terms(env, batch, setting, critic.avg_reward.copy(), critic.step_size)
+    # slice k's states then next states as row k, one gather per slice
+    pairs = np.concatenate((batch[0].reshape(N, D), batch[2].reshape(N, D)), axis=1)
+    r = _rewards(env, batch, pairs)
+    base, mu = (_centred_rewards(r, critic.avg_reward, critic.step_size) if setting == AVERAGE
+                else (r, critic.avg_reward.copy()))
     discount, step = _discount(env, setting, D), critic.step_size / D
     # one (S, M) value buffer for the whole loop, zero past row dim: w is a
     # view of its first dim rows, so the update writes the values the next
@@ -241,8 +260,6 @@ def run_critic(
     values = np.zeros((features.n_states, env.n_objectives))
     w = values[:features.dim].T
     w[...] = critic.weights
-    # slice k's states then next states as row k, one gather per slice
-    pairs = np.concatenate((batch[0].reshape(N, D), batch[2].reshape(N, D)), axis=1)
     # the update stays a product with the slice's one-hot rows phi(s): BLAS
     # need not add a state's terms in np.bincount's step order, so a bincount
     # update could move the last bit of the weights and, with them, the
@@ -265,6 +282,9 @@ def run_critic(
         if not np.abs(values).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
             raise DivergenceError(f"critic weights diverged at inner critic iteration {k + 1}",
                                   iteration=k + 1)
+    if not np.isfinite(mu).all():   # the trackers' last update feeds no slice
+        raise DivergenceError(f"critic reward trackers diverged at inner critic iteration {N}",
+                              iteration=N)
     return replace(critic, weights=w.copy(), avg_reward=mu)
 
 

@@ -18,7 +18,7 @@ from .critic import (
 )
 from .errors import DivergenceError, MorlabError, ParameterError, check_integer
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
-from .momdp import AVERAGE, MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
+from .momdp import MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
 
 FEATURE_KINDS = {"default": default_feature_map, "complete": complete_feature_map}
@@ -66,9 +66,6 @@ class MoacConfig:
             value = getattr(self, name)
             if value is None or not 0.0 < value < np.inf:
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
-        if self.setting == AVERAGE and self.actor_step_size > 1:
-            # the actor's reward tracker advances with this step: no running mean above 1
-            raise ParameterError("actor_step_size must be at most 1 in the average setting")
         if self.features not in FEATURE_KINDS:
             raise ParameterError(f"features must be one of {tuple(FEATURE_KINDS)}")
         if not isinstance(self.momentum, MomentumSchedule):
@@ -100,7 +97,7 @@ def estimate_objective_gradients(
     batch,
     setting: str,
     features: FeatureMap,
-    mu_step: float,
+    mu: np.ndarray,
     probs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average delta * score per objective over one chained actor batch.
@@ -109,18 +106,17 @@ def estimate_objective_gradients(
     under ``policy``, whose ``probability_matrix()`` is ``probs``. Returns the
     (M, dim) gradient estimates and the (M,) batch reward means.
 
-    The per-sample TD errors reuse the critic's weight vectors; in the average
-    setting the actor keeps its own reward trackers, started at zero for the
-    batch and advanced with the actor step size. One ``np.bincount`` folds the
-    TD errors into per-(objective, state, action) buckets, each summed in step
-    order from 0.0 as ``np.add.at`` would, so the projection onto the
-    parameter space happens once for all M objectives.
+    The per-sample TD errors read the critic's weights and, in the average
+    setting, its (M,) reward trackers ``mu``, both held fixed. One
+    ``np.bincount`` folds the TD errors into per-(objective, state, action)
+    buckets, each summed in step order from 0.0 as ``np.add.at`` would, so the
+    projection onto the parameter space happens once for all M objectives.
     """
     check_setting(setting)
     if len(batch[0]) == 0:
         raise ParameterError("the actor batch is empty")
     M, S, A = env.n_objectives, env.n_states, env.n_actions
-    delta, r, _ = td_errors(env, features, critic_weights, batch, setting, np.zeros(M), mu_step)
+    delta, r = td_errors(env, features, critic_weights, batch, setting, mu)
     cells = (np.arange(M)[:, None] * S + batch[0]) * A + batch[1]    # (M, B)
     buckets = np.bincount(cells.ravel(), delta.ravel(), minlength=M * S * A)
     return policy.score_weighted_sum(buckets.reshape(M, S, A) / r.shape[1], probs), r.mean(axis=1)
@@ -193,7 +189,7 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
             critic = run_critic(env, [x[:critic_steps] for x in batch], critic, features, setting)
             grads, reward_mean = estimate_objective_gradients(
                 env, policy, critic.weights, [x[critic_steps:] for x in batch],
-                setting, features, mu_step=config.actor_step_size, probs=probs,
+                setting, features, mu=critic.avg_reward, probs=probs,
             )
             lam_hat, _ = solve_min_norm(grads)
             critic_err = j_exact = gap = None

@@ -15,6 +15,10 @@ morlab code path loads scipy, so its version is not recorded.
 A change that moves the seeded stream regenerates the file and says why:
 
     PYTHONPATH=src python tests/data/make_streams.py
+
+Before it writes, the script compares the new corpus with the file and prints
+one line per digest that moved (config, seed and part, or file), or "nothing
+moved".
 """
 
 from __future__ import annotations
@@ -173,8 +177,32 @@ def build_corpus() -> dict:
     return {"versions": versions(), "configs": configs, "logged_data": logged_data}
 
 
+def _digests(corpus: dict) -> dict:
+    """Every digest of a corpus, keyed by a tuple naming where it sits."""
+    out = {("logged_data",): corpus.get("logged_data")}
+    for name, digests in corpus.get("configs", {}).items():
+        for file, digest in digests["files"].items():
+            out[(name, "file", file)] = digest
+        for seed, parts in digests["run_moac"].items():
+            for part, digest in parts.items():
+                out[(name, seed, part)] = digest
+    return out
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per digest that differs between two corpora, present in only
+    one of them included, and one for the versions if they differ."""
+    lines = [] if old.get("versions") == new.get("versions") else \
+        [f"versions: {old.get('versions')} -> {new.get('versions')}"]
+    a, b = _digests(old), _digests(new)
+    return lines + [" ".join(key) for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+
+
 def main():
-    CORPUS.write_text(json.dumps(build_corpus(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    corpus = build_corpus()
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
+    print("\n".join(moved(old, corpus)) or "nothing moved")
+    CORPUS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(CORPUS)
 
 

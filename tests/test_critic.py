@@ -26,7 +26,14 @@ from morlab import (
     theory_critic_step,
     uniform_policy,
 )
-from morlab.critic import CriticState, _check_margin, expected_td_errors, run_critic, td_errors
+from morlab.critic import (
+    CriticState,
+    _centred_rewards,
+    _check_margin,
+    expected_td_errors,
+    run_critic,
+    td_errors,
+)
 
 from util import (
     critic_error_trace,
@@ -45,49 +52,44 @@ from util import (
 )
 
 
-def one_step(n_states, reward, next_state, w, features, setting, mu_prev=0.0, step_size=0.1,
-             discount=0.9):
-    """TD error and tracker of a one-sample batch 0 -> next_state paying ``reward``."""
+def one_step(n_states, reward, next_state, w, features, setting, mu=0.0, discount=0.9):
+    """TD error of a one-sample batch 0 -> next_state paying ``reward``, at the tracker ``mu``."""
     rewards = np.zeros((1, n_states, 1))
     rewards[0, 0, 0] = reward
     env = single_chain_env(np.full((n_states, n_states), 1.0 / n_states), rewards, discount)
     batch = (np.array([0]), np.array([0]), np.array([next_state]))
-    delta, r, mu = td_errors(env, features, np.array([w], dtype=float), batch, setting,
-                             np.array([mu_prev]), step_size)
+    delta, r = td_errors(env, features, np.array([w], dtype=float), batch, setting, np.array([mu]))
     assert r.tolist() == [[reward]]
-    return float(delta[0, 0]), float(mu[0])
+    return float(delta[0, 0])
 
 
 class TestTdErrors:
     def test_average_plugin(self):
-        # r=1, mu_prev=0, beta=0.1, equal state values => mu=0.1, delta=0.9
-        delta, mu = one_step(2, 1.0, 0, [0.0], default_feature_map(2), AVERAGE, 0.0, 0.1)
-        assert mu == pytest.approx(0.1)
-        assert delta == pytest.approx(0.9)
+        # r=1, mu=0.25, equal state values => delta=0.75: the tracker is held, not advanced
+        assert one_step(2, 1.0, 0, [0.0], default_feature_map(2), AVERAGE, 0.25) == 0.75
 
     def test_average_constant_reward_tracked(self):
         c = 0.6
         w = [0.4, -0.2]
-        delta, mu = one_step(3, c, 1, w, default_feature_map(3), AVERAGE, c, 0.3)
-        assert mu == pytest.approx(c)
+        delta = one_step(3, c, 1, w, default_feature_map(3), AVERAGE, c)
         assert delta == pytest.approx(w[1] - w[0])
 
     def test_discounted_plugin(self):
-        # r=1, gamma=0.9, phi(s')w=2, phi(s)w=1 => delta=1.8
-        delta, mu = one_step(2, 1.0, 1, [1.0, 2.0], complete_feature_map(2), DISCOUNTED,
-                             mu_prev=0.25, discount=0.9)
-        assert delta == pytest.approx(1.8)
-        assert mu == 0.25   # the discounted setting leaves the tracker alone
+        # r=1, gamma=0.9, phi(s')w=2, phi(s)w=1 => delta=1.8, whatever the tracker
+        for mu in (0.0, 0.25):
+            delta = one_step(2, 1.0, 1, [1.0, 2.0], complete_feature_map(2), DISCOUNTED, mu,
+                             discount=0.9)
+            assert delta == pytest.approx(1.8)
 
     def test_discounted_zero_weights(self):
-        delta, _ = one_step(2, 0.7, 1, [0.0], default_feature_map(2), DISCOUNTED, discount=0.95)
+        delta = one_step(2, 0.7, 1, [0.0], default_feature_map(2), DISCOUNTED, discount=0.95)
         assert delta == pytest.approx(0.7)
 
-    def test_average_trackers_match_recursion_reference(self):
-        # the trackers follow the plain recursion of the docstring, so the TD
-        # errors and the final trackers equal its per-sample reference
+    def test_average_holds_trackers_fixed(self):
+        # every sample is centred by the same trackers: the TD errors equal
+        # r - mu + phi(s') w - phi(s) w, bit for bit
         rng = np.random.default_rng(2026)
-        for trial in range(300):
+        for _ in range(300):
             M = int(rng.integers(1, 5))
             S = int(rng.integers(2, 7))
             D = int(rng.integers(1, 201))
@@ -95,18 +97,52 @@ class TestTdErrors:
             features = default_feature_map(S)
             w = rng.normal(0.0, 1.0, size=(M, features.dim))
             batch = tuple(rng.integers(0, n, size=D) for n in (S, 2, S))
-            mu0 = rng.normal(0.0, 1.0, size=M)
-            beta = (0.1, 0.5, 20.0, float(rng.uniform(0.0, 1.0)))[trial % 4]
-            delta, r, mu = td_errors(env, features, w, batch, AVERAGE, mu0, beta)
+            mu = rng.normal(0.0, 1.0, size=M)
+            delta, r = td_errors(env, features, w, batch, AVERAGE, mu)
             s_arr, a_arr, ns_arr = batch
             phi = feature_matrix(features)
             ref_r = env.reward[:, s_arr, a_arr]
-            path = reward_tracker_path(ref_r, mu0, beta)
-            ref_delta = ref_r - path + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
+            ref_delta = ref_r - mu[:, None] + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
             assert np.array_equal(r, ref_r)
-            assert np.array_equal(delta, ref_delta, equal_nan=True)
-            assert np.array_equal(mu, path[:, -1], equal_nan=True)
-            assert np.array_equal(delta @ phi[s_arr], ref_delta @ phi[s_arr], equal_nan=True)
+            assert np.array_equal(delta, ref_delta)
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_zero_step_batch(self, setting):
+        # a zero-step draw is a valid batch: no errors
+        env = build_fishwood(0.3, 0.6)
+        features = default_feature_map(env.n_states)
+        batch = draw(env, 0, uniform_policy(env), 0)
+        delta, r = td_errors(env, features, np.ones((2, features.dim)), batch, setting,
+                             np.array([0.25, -0.0]))
+        assert delta.shape == r.shape == (2, 0)
+
+
+class TestTrackerRecursion:
+    """The critic's average-setting reward trackers, the one recursion in
+    the package: each reward is centred by the tracker from before its own
+    update."""
+
+    def test_match_recursion_reference(self):
+        # the trackers follow the plain recursion of the docstring, so the
+        # centred rewards and the final trackers equal its per-sample reference
+        rng = np.random.default_rng(2026)
+        for trial in range(300):
+            M = int(rng.integers(1, 5))
+            D = int(rng.integers(1, 201))
+            r = rng.normal(0.0, 1.0, size=(M, D))
+            mu0 = rng.normal(0.0, 1.0, size=M)
+            beta = (0.1, 0.5, 20.0, float(rng.uniform(0.0, 1.0)))[trial % 4]
+            centred, mu = _centred_rewards(r, mu0, beta)
+            path, ref_mu = reward_tracker_path(r, mu0, beta)
+            assert np.array_equal(centred, r - path, equal_nan=True)
+            assert np.array_equal(mu, ref_mu, equal_nan=True)
+
+    def test_first_sample_reads_incoming_tracker(self):
+        # r = 1 from mu = 0 at beta = 0.1: the first sample is centred by 0,
+        # the second by 0.1, and the tracker ends at 0.19
+        centred, mu = _centred_rewards(np.array([[1.0, 1.0]]), np.array([0.0]), 0.1)
+        assert centred.tolist() == [[1.0, 0.9]]
+        assert mu == pytest.approx([0.19])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -119,43 +155,29 @@ class TestTdErrors:
                      min_size=4, max_size=4),
         zero_share=st.sampled_from([0.0, 0.5, 1.0]),
     )
-    def test_average_trackers_match_lfilter_bit_for_bit(self, seed, M, D, beta, mu0, zero_share):
-        # scipy's one-tap IIR filter referees the recursion: rewards, TD
-        # errors and final trackers agree in every bit, signed zeros included.
-        # Zero rewards are +0.0, as in every model here: for beta > 1 a -0.0
+    def test_match_lfilter_bit_for_bit(self, seed, M, D, beta, mu0, zero_share):
+        # scipy's one-tap IIR filter referees the recursion: centred rewards
+        # and final trackers agree in every bit, signed zeros included. Zero
+        # rewards are +0.0, as in every model here: for beta > 1 a -0.0
         # reward can flip the sign of a zero tracker, since lfilter forms its
         # state as 0 * r - a1 * y
         rng = np.random.default_rng(seed)
         S = 3
         env = random_momdp(rng, n_states=S, n_actions=2, n_objectives=M)
         reward = np.where(rng.random(env.reward.shape) < zero_share, 0.0, env.reward)
-        env = TabularMomdp(S, 2, M, env.transition, reward, env.discounts,
-                           env.initial_distribution)
-        features = default_feature_map(S)
-        w = rng.normal(0.0, 1.0, size=(M, features.dim))
-        batch = tuple(rng.integers(0, n, size=D) for n in (S, 2, S))
+        s_arr, a_arr = rng.integers(0, S, size=D), rng.integers(0, 2, size=D)
+        r = reward[:, s_arr, a_arr]
         mu = np.array(mu0[:M])
-        delta, r, mu_after = td_errors(env, features, w, batch, AVERAGE, mu, beta)
-        s_arr, a_arr, ns_arr = batch
-        phi = feature_matrix(features)
-        ref_r = env.reward[:, s_arr, a_arr]
-        path, ref_mu = tracker_filter_reference(ref_r, mu, beta)
-        ref_delta = ref_r - path + (phi[ns_arr] @ w.T - phi[s_arr] @ w.T).T
-        assert r.shape == delta.shape == (M, D)
-        assert _bytes(r) == _bytes(ref_r)
-        assert _bytes(delta) == _bytes(ref_delta)
+        centred, mu_after = _centred_rewards(r, mu, beta)
+        path, ref_mu = tracker_filter_reference(r, mu, beta)
+        assert centred.shape == (M, D)
+        assert _bytes(centred) == _bytes(r - path)
         assert _bytes(mu_after) == _bytes(ref_mu)
 
-    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
-    def test_zero_step_batch_returns_incoming_trackers(self, setting):
-        # a zero-step draw is a valid batch: no errors, trackers unchanged
-        env = build_fishwood(0.3, 0.6)
-        features = default_feature_map(env.n_states)
-        batch = draw(env, 0, uniform_policy(env), 0)
+    def test_zero_step_batch_returns_incoming_trackers(self):
         mu0 = np.array([0.25, -0.0])
-        delta, r, mu = td_errors(env, features, np.ones((2, features.dim)), batch, setting,
-                                 mu0, 0.5)
-        assert delta.shape == r.shape == (2, 0)
+        centred, mu = _centred_rewards(np.empty((2, 0)), mu0, 0.5)
+        assert centred.shape == (2, 0)
         assert _bytes(mu) == _bytes(mu0)
 
 
@@ -446,7 +468,7 @@ class TestFeatureStateCount:
         batch = (np.array([0, 1]), np.array([1, 0]), np.array([1, 1]))
         calls = {
             "td_errors": lambda: td_errors(env, wrong, w, batch, DISCOUNTED,
-                                           np.zeros(env.n_objectives), 0.1),
+                                           np.zeros(env.n_objectives)),
             "run_critic": lambda: run_critic(env, batch, CriticState.zeros(2, wrong.dim, 0.1, 2, 1),
                                              wrong, DISCOUNTED),
             "expected_td_errors": lambda: expected_td_errors(evaluation, wrong, w[0], 0),
@@ -511,7 +533,7 @@ class TestCriticMisuse:
     def test_td_errors_weight_shape(self, shape):
         env, features, batch = self.model()
         with pytest.raises(ParameterError, match=r"critic weights must have shape \(2, 3\)") as e:
-            td_errors(env, features, np.ones(shape), batch, DISCOUNTED, np.zeros(2), 0.1)
+            td_errors(env, features, np.ones(shape), batch, DISCOUNTED, np.zeros(2))
         assert e.value.exit_code == 2
 
     @pytest.mark.parametrize("shape", BAD_WEIGHTS[:-1], ids=str)
@@ -530,14 +552,76 @@ class TestCriticMisuse:
         batch[short] = batch[short][:-1]
         critic = CriticState.zeros(2, features.dim, 0.1, batch_size=10, n_iterations=2)
         with pytest.raises(ParameterError, match="one length"):
-            td_errors(env, features, critic.weights, batch, setting, np.zeros(2), 0.1)
+            td_errors(env, features, critic.weights, batch, setting, np.zeros(2))
         with pytest.raises(ParameterError, match="one length"):
             run_critic(env, batch, critic, features, setting)
 
     def test_batch_must_be_a_triple(self):
         env, features, batch = self.model()
         with pytest.raises(ParameterError, match="triple"):
-            td_errors(env, features, np.zeros((2, 3)), batch[:2], DISCOUNTED, np.zeros(2), 0.1)
+            td_errors(env, features, np.zeros((2, 3)), batch[:2], DISCOUNTED, np.zeros(2))
+
+    # (part of the batch, step, value). Fishwood has S = 4 and A = 2: an
+    # action of 2 in state s used to read the reward row of (s + 1, 0), a
+    # state of -1 to wrap to state 3, and a state of 4 to raise a bare
+    # IndexError
+    BAD_INDICES = [(1, 0, 2), (1, 3, -1), (0, 5, 4), (0, 7, -1), (2, 0, 4), (2, 19, -1)]
+
+    @classmethod
+    def bad_batch(cls, part, step, value):
+        env, features, batch = cls.model()
+        batch = [x.copy() for x in batch]
+        batch[part][step] = value
+        return env, features, batch
+
+    @pytest.mark.parametrize("part, step, value", BAD_INDICES, ids=str)
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_td_errors_index_range(self, part, step, value, setting):
+        env, features, batch = self.bad_batch(part, step, value)
+        name = "actions" if part == 1 else "states"
+        with pytest.raises(ParameterError, match=f"batch {name} must lie in") as e:
+            td_errors(env, features, np.zeros((2, 3)), batch, setting, np.zeros(2))
+        assert e.value.exit_code == 2
+
+    @pytest.mark.parametrize("part, step, value", BAD_INDICES, ids=str)
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_run_critic_index_range(self, part, step, value, setting):
+        env, features, batch = self.bad_batch(part, step, value)
+        name = "actions" if part == 1 else "states"
+        critic = CriticState.zeros(2, features.dim, 0.1, batch_size=10, n_iterations=2)
+        with pytest.raises(ParameterError, match=f"batch {name} must lie in"):
+            run_critic(env, batch, critic, features, setting)
+
+    def test_shifted_states_rejected(self):
+        # states - 1 and next states - 1 used to return finite weights
+        env, features, (s, a, ns) = self.model()
+        critic = CriticState.zeros(2, features.dim, 0.1, batch_size=10, n_iterations=2)
+        with pytest.raises(ParameterError, match=r"batch states must lie in \[0, 4\)"):
+            run_critic(env, (s - 1, a, ns - 1), critic, features, AVERAGE)
+
+    @pytest.mark.parametrize("mu", [np.array([np.nan, 0.0]), np.array([0.0, np.inf]),
+                                    np.zeros(3), np.zeros((2, 1)), np.array(["0", "0"]),
+                                    np.array([True, False])],
+                             ids=["nan", "inf", "(3,)", "(2, 1)", "str", "bool"])
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_td_errors_trackers(self, mu, setting):
+        env, features, batch = self.model()
+        with pytest.raises(ParameterError, match=r"reward trackers must be a finite array "
+                                                 r"of shape \(2,\)") as e:
+            td_errors(env, features, np.zeros((2, 3)), batch, setting, mu)
+        assert e.value.exit_code == 2
+
+    @pytest.mark.parametrize("field, bad", [("weights", np.nan), ("weights", np.inf),
+                                            ("avg_reward", np.nan), ("avg_reward", -np.inf)],
+                             ids=str)
+    def test_critic_state_must_be_finite(self, field, bad):
+        # a NaN weight or a non-finite tracker used to end in DivergenceError
+        # (exit 3) at inner critic iteration 1, with a RuntimeWarning
+        values = {"weights": np.zeros((2, 3)), "avg_reward": np.zeros(2)}
+        values[field][0] = bad
+        with pytest.raises(ParameterError, match="must be finite") as e:
+            CriticState(step_size=0.1, batch_size=10, n_iterations=2, **values)
+        assert e.value.exit_code == 2
 
 
 class TestZetaApprox:
@@ -677,8 +761,10 @@ class TestRunCritic:
         features = default_feature_map(2)
         policy = uniform_policy(env)
         fp = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
-        # the analysis only upper-bounds beta; the average setting needs a
-        # moderate step or the reward-tracker coupling dominates the floor
+        # the analysis only upper-bounds beta. In the average setting each TD
+        # error also carries the noise of the tracker that centres it, which
+        # grows with beta: at beta = 0.9 the mean error here is about 2.6x
+        # the initial one, at 0.1 about 0.05x, so beta stays moderate
         beta = theory_critic_step(fp) if setting == DISCOUNTED else min(0.1, theory_critic_step(fp))
         initial = float((fp.w_star ** 2).sum())
         errors = []
@@ -707,23 +793,32 @@ class TestRunCritic:
             run_critic(env, draw(env, 1, policy, 4 * 50), critic, features, AVERAGE)
         assert err.value.iteration is not None
 
-    @pytest.mark.parametrize("bad, iteration", [("nan", 1), ("inf", 3)], ids=["nan", "inf"])
-    def test_non_finite_weights_raise_at_their_iteration(self, bad, iteration):
-        # state 0 pays nothing and inner iterations 1 and 2 stay on state 0. A
-        # NaN weight of state 0 makes its TD errors NaN at once. From weights
-        # [0, 1e11], iterations 1 and 2 leave the weights as they are;
-        # iteration 3 steps 0 -> 1 with TD error 9e10, which the step 1e300
-        # overflows to inf
+    def test_non_finite_weights_raise_at_their_iteration(self):
+        # state 0 pays nothing and inner iterations 1 and 2 stay on state 0.
+        # From weights [0, 1e11], iterations 1 and 2 leave the weights as they
+        # are; iteration 3 steps 0 -> 1 with TD error 9e10, which the step
+        # 1e300 overflows to inf. (A NaN start is a ParameterError of
+        # CriticState: TestCriticMisuse.)
         env = single_chain_env(np.full((2, 2), 0.5), rewards=[[[0.0], [1.0]]])
-        start = [[np.nan, 0.0]] if bad == "nan" else [[0.0, 1e11]]
-        critic = CriticState(weights=start, avg_reward=[0.0], step_size=1e300, batch_size=2,
-                             n_iterations=4)
+        critic = CriticState(weights=[[0.0, 1e11]], avg_reward=[0.0], step_size=1e300,
+                             batch_size=2, n_iterations=4)
         path = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
         batch = (path[:-1], np.zeros(8, dtype=np.int64), path[1:])
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             run_critic(env, batch, critic, complete_feature_map(2), DISCOUNTED)
-        assert err.value.iteration == iteration
-        assert f"inner critic iteration {iteration}" in str(err.value)
+        assert err.value.iteration == 3
+        assert "inner critic iteration 3" in str(err.value)
+
+    def test_non_finite_final_trackers_diverge(self):
+        # the chain sits in state 1, whose default feature is zero, so the
+        # weights never move; at step 1e200 the second tracker update
+        # overflows, and no slice reads that last update
+        env = single_chain_env(np.full((2, 2), 0.5), rewards=[[[0.0], [1.0]]])
+        critic = CriticState.zeros(1, 1, 1e200, batch_size=2, n_iterations=1)
+        batch = (np.array([1, 1]), np.array([0, 0]), np.array([1, 1]))
+        with pytest.raises(DivergenceError, match="trackers diverged at inner critic iteration 1") as err:
+            run_critic(env, batch, critic, default_feature_map(2), AVERAGE)
+        assert err.value.exit_code == 3
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     def test_batch_equals_one_iteration_calls(self, setting):

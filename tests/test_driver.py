@@ -61,7 +61,7 @@ class TestGradientEstimates:
         policy = uniform_policy(env)
         grads, reward_mean = estimate_objective_gradients(
             env, policy, np.zeros((2, 1)), draw(env, 0, policy, 64), DISCOUNTED,
-            default_feature_map(2), 0.05, policy.probability_matrix()
+            default_feature_map(2), np.zeros(2), policy.probability_matrix()
         )
         assert np.all(grads == 0.0)
         assert np.all(reward_mean == 0.0)
@@ -76,7 +76,7 @@ class TestGradientEstimates:
         fp = compute_td_fixed_point(evaluation, features)
         B = 100_000
         grads, _ = estimate_objective_gradients(
-            env, policy, fp.w_star, draw(env, 7, policy, B), DISCOUNTED, features, 0.05,
+            env, policy, fp.w_star, draw(env, 7, policy, B), DISCOUNTED, features, np.zeros(2),
             policy.probability_matrix()
         )
         budget = 3.0 * (2.0 * env.r_max + 2.0 * fp.r_w_bound) / np.sqrt(B)
@@ -103,15 +103,24 @@ class TestGradientEstimates:
             delta_avg = expected_td_gradient(avg, features, V_avg[i], i)
             assert np.max(np.abs(delta_avg - epg_avg[i])) <= 1e-8
 
-    def test_average_setting_uses_fresh_trackers(self):
+    def test_trackers_read_in_average_setting_only(self):
+        # the TD errors are r - mu in the average setting, so there the
+        # trackers move the estimate; the discounted setting ignores them
         env = two_state_env()
         policy = uniform_policy(env)
-        grads, reward_mean = estimate_objective_gradients(
-            env, policy, np.zeros((2, 1)), draw(env, 3, policy, 32), AVERAGE,
-            default_feature_map(2), 0.1, policy.probability_matrix()
-        )
+        batch = draw(env, 3, policy, 32)
+        probs = policy.probability_matrix()
+
+        def estimate(setting, mu):
+            return estimate_objective_gradients(env, policy, np.zeros((2, 1)), batch, setting,
+                                                default_feature_map(2), np.array(mu), probs)
+
+        grads, reward_mean = estimate(AVERAGE, [0.5, 0.25])
         assert np.all(np.isfinite(grads))
         assert reward_mean.shape == (2,)
+        assert not np.array_equal(grads, estimate(AVERAGE, [0.0, 0.0])[0])
+        assert np.array_equal(estimate(DISCOUNTED, [0.5, 0.25])[0],
+                              estimate(DISCOUNTED, [0.0, 0.0])[0])
 
 
     @pytest.mark.parametrize("shape", [(2, 4), (2, 7), (2, 2), (3, 3), (3,)], ids=str)
@@ -123,8 +132,8 @@ class TestGradientEstimates:
         policy = uniform_policy(env)
         with pytest.raises(ParameterError, match=r"critic weights must have shape \(2, 3\)"):
             estimate_objective_gradients(env, policy, np.zeros(shape), draw(env, 1, policy, 32),
-                                         DISCOUNTED, default_feature_map(env.n_states), 0.1,
-                                         policy.probability_matrix())
+                                         DISCOUNTED, default_feature_map(env.n_states),
+                                         np.zeros(2), policy.probability_matrix())
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     def test_batch_lengths_must_agree(self, setting):
@@ -133,8 +142,22 @@ class TestGradientEstimates:
         s, a, ns = draw(env, 1, policy, 32)
         with pytest.raises(ParameterError, match="one length"):
             estimate_objective_gradients(env, policy, np.zeros((2, 3)), (s, a[:-1], ns), setting,
-                                         default_feature_map(env.n_states), 0.1,
+                                         default_feature_map(env.n_states), np.zeros(2),
                                          policy.probability_matrix())
+
+    @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
+    def test_out_of_range_action_rejected(self, setting):
+        # fishwood has A = 2: an action of 2 in state 0 used to read the
+        # reward row of (1, 0) and return finite gradients
+        env = build_fishwood(0.3, 0.6)
+        policy = uniform_policy(env)
+        s, a, ns = draw(env, 1, policy, 32)
+        s[0], a[0] = 0, 2
+        with pytest.raises(ParameterError, match=r"batch actions must lie in \[0, 2\)") as e:
+            estimate_objective_gradients(env, policy, np.zeros((2, 3)), (s, a, ns), setting,
+                                         default_feature_map(env.n_states), np.zeros(2),
+                                         policy.probability_matrix())
+        assert e.value.exit_code == 2
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     def test_empty_batch_rejected(self, setting):
@@ -143,7 +166,7 @@ class TestGradientEstimates:
         policy = uniform_policy(env)
         with pytest.raises(ParameterError, match="empty"):
             estimate_objective_gradients(env, policy, np.zeros((2, 3)), draw(env, 1, policy, 0),
-                                         setting, default_feature_map(env.n_states), 0.1,
+                                         setting, default_feature_map(env.n_states), np.zeros(2),
                                          policy.probability_matrix())
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
@@ -155,10 +178,11 @@ class TestGradientEstimates:
         policy = random_policy(rng, env.n_states, env.n_actions)
         features = default_feature_map(env.n_states)
         w = rng.normal(0.0, 1.0, size=(n_objectives, features.dim))
+        mu = rng.normal(0.0, 1.0, size=n_objectives)
         batch = draw(env, 9, policy, 300)
-        got = estimate_objective_gradients(env, policy, w, batch, setting, features, 0.4,
+        got = estimate_objective_gradients(env, policy, w, batch, setting, features, mu,
                                            policy.probability_matrix())
-        want = objective_gradients_reference(env, policy, w, batch, setting, features, 0.4)
+        want = objective_gradients_reference(env, policy, w, batch, setting, features, mu)
         for g, r in zip(got, want):
             assert g.tobytes() == r.tobytes()
 
@@ -233,7 +257,7 @@ class TestRunMoac:
         critic = run_critic(env, [x[:n_critic] for x in batch], critic, features, DISCOUNTED)
         grads, _ = estimate_objective_gradients(
             env, policy, critic.weights, [x[n_critic:] for x in batch],
-            DISCOUNTED, features, config.actor_step_size, policy.probability_matrix(),
+            DISCOUNTED, features, critic.avg_reward, policy.probability_matrix(),
         )
         lam_hat, _ = solve_min_norm(grads)
         assert np.allclose(res.records[0].lam, lam_hat.values, atol=1e-14)
@@ -327,15 +351,12 @@ class TestRunMoac:
             run_moac(two_state_env(), small_config())
         assert err.value.residual == 0.25
 
-    def test_average_actor_step_above_one_rejected(self):
-        # the actor's average-setting reward tracker advances with the actor
-        # step; at 20 it explodes within one batch, and the run used to fail
-        # later in the QP with an overflow instead of rejecting the config
+    def test_average_actor_step_above_one_accepted(self):
+        # the actor reads the critic's trackers and runs none of its own, so
+        # its step has no average-setting cap
         env = build_fishwood(0.25, 0.65)
-        with pytest.raises(ParameterError, match="actor_step_size"):
-            run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_batch_size=128))
-        run_moac(env, small_config(setting=AVERAGE, actor_step_size=1.0, actor_iterations=3))
-        run_moac(env, small_config(setting=DISCOUNTED, actor_step_size=20.0, actor_iterations=3))
+        res = run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_iterations=3))
+        assert all(np.isfinite(rec.grad_norm_sq) for rec in res.records)
 
     @pytest.mark.parametrize("theory_compliant", [False, True])
     def test_actor_step_is_required(self, theory_compliant):

@@ -45,3 +45,19 @@ def test_logged_data_digest_unchanged(tmp_path):
     check_versions()
     assert make_streams.logged_data_digest(tmp_path) == CORPUS["logged_data"], \
         "the logged-data file changed"
+
+
+def test_moved_names_each_changed_digest():
+    # make_streams.main prints these lines before it rewrites streams.json
+    new = json.loads(json.dumps(CORPUS))
+    assert make_streams.moved(CORPUS, new) == []
+    name = sorted(new["configs"])[0]
+    seed = sorted(new["configs"][name]["run_moac"])[0]
+    file = sorted(new["configs"][name]["files"])[0]
+    new["configs"][name]["run_moac"][seed]["t_hat"] = "0"
+    del new["configs"][name]["files"][file]
+    new["logged_data"] = "0"
+    new["versions"] = {**new["versions"], "numpy": "0"}
+    lines = make_streams.moved(CORPUS, new)
+    assert lines[0].startswith("versions: ")
+    assert sorted(lines[1:]) == sorted(["logged_data", f"{name} file {file}", f"{name} {seed} t_hat"])

@@ -363,30 +363,33 @@ def _lattice_min_tail2(G: np.ndarray, lead: np.ndarray, s: np.ndarray, n: int) -
     return best / float(n * n)
 
 
-def reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float) -> np.ndarray:
-    """Reference for the average-setting reward trackers of ``td_errors``: the
-    per-sample path of mu_t = (1-beta) mu_{t-1} + beta r_t along a batch, one
-    sample at a time.
+def reward_tracker_path(rewards: np.ndarray, mu0: np.ndarray, step_size: float):
+    """Reference for the critic's average-setting reward trackers: the
+    recursion mu_t = (1-beta) mu_{t-1} + beta r_t along a batch, one sample
+    at a time.
 
-    rewards: (M, D); mu0: (M,). Returns the (M, D) tracker values.
+    rewards: (M, D); mu0: (M,). Returns the (M, D) trackers each sample is
+    centred by, those from before its own update (mu0 first), and the (M,)
+    trackers after the batch.
     """
     beta = step_size
     mu = np.array(mu0, dtype=float)
     path = np.empty(rewards.shape)
     for t in range(rewards.shape[1]):
-        mu = (1.0 - beta) * mu + beta * rewards[:, t]
         path[:, t] = mu
-    return path
+        mu = (1.0 - beta) * mu + beta * rewards[:, t]
+    return path, mu
 
 
 def tracker_filter_reference(rewards: np.ndarray, mu0: np.ndarray, step_size: float):
-    """Referee for the average-setting reward trackers of ``td_errors``:
-    scipy's one-tap IIR filter y_t = beta r_t + (1 - beta) y_{t-1}, started at
+    """Referee for the critic's average-setting reward trackers: scipy's
+    one-tap IIR filter y_t = beta r_t + (1 - beta) y_{t-1}, started at
     y_{-1} = mu0, along each row of the (M, D) ``rewards``.
 
-    Returns the (M, D) tracker path and the (M,) trackers after it (``mu0``
-    itself for a zero-step batch, where ``lfilter`` leaves its final state
-    unset).
+    Returns the (M, D) trackers each sample is centred by, the filter's path
+    shifted by one (y_{t-1}, mu0 first), and the (M,) trackers after the
+    batch (``mu0`` itself for a zero-step batch, where ``lfilter`` leaves
+    its final state unset).
     """
     from scipy.signal import lfilter
     mu0 = np.asarray(mu0, dtype=float)
@@ -394,7 +397,7 @@ def tracker_filter_reference(rewards: np.ndarray, mu0: np.ndarray, step_size: fl
         return np.empty(rewards.shape), mu0.copy()
     keep = 1.0 - step_size
     path, _ = lfilter([step_size], [1.0, -keep], rewards, axis=1, zi=(keep * mu0)[:, None])
-    return path, path[:, -1].copy()
+    return np.concatenate((mu0[:, None], path[:, :-1]), axis=1), path[:, -1].copy()
 
 
 def td_fixed_point_reference(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -529,13 +532,13 @@ def run_critic_reference(env: TabularMomdp, batch, critic: CriticState, features
 
 
 def objective_gradients_reference(env: TabularMomdp, policy: PolicyParams, weights: np.ndarray,
-                                  batch, setting: str, features, mu_step: float):
+                                  batch, setting: str, features, mu: np.ndarray):
     """Reference for ``estimate_objective_gradients``: the TD errors of
-    ``td_errors`` folded into (objective, state, action) buckets with
-    ``np.add.at``, one sample at a time in step order."""
+    ``td_errors`` at the trackers ``mu`` folded into (objective, state,
+    action) buckets with ``np.add.at``, one sample at a time in step order."""
     from morlab.critic import td_errors
     M = env.n_objectives
-    delta, r, _ = td_errors(env, features, weights, batch, setting, np.zeros(M), mu_step)
+    delta, r = td_errors(env, features, weights, batch, setting, mu)
     s, a, _ = batch
     buckets = np.zeros((M, env.n_states, env.n_actions))
     np.add.at(buckets, (slice(None), s, a), delta)
