@@ -144,6 +144,7 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
 
     Returns (delta, rewards): the (M, D) TD errors and the (M, D) rewards.
     """
+    check_setting(setting)
     _check_features(env, features)
     _check_weights(env, features, weights)
     D = _check_batch(batch)
@@ -282,7 +283,7 @@ def run_critic(
         if not np.abs(values).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
             raise DivergenceError(f"critic weights diverged at inner critic iteration {k + 1}",
                                   iteration=k + 1)
-    if not np.isfinite(mu).all():   # the trackers' last update feeds no slice
+    if setting == AVERAGE and not np.isfinite(mu).all():   # their last update feeds no slice
         raise DivergenceError(f"critic reward trackers diverged at inner critic iteration {N}",
                               iteration=N)
     return replace(critic, weights=w.copy(), avg_reward=mu)

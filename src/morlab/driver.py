@@ -112,7 +112,6 @@ def estimate_objective_gradients(
     buckets, each summed in step order from 0.0 as ``np.add.at`` would, so the
     projection onto the parameter space happens once for all M objectives.
     """
-    check_setting(setting)
     if len(batch[0]) == 0:
         raise ParameterError("the actor batch is empty")
     M, S, A = env.n_objectives, env.n_states, env.n_actions

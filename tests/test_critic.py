@@ -556,6 +556,12 @@ class TestCriticMisuse:
         with pytest.raises(ParameterError, match="one length"):
             run_critic(env, batch, critic, features, setting)
 
+    def test_td_errors_unknown_setting(self):
+        # an unknown setting used to run as the discounted one
+        env, features, batch = self.model()
+        with pytest.raises(ParameterError, match="unknown reward setting 'avg'"):
+            td_errors(env, features, np.zeros((2, 3)), batch, "avg", np.zeros(2))
+
     def test_batch_must_be_a_triple(self):
         env, features, batch = self.model()
         with pytest.raises(ParameterError, match="triple"):
