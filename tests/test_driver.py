@@ -355,7 +355,8 @@ class TestRunMoac:
         # the actor reads the critic's trackers and runs none of its own, so
         # its step has no average-setting cap
         env = build_fishwood(0.25, 0.65)
-        res = run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_iterations=3))
+        res = run_moac(env, small_config(setting=AVERAGE, actor_step_size=20.0, actor_batch_size=128,
+                                         actor_iterations=3))
         assert all(np.isfinite(rec.grad_norm_sq) for rec in res.records)
 
     @pytest.mark.parametrize("theory_compliant", [False, True])
