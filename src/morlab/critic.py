@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, ModelError, ParameterError, check_integer
+from .errors import DivergenceError, ModelError, ParameterError, check_array, check_integer
 from .momdp import AVERAGE, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap
 
@@ -27,14 +27,8 @@ class CriticState:
     n_iterations: int        # inner iterations per critic call
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.avg_reward = np.asarray(self.avg_reward, dtype=float)
-        if self.weights.ndim != 2:
-            raise ParameterError("weights must have shape (n_objectives, feature_dim)")
-        if self.avg_reward.shape != (self.weights.shape[0],):
-            raise ParameterError("avg_reward must have one tracker per objective")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.avg_reward).all()):
-            raise ParameterError("critic weights and reward trackers must be finite")
+        self.weights = check_array("critic weights", self.weights, (None, None))
+        self.avg_reward = check_array("reward trackers", self.avg_reward, (len(self.weights),))
         if not 0.0 < self.step_size < np.inf:
             raise ParameterError("critic step size must be positive and finite, "
                                  f"got {self.step_size}")
@@ -146,34 +140,30 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     """
     check_setting(setting)
     _check_features(env, features)
-    _check_weights(env, features, weights)
-    D = _check_batch(batch)
-    mu = np.asarray(mu)
-    if mu.shape != (env.n_objectives,) or mu.dtype.kind not in "iuf" or not np.isfinite(mu).all():
-        raise ParameterError(f"reward trackers must be a finite array of shape ({env.n_objectives},)")
+    weights = check_array("critic weights", weights, (env.n_objectives, features.dim))
+    batch = _check_batch(batch)
+    mu = check_array("reward trackers", mu, (env.n_objectives,))
     pairs = np.concatenate((batch[0], batch[2]))
     r = _rewards(env, batch, pairs)
     base = r - mu[:, None] if setting == AVERAGE else r
-    return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, D)), r
+    return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, r.shape[1])), r
 
 
-def _check_batch(batch) -> int:
-    """The length of a (states, actions, next_states) batch; ParameterError
-    unless it is three arrays of one length."""
-    if len(batch) != 3:
-        raise ParameterError("a batch is a (states, actions, next_states) triple")
-    n = len(batch[0])
-    if len(batch[1]) != n or len(batch[2]) != n:
+def _check_batch(batch) -> tuple:
+    """A (states, actions, next_states) batch as three index arrays;
+    ParameterError unless it is three integer arrays of one length."""
+    try:
+        s, a, ns = batch
+    except (TypeError, ValueError):   # None, a number, or not three parts
+        raise ParameterError("a batch is a (states, actions, next_states) triple") from None
+    # written out: a generator over the names costs a third more
+    batch = (check_array("batch states", s, (None,), integer=True),
+             check_array("batch actions", a, (None,), integer=True),
+             check_array("batch next states", ns, (None,), integer=True))
+    if not len(batch[0]) == len(batch[1]) == len(batch[2]):
         raise ParameterError("a batch needs states, actions and next states of one "
                              f"length, got {[len(x) for x in batch]}")
-    return n
-
-
-def _check_weights(env: TabularMomdp, features: FeatureMap, weights: np.ndarray):
-    """ParameterError unless ``weights`` holds one (dim,) row per objective."""
-    if np.shape(weights) != (env.n_objectives, features.dim):
-        raise ParameterError(f"critic weights must have shape ({env.n_objectives}, "
-                             f"{features.dim}), got {np.shape(weights)}")
+    return batch
 
 
 def _discount(env: TabularMomdp, setting: str, D: int):
@@ -246,9 +236,10 @@ def run_critic(
     check_setting(setting)
     _check_features(env, features)
     N, D = critic.n_iterations, critic.batch_size
-    if _check_batch(batch) != N * D:
+    batch = _check_batch(batch)
+    if len(batch[0]) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
-    _check_weights(env, features, critic.weights)
+    check_array("critic weights", critic.weights, (env.n_objectives, features.dim))
     # slice k's states then next states as row k, one gather per slice
     pairs = np.concatenate((batch[0].reshape(N, D), batch[2].reshape(N, D)), axis=1)
     r = _rewards(env, batch, pairs)
@@ -342,13 +333,7 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     check_integer("objective", objective, 0)
     if objective >= env.n_objectives:
         raise ParameterError(f"objective {objective} out of range")
-    w = np.asarray(w)
-    if w.shape != (features.dim,) or w.dtype.kind not in "iuf":
-        raise ParameterError(f"w must be a numeric array of shape ({features.dim},), "
-                             f"got {w.dtype} of shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ParameterError("w must be finite")
-    values = features.values(w)                    # (S,)
+    values = features.values(check_array("w", w, (features.dim,)))   # (S,)
     delta_bar = (env.reward[objective] - evaluation.offset[objective]
                  + evaluation.gamma[objective] * env.expected_next(values) - values[:, None])
     return evaluation.d[:, None] * evaluation.probs * delta_bar

@@ -4,6 +4,8 @@ it, and a layer that knows where a failure happened adds that with ``within``.""
 import copy
 from numbers import Integral
 
+import numpy as np
+
 
 class MorlabError(Exception):
     """Base class for all package-specific errors (exit code 2: bad input). Keyword
@@ -33,6 +35,39 @@ def check_integer(name: str, value, minimum: int):
     integer, not a bool, of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_array(name: str, value, shape: tuple, integer: bool = False,
+                error: type = ParameterError) -> np.ndarray:
+    """``value`` as an int64 array of indices if ``integer``, else as a finite
+    float array, of ``shape``, in which None matches any length; ``error``
+    (ParameterError by default) naming ``name`` otherwise.
+
+    Nothing is coerced: a string, bool or object array, a ragged list, and
+    floats where indices are expected all raise. Integers are numbers, so an
+    integer array passes as floats. A float64 or int64 array comes back as
+    itself, not a copy.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged list
+        raise error(f"{name} must be an array, got a ragged {type(value).__name__}") from None
+    if array.dtype.kind not in ("iu" if integer else "iuf"):
+        raise error(f"{name} must hold {'integers' if integer else 'numbers'}, "
+                    f"got dtype {array.dtype}")
+    if array.shape != shape:   # a shape with None in it: compare axis by axis
+        mismatch = array.ndim != len(shape)
+        for n, k in zip(shape, array.shape):   # a loop: twice as fast as any() here
+            mismatch = mismatch or n is not None and n != k
+        if mismatch:
+            dims = ", ".join("*" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+            raise error(f"{name} must have shape ({dims}), got {array.shape}")
+    if integer:
+        return array.astype(np.int64, copy=False)
+    array = array.astype(float, copy=False)
+    if np.count_nonzero(np.isfinite(array)) != array.size:   # half the time of .all()
+        raise error(f"{name} must be finite")
+    return array
 
 
 class ModelError(MorlabError):

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, check_array
 
 _CERT_TOL = 1e-10
 _MAX_OBJECTIVES = 10   # 2^M - 1 faces are enumerated
@@ -21,10 +21,10 @@ class SimplexWeights:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
+        v = check_array("simplex weights", self.values, (None,))
+        if v.size < 1:
             raise ParameterError("simplex weights must be a non-empty vector")
-        if not (v >= -1e-12).all():               # written so that NaN fails
+        if (v < -1e-12).any():
             raise ParameterError("simplex weights must be non-negative")
         v = np.maximum(v, 0.0)
         if not abs(v.sum() - 1.0) <= 1e-10:
@@ -85,17 +85,6 @@ class MomentumSchedule:
         return f"{self.kind}:{self.value:g}"
 
 
-def _as_gradient_matrix(gradients) -> np.ndarray:
-    W = np.asarray(gradients, dtype=float)
-    if W.ndim == 1:
-        W = W[None, :]
-    if W.ndim != 2 or W.shape[0] < 1:
-        raise ParameterError("gradients must form a non-empty (M, dim) stack")
-    if not np.isfinite(W).all():
-        raise ParameterError("gradients must be finite")
-    return W
-
-
 @lru_cache(maxsize=None)
 def _face_systems(M: int):
     """Face, face-pair and off-face masks, diagonal index and rhs, shared read-only."""
@@ -108,7 +97,8 @@ def _face_systems(M: int):
 
 
 def solve_min_norm(gradients):
-    """Minimize ||sum_i lam_i g_i||^2 over the probability simplex.
+    """Minimize ||sum_i lam_i g_i||^2 over the probability simplex, the
+    gradients g_i the rows of the finite (M, dim) ``gradients``.
 
     Returns (SimplexWeights, min_norm_sq). M = 2 is solved in closed form.
     For M = 1 and 3 <= M <= 10 one batched LU solve covers the KKT systems
@@ -119,11 +109,11 @@ def solve_min_norm(gradients):
     max_i(<gbar, gbar> - <gbar, g_i>) <= 1e-10 * max_i ||g_i||^2 at
     gbar = sum_i lam_i g_i, else ConvergenceError.
     """
-    W = _as_gradient_matrix(gradients)
+    W = check_array("gradients", gradients, (None, None))
     M = W.shape[0]
-    if M > _MAX_OBJECTIVES:
-        raise ParameterError(f"the min-norm QP takes at most {_MAX_OBJECTIVES} objectives, "
-                             f"got {M}")
+    if not 1 <= M <= _MAX_OBJECTIVES:
+        raise ParameterError(f"the min-norm QP takes at least 1 and at most {_MAX_OBJECTIVES} "
+                             f"objectives, got {M}")
     with np.errstate(over="ignore", invalid="ignore"):
         G = W @ W.T
         G = 0.5 * (G + G.T)
@@ -169,8 +159,7 @@ def momentum_update(prev: SimplexWeights, qp_solution: SimplexWeights, eta_t: fl
         raise ParameterError(f"momentum coefficient must lie in [0, 1], got {eta_t}")
     if len(prev) != len(qp_solution):
         raise ParameterError("weight vectors must have matching length")
-    mixed = (1.0 - eta_t) * prev.values + eta_t * qp_solution.values
-    return SimplexWeights(np.maximum(mixed, 0.0))
+    return SimplexWeights((1.0 - eta_t) * prev.values + eta_t * qp_solution.values)
 
 
 def uniform_weights(n: int) -> SimplexWeights:

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, ParameterError, check_integer
+from .errors import ModelError, ParameterError, check_array, check_integer
 
 AVERAGE = "average"
 DISCOUNTED = "discounted"
@@ -43,11 +43,16 @@ class TabularMomdp:
     def __init__(self, n_states: int, n_actions: int, n_objectives: int, transition: np.ndarray,
                  reward: np.ndarray, discounts: np.ndarray, initial_distribution: np.ndarray,
                  r_max: float = 1.0, metadata: dict | None = None):
-        self.n_states, self.n_actions, self.n_objectives = n_states, n_actions, n_objectives
-        transition = np.asarray(transition, dtype=float)   # validated, read into rows, dropped
-        self.reward = _read_only(np.array(reward, dtype=float))
-        self.discounts = _read_only(np.array(discounts, dtype=float))
-        self.initial_distribution = _read_only(np.array(initial_distribution, dtype=float))
+        for name, count in (("n_states", n_states), ("n_actions", n_actions),
+                            ("n_objectives", n_objectives)):
+            check_integer(name, count, 1)
+        self.n_states, self.n_actions, self.n_objectives = S, A, M = n_states, n_actions, n_objectives
+        # the transition is validated, read into rows and dropped; the rest are private copies
+        transition = check_array("transition", transition, (S, A, S))
+        self.reward = _read_only(check_array("reward", reward, (M, S, A)).copy())
+        self.discounts = _read_only(check_array("discounts", discounts, (M,)).copy())
+        self.initial_distribution = _read_only(
+            check_array("initial_distribution", initial_distribution, (S,)).copy())
         self.r_max, self.metadata = r_max, {} if metadata is None else metadata
         self._validate(transition)
         self.transition_rows = _padded_rows(transition)
@@ -57,21 +62,6 @@ class TabularMomdp:
                             self.discounts, self.initial_distribution, self.r_max, self.metadata)
 
     def _validate(self, transition: np.ndarray):
-        S, A, M = self.n_states, self.n_actions, self.n_objectives
-        for name in ("n_states", "n_actions", "n_objectives"):
-            check_integer(name, getattr(self, name), 1)
-        if transition.shape != (S, A, S):
-            raise ParameterError(f"transition tensor must have shape {(S, A, S)}")
-        if self.reward.shape != (M, S, A):
-            raise ParameterError(f"reward tensor must have shape {(M, S, A)}")
-        if self.discounts.shape != (M,):
-            raise ParameterError(f"discounts must have shape {(M,)}")
-        if self.initial_distribution.shape != (S,):
-            raise ParameterError(f"initial_distribution must have shape {(S,)}")
-        for name, array in (("transition", transition), ("reward", self.reward),
-                            ("discounts", self.discounts), ("initial_distribution", self.initial_distribution)):
-            if not np.all(np.isfinite(array)):
-                raise ParameterError(f"{name} entries must be finite")
         if np.any(transition < 0):
             raise ParameterError("transition entries must be non-negative")
         row_sums = transition.sum(axis=2)
@@ -236,10 +226,8 @@ class MarkovSampler:
         vectorized c // K, c % K // R and gather at c. ``n`` is an integer >= 0.
         """
         check_integer("n", n, 0)
-        probs = np.asarray(action_probs, dtype=float)
-        shape = (self.env.n_states, self.env.n_actions)
-        if probs.shape != shape:
-            raise ParameterError(f"action probabilities must have shape {shape}, got {probs.shape}")
+        probs = check_array("action probabilities", action_probs,
+                            (self.env.n_states, self.env.n_actions))
         cum = self._policy_table(probs)
         K = cum.shape[1]
         cum_rows, next_state_of_cell = cum.tolist(), self._next_state_of_cell
@@ -309,7 +297,6 @@ def build_fishwood(fish_proba: float, wood_proba: float, discount=0.9) -> Tabula
             raise ParameterError(f"{name} must lie strictly inside (0, 1), got {p}")
     produce = {_FW_FISH: fish_proba, _FW_WOOD: wood_proba}
     S, A, M = 4, 2, 2
-    discounts = np.broadcast_to(np.asarray(discount, dtype=float), (M,)).copy()
 
     def idx(loc, produced):
         return loc * 2 + produced
@@ -333,7 +320,7 @@ def build_fishwood(fish_proba: float, wood_proba: float, discount=0.9) -> Tabula
     return TabularMomdp(
         n_states=S, n_actions=A, n_objectives=M,
         transition=P, reward=R,
-        discounts=discounts,
+        discounts=np.full(M, discount) if np.isscalar(discount) else discount,
         initial_distribution=init,
         r_max=1.0,
         metadata={
@@ -480,7 +467,8 @@ def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
     residual max|d P - d| is above 1e-10. ParameterError if P is not a
     non-empty square matrix or has a negative entry.
     """
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+    P = check_array("kernel", P, (None, None))
+    if P.shape[0] != P.shape[1] or P.size == 0:
         raise ParameterError(f"kernel must be a non-empty square matrix, got shape {P.shape}")
     if np.any(P < 0):
         raise ParameterError("kernel entries must be non-negative")

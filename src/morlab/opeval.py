@@ -10,7 +10,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, ParameterError, check_integer
+from .errors import DataError, ParameterError, check_array, check_integer
 from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
@@ -33,21 +33,17 @@ class LoggedDataset:
     behavior_probs: np.ndarray  # (n,) pi_beta(a_k | s_k)
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.int64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        self.behavior_probs = np.asarray(self.behavior_probs, dtype=float)
-        n = self.states.shape[0]
+        self.states = check_array("states", self.states, (None,), integer=True, error=DataError)
+        n = len(self.states)
         if n == 0:
             raise DataError("logged dataset must be non-empty")
-        if self.actions.shape != (n,) or self.behavior_probs.shape != (n,):
-            raise DataError("actions and behavior_probs must match the number of records")
-        if self.rewards.ndim != 2 or self.rewards.shape[0] != n or self.rewards.shape[1] == 0:
-            raise DataError("rewards must have shape (n_records, n_objectives), n_objectives >= 1")
+        self.actions = check_array("actions", self.actions, (n,), integer=True, error=DataError)
+        self.rewards = check_array("rewards", self.rewards, (n, None), error=DataError)
+        self.behavior_probs = check_array("behavior_probs", self.behavior_probs, (n,), error=DataError)
+        if self.rewards.shape[1] == 0:
+            raise DataError("rewards must have at least one objective")
         if not np.all((self.behavior_probs > 0.0) & (self.behavior_probs <= 1.0)):
-            raise DataError("every behavior probability must be finite and lie in (0, 1]")
-        if not np.all(np.isfinite(self.rewards)):
-            raise DataError("every reward must be finite")
+            raise DataError("every behavior probability must lie in (0, 1]")
 
     def __len__(self):
         return self.states.shape[0]

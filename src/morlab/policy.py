@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_integer
+from .errors import ParameterError, check_array, check_integer
 from .momdp import PolicyEvaluation, TabularMomdp, _json_floats, _json_int, read_json
 
 
@@ -66,12 +66,7 @@ class PolicyParams:
     def __post_init__(self):
         check_integer("n_states", self.n_states, 1)
         check_integer("n_actions", self.n_actions, 1)
-        self.theta = np.asarray(self.theta, dtype=float)
-        expected = self.n_states * self.n_actions
-        if self.theta.shape != (expected,):
-            raise ParameterError(f"theta must have shape ({expected},)")
-        if not np.all(np.isfinite(self.theta)):
-            raise ParameterError("theta must be finite")
+        self.theta = check_array("theta", self.theta, (self.n_states * self.n_actions,))
 
     @property
     def dim(self) -> int:

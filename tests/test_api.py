@@ -84,6 +84,24 @@ def test_only_the_model_reads_the_dense_transition_tensor():
     assert readers == []
 
 
+def test_only_check_array_turns_an_argument_into_an_array():
+    # errors.check_array is the one place where an array argument becomes an
+    # array, so every entry rejects a string, bool, object or ragged array the
+    # same way; ``np.asarray``, with or without a dtype, appears nowhere else
+    # but in ``_json_floats``, which parses a JSON list into an object array
+    allowed = {"check_array", "_json_floats"}
+    calls = []
+    for path in sorted(Path(morlab.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name in allowed
+                  for node in ast.walk(func)}
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asarray"
+                  and id(node) not in inside]
+    assert calls == []
+
+
 def test_benchmark_selftest_passes():
     # the benchmark builds MoacConfig, ExperimentConfig and PolicyParams
     # itself; its self-test runs each check on a real output of this tree

@@ -662,7 +662,7 @@ class TestStationary:
 
     @pytest.mark.parametrize("P, problem", [
         (np.full((2, 3), 1.0 / 3.0), "square"),
-        (np.array([0.5, 0.5]), "square"),
+        (np.array([0.5, 0.5]), r"kernel must have shape \(\*, \*\)"),
         (np.array([[1.5, -0.5], [0.5, 0.5]]), "non-negative"),
     ], ids=["non-square", "one-dim", "negative-entry"])
     def test_bad_kernel_raises_parameter_error(self, P, problem):
