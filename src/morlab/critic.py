@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, ModelError, ParameterError, check_array, check_integer
+from .errors import DivergenceError, ModelError, ParameterError, check_array, check_float, check_integer, check_types
 from .momdp import AVERAGE, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap
 
@@ -29,9 +29,7 @@ class CriticState:
     def __post_init__(self):
         self.weights = check_array("critic weights", self.weights, (None, None))
         self.avg_reward = check_array("reward trackers", self.avg_reward, (len(self.weights),))
-        if not 0.0 < self.step_size < np.inf:
-            raise ParameterError("critic step size must be positive and finite, "
-                                 f"got {self.step_size}")
+        check_float("critic step size", self.step_size, 0, np.inf)
         check_integer("batch_size", self.batch_size, 1)
         check_integer("n_iterations", self.n_iterations, 1)
 
@@ -79,6 +77,7 @@ class TdFixedPoint:
 
 
 def _check_features(env: TabularMomdp, features: FeatureMap):
+    check_types(("env", env, TabularMomdp), ("features", features, FeatureMap))
     if features.n_states != env.n_states:
         raise ParameterError(f"the features are for {features.n_states} states, "
                              f"the model has {env.n_states}")
@@ -258,22 +257,25 @@ def run_critic(
     # stream. A slice gathers its own rows; one (N * D, dim) gather for the
     # batch was no faster and left a larger heap
     phi = np.eye(features.n_states, features.dim)
-    for k in range(N):
-        # the bits of delta @ phi depend on delta's memory order, which the
-        # gather in _add_values sets in the discounted setting: it is
-        # F-ordered, and so is each of its (M, D) halves. A C-ordered gather,
-        # such as np.take(values, s, axis=1) on (M, S) values, gives equal
-        # deltas in another layout, yet moved the final weights in 314 of 400
-        # random fishwood runs and 19 of 400 resource_gathering ones at
-        # N = 10, D = 50 (none in the average setting, whose delta takes the
-        # C order of its centred rewards). A faster gather must keep this
-        # layout or announce a stream change.
-        lo, p = k * D, pairs[k]
-        delta = _add_values(base[:, lo:lo + D], values, p, discount)
-        w += step * (delta @ phi.take(p[:D], axis=0))
-        if not np.abs(values).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
-            raise DivergenceError(f"critic weights diverged at inner critic iteration {k + 1}",
-                                  iteration=k + 1)
+    # the check after each slice reports a NaN or inf, so numpy need not warn
+    # of it; one errstate for the loop, not one per slice (about 1 us each)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            # the bits of delta @ phi depend on delta's memory order, which the
+            # gather in _add_values sets in the discounted setting: it is
+            # F-ordered, and so is each of its (M, D) halves. A C-ordered gather,
+            # such as np.take(values, s, axis=1) on (M, S) values, gives equal
+            # deltas in another layout, yet moved the final weights in 314 of 400
+            # random fishwood runs and 19 of 400 resource_gathering ones at
+            # N = 10, D = 50 (none in the average setting, whose delta takes the
+            # C order of its centred rewards). A faster gather must keep this
+            # layout or announce a stream change.
+            lo, p = k * D, pairs[k]
+            delta = _add_values(base[:, lo:lo + D], values, p, discount)
+            w += step * (delta @ phi.take(p[:D], axis=0))
+            if not np.abs(values).max() <= _DIVERGENCE_LIMIT:   # NaN and inf fail too
+                raise DivergenceError(f"critic weights diverged at inner critic iteration {k + 1}",
+                                      iteration=k + 1)
     if setting == AVERAGE and not np.isfinite(mu).all():   # their last update feeds no slice
         raise DivergenceError(f"critic reward trackers diverged at inner critic iteration {N}",
                               iteration=N)
@@ -294,8 +296,8 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
     With one-hot features diag(d) > 0 cancels from A w + b = 0, so w* is
     the value solve ``evaluation.lead_values(d2)``, read after the gate.
     """
-    env = evaluation.env
-    _check_features(env, features)
+    check_types(("evaluation", evaluation, PolicyEvaluation))
+    _check_features(evaluation.env, features)
     d, d2 = evaluation.d, features.dim
     # one-hot features: A and b are the leading blocks of D(gamma P - I) and (r - offset) D
     P, eye, d_lead = evaluation.P[:d2, :d2], np.eye(d2), d[:d2, None]
@@ -308,7 +310,7 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
         _check_margin(a)
     w_star = evaluation.lead_values(d2).copy()
     # the analysis bounds the centred reward r - J by 2 r_max, twice r itself
-    r_bound = (2.0 if evaluation.setting == AVERAGE else 1.0) * env.r_max
+    r_bound = (2.0 if evaluation.setting == AVERAGE else 1.0) * evaluation.env.r_max
     c_a = max(float(np.linalg.norm(a, "fro")) for a in A) + 1e-6
     return TdFixedPoint(A=A, slice_of=slice_of, b=b, w_star=w_star, c_a=c_a, r_bound=r_bound)
 

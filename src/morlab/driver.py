@@ -16,7 +16,7 @@ from .critic import (
     td_errors,
     theory_critic_step,
 )
-from .errors import DivergenceError, MorlabError, ParameterError, check_integer
+from .errors import DivergenceError, MorlabError, ParameterError, check_float, check_integer, check_types
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
 from .momdp import MarkovSampler, PolicyEvaluation, TabularMomdp, check_setting
 from .policy import FeatureMap, PolicyParams, complete_feature_map, default_feature_map, exact_policy_gradient, uniform_policy
@@ -63,10 +63,8 @@ class MoacConfig:
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed, 0)
         for name in ("critic_step_size", "actor_step_size"):
-            value = getattr(self, name)
-            if value is None or not 0.0 < value < np.inf:
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
-        if self.features not in FEATURE_KINDS:
+            check_float(name, getattr(self, name), 0, np.inf)
+        if not isinstance(self.features, str) or self.features not in FEATURE_KINDS:
             raise ParameterError(f"features must be one of {tuple(FEATURE_KINDS)}")
         if not isinstance(self.momentum, MomentumSchedule):
             self.momentum = MomentumSchedule.parse(str(self.momentum))
@@ -85,8 +83,7 @@ class MoacResult:
 
 def theory_actor_step(lipschitz_estimate: float) -> float:
     """Actor step size 1/(3 L) for a smoothness estimate L."""
-    if not lipschitz_estimate > 0:
-        raise ParameterError("lipschitz_estimate must be positive")
+    check_float("lipschitz_estimate", lipschitz_estimate, 0, np.inf, "(]")
     return 1.0 / (3.0 * lipschitz_estimate)
 
 
@@ -151,6 +148,7 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
     inside an iteration names that actor iteration in its message and its
     ``iteration``.
     """
+    check_types(("env", env, TabularMomdp), ("config", config, MoacConfig))
     setting = config.setting
     features = FEATURE_KINDS[config.features](env.n_states)
     policy = uniform_policy(env)
@@ -243,8 +241,7 @@ def estimate_gradient_lipschitz(
     check_setting(setting)
     check_integer("n_probes", n_probes, 1)
     check_integer("seed", seed, 0)
-    if not 0 < radius < np.inf:
-        raise ParameterError(f"radius must be finite and positive, got {radius}")
+    check_float("radius", radius, 0, np.inf)
     rng = np.random.default_rng(seed)
     S, A = env.n_states, env.n_actions
 

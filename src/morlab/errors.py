@@ -2,7 +2,6 @@
 it, and a layer that knows where a failure happened adds that with ``within``."""
 
 import copy
-from numbers import Integral
 
 import numpy as np
 
@@ -33,8 +32,31 @@ class ParameterError(MorlabError, ValueError):
 def check_integer(name: str, value, minimum: int):
     """ParameterError naming ``name`` unless ``value`` is an int or a numpy
     integer, not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+_ENDS = {"(0": "positive", "[0": "non-negative", "inf)": "finite", "inf]": ""}
+
+
+def check_float(name: str, value, low: float, high: float, ends: str = "()"):
+    """ParameterError naming ``name``, the interval and ``value`` unless ``value`` is a
+    real number (an int, a float or a numpy scalar, not a bool) from ``low`` to ``high``,
+    each end closed where ``ends`` ("()", "[)", "(]" or "[]") has a bracket. NaN fails."""
+    if not (isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+            and (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        words = (_ENDS.get(f"{ends[0]}{low:g}", f"{'at least' if ends[0] == '[' else 'above'} {low:g}"),
+                 _ENDS.get(f"{high:g}{ends[1]}", f"{'at most' if ends[1] == ']' else 'below'} {high:g}"))
+        raise ParameterError(f"{name} must be {' and '.join(filter(None, words))}, "
+                             f"got {type(value).__name__} {value!r}")
+
+
+def check_types(*checks):
+    """ParameterError for the first (name, value, type) of ``checks`` whose value is not one."""
+    for name, value, kind in checks:
+        if not isinstance(value, kind):
+            raise ParameterError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def check_array(name: str, value, shape: tuple, integer: bool = False,

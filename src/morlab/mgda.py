@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, check_array
+from .errors import ConvergenceError, ParameterError, check_array, check_float, check_integer
 
 _CERT_TOL = 1e-10
 _MAX_OBJECTIVES = 10   # 2^M - 1 faces are enumerated
@@ -48,16 +48,15 @@ class MomentumSchedule:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "power"):
+        if self.kind == "constant":
+            check_float("constant momentum coefficient", self.value, 0, 1, "[]")
+        elif self.kind == "power":
+            check_float("power exponent", self.value, 0, np.inf, "[)")
+        elif self.kind != "zero":
             raise ParameterError(f"unknown momentum schedule kind {self.kind!r}")
-        if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
-            raise ParameterError("constant momentum coefficient must lie in [0, 1]")
-        if self.kind == "power" and not 0.0 <= self.value < np.inf:   # 1 ** -nan == 1
-            raise ParameterError(f"power exponent must be finite and >= 0, got {self.value}")
 
     def eta(self, t: int) -> float:
-        if t < 1:
-            raise ParameterError("momentum schedule is defined for t >= 1")
+        check_integer("t", t, 1)
         if self.kind == "zero":
             return 0.0
         if self.kind == "constant":
@@ -155,8 +154,7 @@ def solve_min_norm(gradients):
 
 def momentum_update(prev: SimplexWeights, qp_solution: SimplexWeights, eta_t: float) -> SimplexWeights:
     """Convex mix lam_t = (1 - eta_t) lam_{t-1} + eta_t lam_hat."""
-    if not 0.0 <= eta_t <= 1.0:
-        raise ParameterError(f"momentum coefficient must lie in [0, 1], got {eta_t}")
+    check_float("momentum coefficient", eta_t, 0, 1, "[]")
     if len(prev) != len(qp_solution):
         raise ParameterError("weight vectors must have matching length")
     return SimplexWeights((1.0 - eta_t) * prev.values + eta_t * qp_solution.values)

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, ParameterError, check_array, check_integer
+from .errors import ModelError, ParameterError, check_array, check_float, check_integer, check_types
 
 AVERAGE = "average"
 DISCOUNTED = "discounted"
@@ -69,8 +69,7 @@ class TabularMomdp:
             raise ParameterError("every transition row must sum to 1 within 1e-12")
         if abs(self.initial_distribution.sum() - 1.0) > _ROW_SUM_TOL or np.any(self.initial_distribution < 0):
             raise ParameterError("initial_distribution must be a probability vector")
-        if not 0 < self.r_max < np.inf:
-            raise ParameterError("r_max must be finite and positive")
+        check_float("r_max", self.r_max, 0, np.inf)
         if np.any(self.reward < 0) or np.any(self.reward > self.r_max):
             raise ParameterError("rewards must lie in [0, r_max]")
         if np.any(self.discounts <= 0) or np.any(self.discounts >= 1):
@@ -292,9 +291,8 @@ def build_fishwood(fish_proba: float, wood_proba: float, discount=0.9) -> Tabula
     splits the time budget), so their gradients are antiparallel at every
     policy; distinct discounts break that degeneracy.
     """
-    for name, p in (("fish_proba", fish_proba), ("wood_proba", wood_proba)):
-        if not 0.0 < p < 1.0:
-            raise ParameterError(f"{name} must lie strictly inside (0, 1), got {p}")
+    check_float("fish_proba", fish_proba, 0, 1)
+    check_float("wood_proba", wood_proba, 0, 1)
     produce = {_FW_FISH: fish_proba, _FW_WOOD: wood_proba}
     S, A, M = 4, 2, 2
 
@@ -361,8 +359,7 @@ def build_resource_gathering(discount: float = 0.9, attack_prob: float = 0.1) ->
     the uniform-policy chain irreducible (flag combinations such as "at home
     carrying gold" can never occur and are dropped).
     """
-    if not 0.0 < attack_prob < 1.0:
-        raise ParameterError("attack_prob must lie strictly inside (0, 1)")
+    check_float("attack_prob", attack_prob, 0, 1)
     home_cleared = (*_RG_HOME, 0, 0)
 
     def step_outcomes(state, action):
@@ -514,6 +511,8 @@ class PolicyEvaluation:
     """
 
     def __init__(self, env: TabularMomdp, policy, setting: str):
+        from .policy import PolicyParams   # here: policy.py imports this module
+        check_types(("env", env, TabularMomdp), ("policy", policy, PolicyParams))
         self.env = env
         self.policy = policy
         self.setting = check_setting(setting)

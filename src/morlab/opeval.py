@@ -10,7 +10,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, ParameterError, check_array, check_integer
+from .errors import DataError, check_array, check_float, check_integer, check_types
 from .momdp import MarkovSampler, TabularMomdp
 from .policy import PolicyParams
 
@@ -55,8 +55,8 @@ class LoggedDataset:
 
 def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DEFAULT_CAP) -> np.ndarray:
     """Per-objective capped importance-sampling estimates as an (M,) vector."""
-    if not cap > 0:
-        raise ParameterError("cap must be positive")
+    check_types(("dataset", dataset, LoggedDataset), ("candidate", candidate, PolicyParams))
+    check_float("cap", cap, 0, np.inf, "(]")
     probs = candidate.probability_matrix()
     S, A = probs.shape
     if not (np.all((dataset.states >= 0) & (dataset.states < S))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_array, check_integer
+from .errors import ParameterError, check_array, check_integer, check_types
 from .momdp import PolicyEvaluation, TabularMomdp, _json_floats, _json_int, read_json
 
 
@@ -40,6 +40,7 @@ def default_feature_map(n_states: int) -> FeatureMap:
     Keeps the all-ones vector outside the span, so it is valid in both reward
     settings.
     """
+    check_integer("n_states", n_states, 2)
     return FeatureMap(n_states, n_states - 1)
 
 
@@ -105,6 +106,7 @@ def exact_policy_gradient(evaluation: PolicyEvaluation) -> np.ndarray:
     direction the sampled TD actor estimates (not the gradient of the
     start-state discounted objective).
     """
+    check_types(("evaluation", evaluation, PolicyEvaluation))
     coeff = evaluation.d[:, None] * evaluation.probs * evaluation.advantages
     return evaluation.policy.score_weighted_sum(coeff, evaluation.probs)
 

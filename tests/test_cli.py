@@ -826,6 +826,28 @@ class TestCliCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in tmp_path.glob("run/*")} == earlier
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--seeds", "0"), ("run", "--seeds", "x"),
+        ("ncis", "--cap", "-1"), ("ncis", "--cap", "nan"), ("ncis", "--cap", "x"),
+    ], ids=["seeds-0", "seeds-x", "cap-negative", "cap-nan", "cap-x"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # argparse exits 2 itself on a value it cannot parse
+        if command == "ncis":
+            env = build_fishwood(0.4, 0.5)
+            data, policy = tmp_path / "log.jsonl", tmp_path / "policy.json"
+            save_logged_data(generate_logged_data(env, uniform_policy(env), n=20, seed=3), str(data))
+            save_policy_json(uniform_policy(env), str(policy))
+            argv = ["ncis", str(data), str(policy)]
+        else:
+            argv = ["run", str(write_config(tmp_path)), "--out", str(tmp_path / "run")]
+        try:
+            code = main(argv + [flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_ncis_command(self, tmp_path, capsys):
         env = build_fishwood(0.4, 0.5)
         behavior = uniform_policy(env)

@@ -1,5 +1,7 @@
 """TD errors, the mini-batch critic loop, and the exact fixed-point oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -834,6 +836,23 @@ class TestRunCritic:
         with pytest.raises(DivergenceError, match="trackers diverged at inner critic iteration 1") as err:
             run_critic(env, batch, critic, default_feature_map(2), AVERAGE)
         assert err.value.exit_code == 3
+
+    def test_divergence_raises_without_a_warning(self):
+        # at beta = 10 the tracker recursion overflows, and the first slice's
+        # update used to emit numpy's "invalid value encountered in matmul"
+        # before the DivergenceError that reports the same NaN
+        env = build_resource_gathering()
+        rng = np.random.default_rng(0)
+        policy = PolicyParams(rng.normal(0.0, 0.5, env.n_states * env.n_actions),
+                              env.n_states, env.n_actions)
+        features = default_feature_map(env.n_states)
+        critic = CriticState.zeros(3, features.dim, 10.0, 500, 800)
+        batch = draw(env, 0, policy, 800 * 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="inner critic iteration 1$") as err:
+                run_critic(env, batch, critic, features, AVERAGE)
+        assert err.value.iteration == 1
 
     @pytest.mark.parametrize("setting", [AVERAGE, DISCOUNTED])
     def test_batch_equals_one_iteration_calls(self, setting):
