@@ -22,7 +22,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to the INI experiment file")
     run_p.add_argument("--seeds", type=int, default=None, help="override the seed count")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--oracle", action="store_true", help="force exact-oracle diagnostics on")
 
     sum_p = sub.add_parser("summarize", help="recompute summary.json for a run directory")
     sum_p.add_argument("run_dir")
@@ -40,8 +39,6 @@ def _cmd_run(args) -> int:
         if args.seeds < 1:
             raise ConfigError("--seeds must be >= 1")
         cfg.seeds = args.seeds
-    if args.oracle:
-        cfg.oracle = True
     out = run_experiment(cfg, out_dir=args.out)
     print(out)
     return 0

@@ -317,6 +317,7 @@ def compute_td_fixed_point(evaluation: PolicyEvaluation, features: FeatureMap) -
 
 def theory_critic_step(fixed_point: TdFixedPoint) -> float:
     """Largest step size permitted by the convergence analysis."""
+    check_types(("fixed_point", fixed_point, TdFixedPoint))
     return min(fixed_point.lambda_A / (8.0 * fixed_point.c_a ** 2),
                4.0 / fixed_point.lambda_A)
 
@@ -330,6 +331,7 @@ def expected_td_errors(evaluation: PolicyEvaluation, features: FeatureMap,
     ``w`` is a finite numeric array of shape (features.dim,); any other is a
     ``ParameterError``.
     """
+    check_types(("evaluation", evaluation, PolicyEvaluation))
     env = evaluation.env
     _check_features(env, features)
     check_integer("objective", objective, 0)
@@ -356,6 +358,7 @@ def compute_zeta_approx(evaluation: PolicyEvaluation, fixed_point: TdFixedPoint,
     function and its fixed-point linear approximation, max_i d (V_i - Phi w_i*)^2.
     The average-setting V is defined up to a constant, so there the gap is
     centred first: zeta is the largest d-weighted variance of V_i - Phi w_i*."""
+    check_types(("evaluation", evaluation, PolicyEvaluation), ("fixed_point", fixed_point, TdFixedPoint))
     _check_features(evaluation.env, features)
     V, _ = evaluation.values
     gaps = V - features.values(fixed_point.w_star)   # (M, S)

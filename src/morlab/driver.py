@@ -14,7 +14,6 @@ from .critic import (
     expected_td_errors,
     run_critic,
     td_errors,
-    theory_critic_step,
 )
 from .errors import DivergenceError, MorlabError, ParameterError, check_float, check_integer, check_types
 from .mgda import MomentumSchedule, momentum_update, solve_min_norm, uniform_weights
@@ -53,7 +52,6 @@ class MoacConfig:
     seed: int = 0
     oracle_diagnostics: bool = False
     oracle_every: int = 10
-    theory_compliant: bool = False
     features: str = "default"
 
     def __post_init__(self):
@@ -126,8 +124,8 @@ def expected_td_gradient(evaluation: PolicyEvaluation, features: FeatureMap,
     error expectation; the average-setting reward tracker is held at the exact
     objective value.
     """
-    return evaluation.policy.score_weighted_sum(expected_td_errors(evaluation, features, w, objective),
-                                                evaluation.probs)
+    coeff = expected_td_errors(evaluation, features, w, objective)   # checks evaluation before .policy
+    return evaluation.policy.score_weighted_sum(coeff, evaluation.probs)
 
 
 def pareto_stationarity_gap(evaluation: PolicyEvaluation) -> float:
@@ -157,14 +155,6 @@ def run_moac(env: TabularMomdp, config: MoacConfig) -> MoacResult:
         env.n_objectives, features.dim,
         config.critic_step_size, config.critic_batch_size, config.critic_iterations,
     )
-    if config.theory_compliant:
-        fp0 = compute_td_fixed_point(PolicyEvaluation(env, policy, setting), features)
-        limit = theory_critic_step(fp0)
-        if config.critic_step_size > limit + 1e-12:
-            raise ParameterError(
-                f"critic step size {config.critic_step_size} exceeds the "
-                f"theory-compliant bound {limit:.6g} for this environment"
-            )
     lam = uniform_weights(env.n_objectives)
     lam_initial = lam.values.copy()
     records: list[MetricsRecord] = []
@@ -238,6 +228,7 @@ def estimate_gradient_lipschitz(
     and returns the largest observed ratio ||grad J(x) - grad J(y)|| / ||x - y||
     across objectives.
     """
+    check_types(("env", env, TabularMomdp))
     check_setting(setting)
     check_integer("n_probes", n_probes, 1)
     check_integer("seed", seed, 0)

@@ -2,6 +2,7 @@
 it, and a layer that knows where a failure happened adds that with ``within``."""
 
 import copy
+import sys
 
 import numpy as np
 
@@ -42,8 +43,10 @@ _ENDS = {"(0": "positive", "[0": "non-negative", "inf)": "finite", "inf]": ""}
 def check_float(name: str, value, low: float, high: float, ends: str = "()"):
     """ParameterError naming ``name``, the interval and ``value`` unless ``value`` is a
     real number (an int, a float or a numpy scalar, not a bool) from ``low`` to ``high``,
-    each end closed where ``ends`` ("()", "[)", "(]" or "[]") has a bracket. NaN fails."""
+    each end closed where ``ends`` ("()", "[)", "(]" or "[]") has a bracket. NaN fails,
+    and so does an int beyond the largest float, which no float can hold."""
     if not (isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+            and (not isinstance(value, int) or abs(value) <= sys.float_info.max)
             and (low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
         words = (_ENDS.get(f"{ends[0]}{low:g}", f"{'at least' if ends[0] == '[' else 'above'} {low:g}"),

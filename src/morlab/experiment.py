@@ -62,7 +62,6 @@ KEYS = (
     Key("moac", "step_size", float, REQUIRED, "step_size", "actor_step_size"),
     Key("moac", "momentum", str, REQUIRED, "momentum", "momentum"),
     Key("moac", "base_seed", int, 0, "base_seed", None),
-    Key("moac", "theory_compliant", _parse_bool, False, "theory_compliant", "theory_compliant"),
     Key("critic", "step_size", float, REQUIRED, "critic_step_size", "critic_step_size"),
     Key("critic", "iterations", int, REQUIRED, "critic_iterations", "critic_iterations"),
     Key("critic", "batch_size", int, REQUIRED, "critic_batch_size", "critic_batch_size"),
@@ -71,7 +70,7 @@ KEYS = (
 _KINDS = tuple(dict.fromkeys(kind for row in KEYS if isinstance(row.target, tuple)
                              for kind in row.target))
 # keys that older config.ini files hold; from_ini warns about them and skips them
-_DROPPED_KEYS = {("moac", "lipschitz")}
+_DROPPED_KEYS = {("moac", "lipschitz"), ("moac", "theory_compliant")}
 
 
 def _ini_parser() -> configparser.ConfigParser:
@@ -117,7 +116,6 @@ class ExperimentConfig:
     step_size: float = 0.01
     momentum: str = "power:1"
     base_seed: int = 0
-    theory_compliant: bool = False
     critic_step_size: float = 0.05
     critic_iterations: int = 1
     critic_batch_size: int = 1

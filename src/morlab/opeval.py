@@ -74,6 +74,7 @@ def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DE
 def generate_logged_data(env: TabularMomdp, behavior: PolicyParams, n: int, seed: int) -> LoggedDataset:
     """Roll the chain n steps under the behavior policy and keep exact
     behavior probabilities for every logged action."""
+    check_types(("env", env, TabularMomdp), ("behavior", behavior, PolicyParams))
     check_integer("n", n, 1)
     check_integer("seed", seed, 0)
     sampler = MarkovSampler(env, seed)

@@ -93,6 +93,7 @@ class PolicyParams:
 
 
 def uniform_policy(env: TabularMomdp) -> PolicyParams:
+    check_types(("env", env, TabularMomdp))
     return PolicyParams(np.zeros(env.n_states * env.n_actions), env.n_states, env.n_actions)
 
 

@@ -165,7 +165,6 @@ batch_size = 16
 step_size = 0.05
 momentum = power:1
 base_seed = 7
-theory_compliant = false
 
 [critic]
 step_size = 0.2
@@ -195,7 +194,6 @@ batch_size = 7
 step_size = 0.125
 momentum = constant:0.25
 base_seed = 11
-theory_compliant = true
 
 [critic]
 step_size = 0.15
@@ -213,7 +211,7 @@ ALL_KEYS_ENV = {
 
 class TestConfigTable:
     def test_criterion_9_config_ini_bytes(self, tmp_path):
-        defaults = ("output", "jsonl", "theory_compliant")
+        defaults = ("output", "jsonl")
         given = "".join(line for line in CRITERION_9_CONFIG_INI.splitlines(keepends=True)
                         if not line.startswith(defaults))
         cfg = ExperimentConfig.from_ini(write_config(tmp_path, given))
@@ -231,8 +229,7 @@ class TestConfigTable:
             name="all_keys", seeds=3, output="elsewhere/out", oracle=True, oracle_every=4,
             jsonl=True, env_kind=kind, env_params=env_params, setting="average", iterations=5,
             batch_size=7, step_size=0.125, momentum="constant:0.25", base_seed=11,
-            theory_compliant=True, critic_step_size=0.15, critic_iterations=4,
-            critic_batch_size=9, features="complete",
+            critic_step_size=0.15, critic_iterations=4, critic_batch_size=9, features="complete",
         )
         assert cfg == ExperimentConfig(**expected)
         for row in KEYS:   # every value differs from its default
@@ -249,7 +246,7 @@ class TestConfigTable:
         assert (config.critic_step_size, config.critic_iterations, config.critic_batch_size) == \
             (0.15, 4, 9)
         assert (config.seed, config.oracle_diagnostics, config.oracle_every) == (21, True, 4)
-        assert (config.theory_compliant, config.features) == (True, "complete")
+        assert config.features == "complete"
         if kind == "file":
             (tmp_path / "env_dir").mkdir()
             save_env_json(build_fishwood(0.4, 0.5), str(tmp_path / "env_dir" / "env.json"))
@@ -265,8 +262,8 @@ class TestConfigTable:
     def test_table_covers_every_field(self):
         from morlab import MoacConfig
         from morlab.experiment import KEYS
-        assert len(KEYS) == 23
-        assert len({(row.section, row.key) for row in KEYS}) == 23
+        assert len(KEYS) == 22
+        assert len({(row.section, row.key) for row in KEYS}) == 22
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert {row.field for row in KEYS} == fields
         targets = {row.target for row in KEYS if isinstance(row.target, str)}
@@ -423,24 +420,39 @@ class TestRunExperiment:
         write_summary(out, summarize(out))
         assert (out / "summary.json").read_bytes() == first
 
-    def test_lipschitz_key_of_old_run_directories_is_skipped(self, tmp_path, capsys):
-        # config.ini files written before the key was dropped still summarize
+    @pytest.mark.parametrize("line", ["lipschitz = 10.0", "theory_compliant = true",
+                                      "theory_compliant = false"])
+    def test_dropped_key_of_old_run_directories_is_skipped(self, tmp_path, capsys, line):
+        # config.ini files written before the key was dropped still load, run
+        # and summarize, each with one warning
+        key = line.split()[0]
+        warning = [f"[moac] ignoring key '{key}': it sets nothing"]
         out = tmp_path / "old"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
         summary = (out / "summary.json").read_bytes()
         ini = (out / "config.ini").read_text()
-        assert "lipschitz" not in ini
-        (out / "config.ini").write_text(ini.replace("base_seed = 100\n",
-                                                    "base_seed = 100\nlipschitz = 10.0\n"))
-        with pytest.warns(UserWarning, match=r"\[moac\] .*'lipschitz'"):
+        assert key not in ini
+        (out / "config.ini").write_text(ini.replace("base_seed = 100\n", f"base_seed = 100\n{line}\n"))
+        with pytest.warns(UserWarning) as caught:
             old_cfg = ExperimentConfig.from_ini(out / "config.ini")
+        assert [str(w.message) for w in caught] == warning
         assert old_cfg == ExperimentConfig.from_ini(write_config(tmp_path))
         old_cfg.to_ini(tmp_path / "again.ini")
         assert (tmp_path / "again.ini").read_text() == ini
         capsys.readouterr()
-        with pytest.warns(UserWarning, match="lipschitz"):
+        with pytest.warns(UserWarning) as caught:
             assert main(["summarize", str(out)]) == 0
+        assert [str(w.message) for w in caught] == warning
         assert (out / "summary.json").read_bytes() == summary
+        rerun = tmp_path / "rerun"
+        with pytest.warns(UserWarning) as caught:
+            assert main(["run", str(out / "config.ini"), "--out", str(rerun)]) == 0
+        assert [str(w.message) for w in caught] == warning
+        assert (rerun / "config.ini").read_text() == ini
+        assert sorted(p.name for p in rerun.iterdir()) == sorted(p.name for p in out.iterdir())
+        for path in out.iterdir():
+            if path.name != "config.ini":
+                assert (rerun / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_incomplete_seed_skipped_with_warning(self, tmp_path):
         cfg = ExperimentConfig.from_ini(write_config(tmp_path))
@@ -609,6 +621,8 @@ class TestCliCommands:
         ("stray-seed", "ignoring seed_old.csv: seed files are named seed_<k>.csv"),
         ("incomplete-seed", "skipping incomplete seed file seed_101.csv"),
         ("lipschitz", "[moac] ignoring key 'lipschitz': it sets nothing"),
+        ("theory_compliant = true", "[moac] ignoring key 'theory_compliant': it sets nothing"),
+        ("theory_compliant = false", "[moac] ignoring key 'theory_compliant': it sets nothing"),
     ])
     def test_each_warning_prints_one_line(self, tmp_path, case, expected):
         # in a fresh interpreter, as a shell sees it: no source line of morlab's
@@ -621,14 +635,22 @@ class TestCliCommands:
             (out / f"seed_101{DONE_SUFFIX}").unlink()
         else:
             ini = (out / "config.ini").read_text()
-            (out / "config.ini").write_text(ini.replace("base_seed = 100\n",
-                                                        "base_seed = 100\nlipschitz = 10.0\n"))
+            line = "lipschitz = 10.0" if case == "lipschitz" else case
+            (out / "config.ini").write_text(ini.replace("base_seed = 100\n", f"base_seed = 100\n{line}\n"))
         src = Path(morlab.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-m", "morlab.cli", "summarize", str(out)],
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == [f"warning: {expected}"]
+
+    def test_run_takes_config_seeds_and_out(self, capsys):
+        # a new flag of `morlab run` has to be a deliberate diff here
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(usage.split()) == "usage: morlab run [-h] [--seeds SEEDS] [--out OUT] config"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG + "\nbogus = 1\n")

@@ -359,11 +359,10 @@ class TestRunMoac:
                                          actor_iterations=3))
         assert all(np.isfinite(rec.grad_norm_sq) for rec in res.records)
 
-    @pytest.mark.parametrize("theory_compliant", [False, True])
-    def test_actor_step_is_required(self, theory_compliant):
-        # theory mode too: a caller that wants 1/(3L) passes theory_actor_step(L)
+    def test_actor_step_is_required(self):
+        # a caller that wants 1/(3L) passes theory_actor_step(L)
         with pytest.raises(ParameterError, match="actor_step_size"):
-            small_config(actor_step_size=None, theory_compliant=theory_compliant)
+            small_config(actor_step_size=None)
 
     def test_chain_hand_off_is_single_trajectory(self, monkeypatch):
         # one draw of N * D + B steps per actor iteration, and one unbroken
@@ -380,11 +379,6 @@ class TestRunMoac:
         assert [len(s) for s, _, _ in draws] == [3 * 10 + 16] * 4
         s, _, ns = map(np.concatenate, zip(*draws))
         assert np.array_equal(ns[:-1], s[1:])
-
-    def test_theory_compliant_mode_validates_critic_step(self):
-        env = two_state_env()
-        with pytest.raises(ParameterError):
-            run_moac(env, small_config(critic_step_size=50.0, theory_compliant=True))
 
     def test_theory_actor_step(self):
         assert theory_actor_step(10.0) == pytest.approx(1.0 / 30.0)

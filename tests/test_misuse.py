@@ -6,7 +6,8 @@ One row per (callable, argument), crossed with the misuse kinds that apply
 to the argument:
 - an array (``errors.check_array``): an index array must hold integers, any
   other array finite numbers;
-- a float (``errors.check_float``): a real number, not a bool, in its interval;
+- a float (``errors.check_float``): a real number, not a bool and not an int
+  too large for a float, in its interval;
 - an integer (``errors.check_integer``): an int, not a bool, from its minimum;
 - an object (a model, a policy, features, an evaluation, a config or a
   dataset): an instance of its type, never None.
@@ -195,7 +196,7 @@ FLOATS = [
 
 def float_misuses(good: float, low: float, high: float, ends: str) -> dict:
     """The misuse kinds of a float argument in the interval from ``low`` to ``high``."""
-    kinds = {"str": str(good), "bool": True, "None": None, "nan": np.nan,
+    kinds = {"str": str(good), "bool": True, "None": None, "nan": np.nan, "huge-int": 10 ** 400,
              "below": low if ends[0] == "(" else np.nextafter(low, -INF)}
     if high < INF:
         kinds["above"] = high if ends[1] == ")" else np.nextafter(high, INF)
@@ -240,6 +241,19 @@ OBJECTS = [
     ("run_moac.config", CONFIG, vars(CONFIG), lambda v: run_moac(ENV, v)),
     ("ncis_scores.dataset", DATASET, LOG, lambda v: ncis_scores(v, POLICY)),
     ("ncis_scores.candidate", POLICY, ENV, lambda v: ncis_scores(DATASET, v)),
+    ("uniform_policy.env", ENV, POLICY, uniform_policy),
+    ("theory_critic_step.fixed_point", FIXED_POINT, EVALUATION, theory_critic_step),
+    ("generate_logged_data.env", ENV, EVALUATION, lambda v: generate_logged_data(v, POLICY, 5, 0)),
+    ("generate_logged_data.behavior", POLICY, ENV, lambda v: generate_logged_data(ENV, v, 5, 0)),
+    ("estimate_gradient_lipschitz.env", ENV, POLICY,
+     lambda v: estimate_gradient_lipschitz(v, DISCOUNTED, 1)),
+    *[(f"{entry.__name__}.evaluation", EVALUATION, ENV,
+       lambda v, entry=entry: entry(v, FEATURES, np.zeros(3), 0))
+      for entry in (expected_td_errors, expected_td_update, expected_td_gradient)],
+    ("compute_zeta_approx.evaluation", EVALUATION, ENV,
+     lambda v: compute_zeta_approx(v, FIXED_POINT, FEATURES)),
+    ("compute_zeta_approx.fixed_point", FIXED_POINT, EVALUATION,
+     lambda v: compute_zeta_approx(EVALUATION, v, FEATURES)),
 ]
 
 SCALAR_CASES = [
@@ -291,10 +305,16 @@ def test_check_float_takes_real_numbers_in_its_interval(value):
 
 
 @pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 0.5 + 0j, [0.5], np.array(0.5),
-                                   np.nan, -np.inf], ids=repr)
+                                   np.nan, -np.inf, pytest.param(10 ** 400, id="huge-int"),
+                                   pytest.param(-10 ** 400, id="huge-negative-int")], ids=repr)
 def test_check_float_coerces_nothing(value):
     with pytest.raises(ParameterError):
         check_float("x", value, -INF, INF, "()")
+
+
+def test_check_float_takes_an_int_a_float_can_hold():
+    check_float("x", 10 ** 308, -INF, INF, "()")
+    check_float("x", -10 ** 308, -INF, INF, "()")
 
 
 # callables that take an argument but need no row here, with the reason
@@ -304,10 +324,6 @@ EXEMPT = {
                     "ModelError", "MorlabError", "ParameterError")},
     "MetricsRecord": "a telemetry row that run_moac fills in; it checks nothing by design",
     "MoacResult": "the record run_moac returns; it checks nothing by design",
-    "theory_critic_step": "reads the TdFixedPoint of compute_td_fixed_point, a type morlab does "
-                          "not export; a wrong object still ends in an AttributeError",
-    "uniform_policy": "reads only the model's sizes; a wrong object still ends in an "
-                      "AttributeError, left out of the object checks' line budget",
     **{name: "a path function: tests/test_cli.py feeds it bad files through the CLI"
        for name in ("load_env_json", "save_env_json", "load_logged_data", "save_logged_data",
                     "load_policy_json", "save_policy_json")},
