@@ -36,13 +36,10 @@ class CriticState:
     @classmethod
     def zeros(cls, n_objectives: int, feature_dim: int, step_size: float,
               batch_size: int, n_iterations: int) -> "CriticState":
-        return cls(
-            weights=np.zeros((n_objectives, feature_dim)),
-            avg_reward=np.zeros(n_objectives),
-            step_size=step_size,
-            batch_size=batch_size,
-            n_iterations=n_iterations,
-        )
+        check_integer("n_objectives", n_objectives, 1)
+        check_integer("feature_dim", feature_dim, 1)
+        return cls(np.zeros((n_objectives, feature_dim)), np.zeros(n_objectives), step_size,
+                   batch_size, n_iterations)
 
 
 @dataclass
@@ -173,14 +170,11 @@ def _discount(env: TabularMomdp, setting: str, D: int):
 
 
 def _rewards(env: TabularMomdp, batch, pairs: np.ndarray) -> np.ndarray:
-    """The (M, D) rewards of a batch whose states and next states are
-    ``pairs``; ParameterError unless those lie in [0, S) and the actions in
-    [0, A), checked with one min and one max of each index array."""
+    """The (M, D) rewards of a batch whose states and next states are ``pairs``;
+    ParameterError unless those lie in [0, S) and the actions in [0, A)."""
     _, a_arr, _ = batch
-    for name, idx, n in (("states", pairs, env.n_states), ("actions", a_arr, env.n_actions)):
-        if idx.size and not (idx.min() >= 0 and idx.max() < n):
-            raise ParameterError(f"batch {name} must lie in [0, {n}), "
-                                 f"got {idx.min()} to {idx.max()}")
+    check_array("batch states", pairs.ravel(), (None,), integer=True, within=(0, env.n_states, "[)"))
+    check_array("batch actions", a_arr, (None,), integer=True, within=(0, env.n_actions, "[)"))
     # (M, D) with the objective axis contiguous, the layout env.reward[:, s, a]
     # has: later sums and products over it keep their bits
     return env.reward_rows.take(batch[0] * env.n_actions + a_arr, axis=0).T

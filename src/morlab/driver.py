@@ -107,10 +107,10 @@ def estimate_objective_gradients(
     buckets, each summed in step order from 0.0 as ``np.add.at`` would, so the
     projection onto the parameter space happens once for all M objectives.
     """
-    if len(batch[0]) == 0:
+    delta, r = td_errors(env, features, critic_weights, batch, setting, mu)
+    if r.shape[1] == 0:
         raise ParameterError("the actor batch is empty")
     M, S, A = env.n_objectives, env.n_states, env.n_actions
-    delta, r = td_errors(env, features, critic_weights, batch, setting, mu)
     cells = (np.arange(M)[:, None] * S + batch[0]) * A + batch[1]    # (M, B)
     buckets = np.bincount(cells.ravel(), delta.ravel(), minlength=M * S * A)
     return policy.score_weighted_sum(buckets.reshape(M, S, A) / r.shape[1], probs), r.mean(axis=1)

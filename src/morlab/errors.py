@@ -2,6 +2,7 @@
 it, and a layer that knows where a failure happened adds that with ``within``."""
 
 import copy
+import math
 import sys
 
 import numpy as np
@@ -34,7 +35,16 @@ def check_integer(name: str, value, minimum: int):
     """ParameterError naming ``name`` unless ``value`` is an int or a numpy
     integer, not a bool, of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """The type and repr of ``value``, but the digit count of an int beyond the
+    largest float: Python refuses the repr of one of more than 4,300 digits."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        n, k = abs(value), int(math.log10(abs(value)))   # k: floor(log10 n), or one off either way
+        return f"{'negative ' * (value < 0)}int of {k + 1 + (10 ** (k + 1) <= n) - (10 ** k > n)} digits"
+    return f"{type(value).__name__} {value!r}"
 
 
 _ENDS = {"(0": "positive", "[0": "non-negative", "inf)": "finite", "inf]": ""}
@@ -47,12 +57,15 @@ def check_float(name: str, value, low: float, high: float, ends: str = "()"):
     and so does an int beyond the largest float, which no float can hold."""
     if not (isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
             and (not isinstance(value, int) or abs(value) <= sys.float_info.max)
-            and (low <= value if ends[0] == "[" else low < value)
-            and (value <= high if ends[1] == "]" else value < high)):
+            and _inside(value, value, low, high, ends)):
         words = (_ENDS.get(f"{ends[0]}{low:g}", f"{'at least' if ends[0] == '[' else 'above'} {low:g}"),
                  _ENDS.get(f"{high:g}{ends[1]}", f"{'at most' if ends[1] == ']' else 'below'} {high:g}"))
-        raise ParameterError(f"{name} must be {' and '.join(filter(None, words))}, "
-                             f"got {type(value).__name__} {value!r}")
+        raise ParameterError(f"{name} must be {' and '.join(filter(None, words))}, got {_shown(value)}")
+
+
+def _inside(lo, hi, low: float, high: float, ends: str) -> bool:
+    """Whether ``lo`` and ``hi`` lie from ``low`` to ``high``, each end closed where ``ends`` has a bracket."""
+    return (low <= lo if ends[0] == "[" else low < lo) and (hi <= high if ends[1] == "]" else hi < high)
 
 
 def check_types(*checks):
@@ -63,10 +76,11 @@ def check_types(*checks):
 
 
 def check_array(name: str, value, shape: tuple, integer: bool = False,
-                error: type = ParameterError) -> np.ndarray:
+                error: type = ParameterError, within: tuple | None = None) -> np.ndarray:
     """``value`` as an int64 array of indices if ``integer``, else as a finite
-    float array, of ``shape``, in which None matches any length; ``error``
-    (ParameterError by default) naming ``name`` otherwise.
+    float array, of ``shape``, in which None matches any length, and inside
+    ``within``, a (low, high, ends) read as ``check_float`` reads it, if given;
+    ``error`` (ParameterError by default) naming ``name`` otherwise.
 
     Nothing is coerced: a string, bool or object array, a ragged list, and
     floats where indices are expected all raise. Integers are numbers, so an
@@ -87,11 +101,26 @@ def check_array(name: str, value, shape: tuple, integer: bool = False,
         if mismatch:
             dims = ", ".join("*" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
             raise error(f"{name} must have shape ({dims}), got {array.shape}")
-    if integer:
-        return array.astype(np.int64, copy=False)
-    array = array.astype(float, copy=False)
-    if np.count_nonzero(np.isfinite(array)) != array.size:   # half the time of .all()
+    array = array.astype(np.int64 if integer else float, copy=False)
+    if not integer and np.count_nonzero(np.isfinite(array)) != array.size:   # half the time of .all()
         raise error(f"{name} must be finite")
+    if within and array.size:   # an empty array, a 0-step draw say, has no min()
+        (low, high, ends), lo, hi = within, array.min().item(), array.max().item()
+        if not _inside(lo, hi, low, high, ends):
+            raise error(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {lo} to {hi}")
+    return array
+
+
+_ROW_SUM_TOL = 1e-12   # how far the sum of a row of probabilities may be from 1
+
+
+def check_distribution(name: str, value, shape: tuple) -> np.ndarray:
+    """``check_array`` of a probability table: entries in [0, 1], each row along
+    the last axis summing to 1 within 1e-12."""
+    array = check_array(name, value, shape, within=(0, 1, "[]"))
+    off = np.abs(array.sum(axis=-1) - 1.0)
+    if off.size and off.max() > _ROW_SUM_TOL:
+        raise ParameterError(f"each row of {name} must sum to 1 within 1e-12, got one off by {off.max():.2g}")
     return array
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, check_array, check_float, check_integer
+from .errors import ConvergenceError, ParameterError, check_array, check_float, check_integer, check_types
 
 _CERT_TOL = 1e-10
 _MAX_OBJECTIVES = 10   # 2^M - 1 faces are enumerated
@@ -154,6 +154,7 @@ def solve_min_norm(gradients):
 
 def momentum_update(prev: SimplexWeights, qp_solution: SimplexWeights, eta_t: float) -> SimplexWeights:
     """Convex mix lam_t = (1 - eta_t) lam_{t-1} + eta_t lam_hat."""
+    check_types(("prev", prev, SimplexWeights), ("qp_solution", qp_solution, SimplexWeights))
     check_float("momentum coefficient", eta_t, 0, 1, "[]")
     if len(prev) != len(qp_solution):
         raise ParameterError("weight vectors must have matching length")
@@ -161,4 +162,5 @@ def momentum_update(prev: SimplexWeights, qp_solution: SimplexWeights, eta_t: fl
 
 
 def uniform_weights(n: int) -> SimplexWeights:
+    check_integer("n", n, 1)
     return SimplexWeights(np.full(n, 1.0 / n))

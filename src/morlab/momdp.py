@@ -10,13 +10,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, ParameterError, check_array, check_float, check_integer, check_types
+from .errors import ModelError, ParameterError, check_array, check_distribution, check_float, check_integer, check_types
 
 AVERAGE = "average"
 DISCOUNTED = "discounted"
 SETTINGS = (AVERAGE, DISCOUNTED)
 
-_ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10   # bound on the residual max|d P - d| of a stationary solve
 _POISSON_TOL = 1e-12      # relative Poisson residual above which pinned values are re-solved
 
@@ -42,38 +41,24 @@ class TabularMomdp:
 
     def __init__(self, n_states: int, n_actions: int, n_objectives: int, transition: np.ndarray,
                  reward: np.ndarray, discounts: np.ndarray, initial_distribution: np.ndarray,
-                 r_max: float = 1.0, metadata: dict | None = None):
+                 r_max: float = 1.0, metadata: dict = {}):
         for name, count in (("n_states", n_states), ("n_actions", n_actions),
                             ("n_objectives", n_objectives)):
             check_integer(name, count, 1)
+        check_float("r_max", r_max, 0, np.inf)
+        check_types(("metadata", metadata, dict))
         self.n_states, self.n_actions, self.n_objectives = S, A, M = n_states, n_actions, n_objectives
+        self.r_max, self.metadata = r_max, dict(metadata)
         # the transition is validated, read into rows and dropped; the rest are private copies
-        transition = check_array("transition", transition, (S, A, S))
-        self.reward = _read_only(check_array("reward", reward, (M, S, A)).copy())
-        self.discounts = _read_only(check_array("discounts", discounts, (M,)).copy())
+        self.transition_rows = _padded_rows(check_distribution("transition", transition, (S, A, S)))
+        self.reward = _read_only(check_array("reward", reward, (M, S, A), within=(0, r_max, "[]")).copy())
+        self.discounts = _read_only(check_array("discounts", discounts, (M,), within=(0, 1, "()")).copy())
         self.initial_distribution = _read_only(
-            check_array("initial_distribution", initial_distribution, (S,)).copy())
-        self.r_max, self.metadata = r_max, {} if metadata is None else metadata
-        self._validate(transition)
-        self.transition_rows = _padded_rows(transition)
+            check_distribution("initial_distribution", initial_distribution, (S,)).copy())
 
     def __reduce__(self):
         return type(self), (self.n_states, self.n_actions, self.n_objectives, self.transition, self.reward,
                             self.discounts, self.initial_distribution, self.r_max, self.metadata)
-
-    def _validate(self, transition: np.ndarray):
-        if np.any(transition < 0):
-            raise ParameterError("transition entries must be non-negative")
-        row_sums = transition.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
-            raise ParameterError("every transition row must sum to 1 within 1e-12")
-        if abs(self.initial_distribution.sum() - 1.0) > _ROW_SUM_TOL or np.any(self.initial_distribution < 0):
-            raise ParameterError("initial_distribution must be a probability vector")
-        check_float("r_max", self.r_max, 0, np.inf)
-        if np.any(self.reward < 0) or np.any(self.reward > self.r_max):
-            raise ParameterError("rewards must lie in [0, r_max]")
-        if np.any(self.discounts <= 0) or np.any(self.discounts >= 1):
-            raise ParameterError("each discount must lie in (0, 1)")
 
     @property
     def transition(self) -> np.ndarray:
@@ -211,6 +196,7 @@ class MarkovSampler:
 
     def __init__(self, env: TabularMomdp, seed: int):
         check_integer("seed", seed, 0)
+        check_types(("env", env, TabularMomdp))
         self.env = env
         self.rng = np.random.default_rng(seed)
         self.state = int(self.rng.choice(env.n_states, p=env.initial_distribution))
@@ -225,8 +211,8 @@ class MarkovSampler:
         vectorized c // K, c % K // R and gather at c. ``n`` is an integer >= 0.
         """
         check_integer("n", n, 0)
-        probs = check_array("action probabilities", action_probs,
-                            (self.env.n_states, self.env.n_actions))
+        probs = check_distribution("action probabilities", action_probs,
+                                   (self.env.n_states, self.env.n_actions))
         cum = self._policy_table(probs)
         K = cum.shape[1]
         cum_rows, next_state_of_cell = cum.tolist(), self._next_state_of_cell
@@ -255,13 +241,7 @@ class MarkovSampler:
         A right bisection picks the cell ``np.searchsorted(..., side="right")``
         picks in the dense row: a padding slot repeats the entry of a real slot
         on its left, and a row ends at exactly 1.0, above every uniform.
-        ParameterError unless each row of ``probs`` lies in [0, 1] and sums
-        to 1 within 1e-12.
         """
-        if not np.all((probs >= 0) & (probs <= 1)):
-            raise ParameterError("action probabilities must lie in [0, 1]")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise ParameterError("every row of action probabilities must sum to 1 within 1e-12")
         _, cell_probs = self.env.transition_rows
         cum = (probs.reshape(-1, 1) * cell_probs).reshape(len(probs), -1).cumsum(axis=1)
         cum /= cum[:, -1:]
@@ -462,13 +442,11 @@ def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
     steps. ModelError if the pattern of P is reducible, if the solve finds
     the equations singular (a chain reducible in floating point) or if the
     residual max|d P - d| is above 1e-10. ParameterError if P is not a
-    non-empty square matrix or has a negative entry.
+    non-empty square table of probabilities (``check_distribution``).
     """
-    P = check_array("kernel", P, (None, None))
+    P = check_distribution("kernel", P, (None, None))
     if P.shape[0] != P.shape[1] or P.size == 0:
         raise ParameterError(f"kernel must be a non-empty square matrix, got shape {P.shape}")
-    if np.any(P < 0):
-        raise ParameterError("kernel entries must be non-negative")
     # a softmax policy never changes the non-zero pattern of P_pi, so the
     # graph search runs once per pattern
     if not _strongly_connected(P.shape, (P > 0).tobytes()):
@@ -521,12 +499,13 @@ class PolicyEvaluation:
         if self.probs.shape != (env.n_states, env.n_actions):
             raise ParameterError("policy dimensions do not match the environment")
         # each P_pi(s, s') adds pi(a|s) P(s'|s, a) over the slots of
-        # ``transition_rows`` in increasing a from +0.0; padding adds +0.0
+        # ``transition_rows`` in increasing a from +0.0; padding adds +0.0. A
+        # sum of 1 can round to 1 + ulp, above a probability: it reads 1
         next_states, cell_probs = env.transition_rows
         S = env.n_states
         bins = np.arange(S).repeat(next_states.size // S) * S + next_states.ravel()
-        self.P = np.bincount(bins, (self.probs.reshape(-1, 1) * cell_probs).ravel(),
-                             minlength=S * S).reshape(S, S)
+        self.P = np.minimum(np.bincount(bins, (self.probs.reshape(-1, 1) * cell_probs).ravel(),
+                                        minlength=S * S).reshape(S, S), 1.0)
         self.r = np.einsum("sa,msa->ms", self.probs, env.reward)
         self._lead_values: dict[int, np.ndarray] = {}
 

@@ -39,11 +39,10 @@ class LoggedDataset:
             raise DataError("logged dataset must be non-empty")
         self.actions = check_array("actions", self.actions, (n,), integer=True, error=DataError)
         self.rewards = check_array("rewards", self.rewards, (n, None), error=DataError)
-        self.behavior_probs = check_array("behavior_probs", self.behavior_probs, (n,), error=DataError)
+        self.behavior_probs = check_array("behavior_probs", self.behavior_probs, (n,), error=DataError,
+                                          within=(0, 1, "(]"))
         if self.rewards.shape[1] == 0:
             raise DataError("rewards must have at least one objective")
-        if not np.all((self.behavior_probs > 0.0) & (self.behavior_probs <= 1.0)):
-            raise DataError("every behavior probability must lie in (0, 1]")
 
     def __len__(self):
         return self.states.shape[0]
@@ -59,9 +58,8 @@ def ncis_scores(dataset: LoggedDataset, candidate: PolicyParams, cap: float = DE
     check_float("cap", cap, 0, np.inf, "(]")
     probs = candidate.probability_matrix()
     S, A = probs.shape
-    if not (np.all((dataset.states >= 0) & (dataset.states < S))
-            and np.all((dataset.actions >= 0) & (dataset.actions < A))):
-        raise DataError(f"logged states and actions must index the candidate's {S} states and {A} actions")
+    check_array("logged state index", dataset.states, (None,), integer=True, error=DataError, within=(0, S, "[)"))
+    check_array("logged action index", dataset.actions, (None,), integer=True, error=DataError, within=(0, A, "[)"))
     ratios = probs[dataset.states, dataset.actions] / dataset.behavior_probs
     weights = np.minimum(cap, ratios)
     total = weights.sum()

@@ -102,6 +102,22 @@ def test_only_check_array_turns_an_argument_into_an_array():
     assert calls == []
 
 
+def test_only_errors_states_a_range():
+    # errors.check_array (with ``within``) and errors.check_distribution are the
+    # one place where the range of an array argument is stated: no other module
+    # writes a "must lie in" message or reads the row-sum tolerance
+    found = []
+    for path in sorted(Path(morlab.__file__).resolve().parent.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            text = node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if "must lie in" in text or name == "_ROW_SUM_TOL":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_benchmark_selftest_passes():
     # the benchmark builds MoacConfig, ExperimentConfig and PolicyParams
     # itself; its self-test runs each check on a real output of this tree

@@ -5,19 +5,24 @@ number or a bare numpy or Python error.
 One row per (callable, argument), crossed with the misuse kinds that apply
 to the argument:
 - an array (``errors.check_array``): an index array must hold integers, any
-  other array finite numbers;
+  other array finite numbers, inside its interval if it has one;
 - a float (``errors.check_float``): a real number, not a bool and not an int
   too large for a float, in its interval;
 - an integer (``errors.check_integer``): an int, not a bool, from its minimum;
 - an object (a model, a policy, features, an evaluation, a config or a
   dataset): an instance of its type, never None.
 
-Every public callable that takes an argument has a row, or an entry in
-``EXEMPT`` with its reason. Every call runs on fishwood (S = 4, A = 2, M = 2)
+Every public callable that takes an argument, and every module-only building
+block that README.md lists, has a row, or an entry in ``EXEMPT`` with its
+reason. Every call runs on fishwood (S = 4, A = 2, M = 2)
 with default features (dim 3)."""
 
 import inspect
+import math
+import re
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,9 +61,10 @@ from morlab import (
     uniform_policy,
 )
 from morlab.critic import CriticState, expected_td_errors, run_critic, td_errors
-from morlab.errors import check_float
-from morlab.mgda import SimplexWeights, momentum_update
-from morlab.momdp import MarkovSampler
+from morlab.driver import estimate_objective_gradients
+from morlab.errors import check_array, check_float, check_integer
+from morlab.mgda import SimplexWeights, momentum_update, uniform_weights
+from morlab.momdp import MarkovSampler, value_functions
 
 ENV = build_fishwood(0.3, 0.6)
 FEATURES = default_feature_map(ENV.n_states)
@@ -97,7 +103,16 @@ def with_field(fields, name, value):
     return {**fields, name: value}
 
 
-# (row id, a good value, index array?, error type, the call with the argument replaced)
+def gradients(weights=np.zeros((2, 3)), batch=BATCH, mu=np.zeros(2), env=ENV, features=FEATURES):
+    """The actor's gradient estimates on the fishwood batch, one argument replaced."""
+    return estimate_objective_gradients(env, POLICY, weights, batch, AVERAGE, features, mu, PROBS)
+
+
+INF = np.inf
+INDEX_RANGES = [(0, 4, "[)"), (0, 2, "[)"), (0, 4, "[)")]   # states, actions, next states
+PROBABILITY, DISCOUNT = (0, 1, "[]"), (0, 1, "()")
+# (row id, a good value, index array?, error type, the call with the argument
+# replaced, and optionally the interval (low, high, ends) of its entries)
 ROWS = [
     ("CriticState.weights", np.zeros((2, 3)), False, ParameterError,
      lambda v: critic(weights=v)),
@@ -109,10 +124,17 @@ ROWS = [
      lambda v: td_errors(ENV, FEATURES, np.zeros((2, 3)), BATCH, AVERAGE, v)),
     *[(f"td_errors.batch[{part}]", BATCH[part], True, ParameterError,
        lambda v, part=part: td_errors(ENV, FEATURES, np.zeros((2, 3)), with_part(part, v),
-                                      AVERAGE, np.zeros(2)))
+                                      AVERAGE, np.zeros(2)), INDEX_RANGES[part])
       for part in range(3)],
     *[(f"run_critic.batch[{part}]", BATCH[part], True, ParameterError,
-       lambda v, part=part: run_critic(ENV, with_part(part, v), critic(), FEATURES, AVERAGE))
+       lambda v, part=part: run_critic(ENV, with_part(part, v), critic(), FEATURES, AVERAGE),
+       INDEX_RANGES[part])
+      for part in range(3)],
+    ("estimate_objective_gradients.critic_weights", np.zeros((2, 3)), False, ParameterError,
+     lambda v: gradients(weights=v)),
+    ("estimate_objective_gradients.mu", np.zeros(2), False, ParameterError, lambda v: gradients(mu=v)),
+    *[(f"estimate_objective_gradients.batch[{part}]", BATCH[part], True, ParameterError,
+       lambda v, part=part: gradients(batch=with_part(part, v)), INDEX_RANGES[part])
       for part in range(3)],
     *[(f"{entry.__name__}.w", np.zeros(3), False, ParameterError,
        lambda v, entry=entry: entry(EVALUATION, FEATURES, v, 0))
@@ -120,23 +142,26 @@ ROWS = [
     ("SimplexWeights.values", np.array([0.5, 0.5]), False, ParameterError, SimplexWeights),
     ("solve_min_norm.gradients", np.eye(3, 4), False, ParameterError, solve_min_norm),
     *[(f"TabularMomdp.{name}", good, False, ParameterError,
-       lambda v, name=name: TabularMomdp(4, 2, 2, **with_field(ARRAYS, name, v)))
+       lambda v, name=name: TabularMomdp(4, 2, 2, **with_field(ARRAYS, name, v)),
+       DISCOUNT if name == "discounts" else PROBABILITY)   # rewards in [0, r_max], r_max = 1
       for name, good in ARRAYS.items()],
     ("sample_policy_batch.action_probs", PROBS, False, ParameterError,
-     lambda v: MarkovSampler(ENV, 0).sample_policy_batch(v, 5)),
+     lambda v: MarkovSampler(ENV, 0).sample_policy_batch(v, 5), PROBABILITY),
     ("compute_stationary_distribution.P", EVALUATION.P, False, ParameterError,
-     compute_stationary_distribution),
+     compute_stationary_distribution, PROBABILITY),
     ("build_fishwood.discount", np.array([0.9, 0.8]), False, ParameterError,
-     lambda v: build_fishwood(0.3, 0.6, v)),
+     lambda v: build_fishwood(0.3, 0.6, v), DISCOUNT),
     *[(f"LoggedDataset.{name}", good, name in ("states", "actions"), DataError,
-       lambda v, name=name: LoggedDataset(**with_field(LOG, name, v)))
+       lambda v, name=name: LoggedDataset(**with_field(LOG, name, v)),
+       (0, 1, "(]") if name == "behavior_probs" else None)
       for name, good in LOG.items()],
     ("PolicyParams.theta", np.zeros(8), False, ParameterError, lambda v: PolicyParams(v, 4, 2)),
 ]
 
 
-def misuses(good: np.ndarray, indices: bool) -> dict:
-    """The misuse kinds of an argument whose good value is ``good``."""
+def misuses(good: np.ndarray, indices: bool, within: tuple | None = None) -> dict:
+    """The misuse kinds of an argument whose good value is ``good``, its
+    entries inside ``within``, a (low, high, ends), if given."""
     rows = good.tolist()
     if good.ndim == 1:
         ragged = [rows, rows[:-1]]
@@ -150,16 +175,23 @@ def misuses(good: np.ndarray, indices: bool) -> dict:
         for name, bad in (("nan", np.nan), ("inf", np.inf)):
             kinds[name] = good.astype(float)
             kinds[name].flat[-1] = bad
+    if within:   # the last entry on an open end, or just past a closed one
+        low, high, ends = within
+        for name, end, closed, outward in (("below", low, ends[0] == "[", -1),
+                                           ("above", high, ends[1] == "]", 1)):
+            past = end + outward if indices else np.nextafter(end, outward * INF)   # a step, or an ulp
+            kinds[name] = good.copy()
+            kinds[name].flat[-1] = past if closed else end
     return kinds
 
 
 CASES = [pytest.param(call, value, error, id=f"{row}-{kind}")
-         for row, good, indices, error, call in ROWS
-         for kind, value in misuses(good, indices).items()]
+         for row, good, indices, error, call, *within in ROWS
+         for kind, value in misuses(good, indices, *within).items()]
 
 
 @pytest.mark.parametrize("call, good", [pytest.param(call, good, id=row)
-                                        for row, good, _, _, call in ROWS])
+                                        for row, good, _, _, call, *_ in ROWS])
 def test_good_value_is_accepted(call, good):
     call(good)
 
@@ -171,7 +203,6 @@ def test_misuse_raises_its_documented_type(call, value, error):
     assert e.value.exit_code == 2
 
 
-INF = np.inf
 # (row id, a good value, low, high, ends, the call with the argument replaced):
 # the argument is a real number, not a bool, from low to high, each end
 # closed where ``ends`` has a bracket
@@ -197,6 +228,7 @@ FLOATS = [
 def float_misuses(good: float, low: float, high: float, ends: str) -> dict:
     """The misuse kinds of a float argument in the interval from ``low`` to ``high``."""
     kinds = {"str": str(good), "bool": True, "None": None, "nan": np.nan, "huge-int": 10 ** 400,
+             "unprintable-int": 10 ** 5000,   # past the 4,300 digits that repr allows
              "below": low if ends[0] == "(" else np.nextafter(low, -INF)}
     if high < INF:
         kinds["above"] = high if ends[1] == ")" else np.nextafter(high, INF)
@@ -214,6 +246,11 @@ INTEGERS = [
     ("FeatureMap.dim", 3, 1, lambda v: FeatureMap(4, v)),
     ("default_feature_map.n_states", 4, 2, default_feature_map),   # dim n_states - 1 >= 1
     ("complete_feature_map.n_states", 4, 1, complete_feature_map),
+    ("MarkovSampler.seed", 0, 0, lambda v: MarkovSampler(ENV, v)),
+    ("sample_policy_batch.n", 5, 0, lambda v: MarkovSampler(ENV, 0).sample_policy_batch(PROBS, v)),
+    ("uniform_weights.n", 2, 1, uniform_weights),
+    ("CriticState.zeros.n_objectives", 2, 1, lambda v: CriticState.zeros(v, 3, 0.1, 1, 1)),
+    ("CriticState.zeros.feature_dim", 3, 1, lambda v: CriticState.zeros(2, v, 0.1, 1, 1)),
 ]
 
 # (row id, a good value, a value of a wrong type, the call with the argument
@@ -254,6 +291,15 @@ OBJECTS = [
      lambda v: compute_zeta_approx(v, FIXED_POINT, FEATURES)),
     ("compute_zeta_approx.fixed_point", FIXED_POINT, EVALUATION,
      lambda v: compute_zeta_approx(EVALUATION, v, FEATURES)),
+    ("TabularMomdp.metadata", {"kind": "fishwood"}, [("kind", "fishwood")],
+     lambda v: TabularMomdp(4, 2, 2, **ARRAYS, metadata=v)),
+    ("MarkovSampler.env", ENV, EVALUATION, lambda v: MarkovSampler(v, 0)),
+    ("momentum_update.prev", LAM, LAM.values, lambda v: momentum_update(v, LAM, 0.5)),
+    ("momentum_update.qp_solution", LAM, LAM.values, lambda v: momentum_update(LAM, v, 0.5)),
+    ("value_functions.env", ENV, POLICY, lambda v: value_functions(v, POLICY, AVERAGE)),
+    ("value_functions.policy", POLICY, ENV, lambda v: value_functions(ENV, v, AVERAGE)),
+    ("estimate_objective_gradients.env", ENV, EVALUATION, lambda v: gradients(env=v)),
+    ("estimate_objective_gradients.features", FEATURES, ENV, lambda v: gradients(features=v)),
 ]
 
 SCALAR_CASES = [
@@ -263,7 +309,7 @@ SCALAR_CASES = [
     *[pytest.param(call, value, id=f"{row}-{kind}")
       for row, good, minimum, call in INTEGERS
       for kind, value in {"str": str(good), "bool": True, "None": None, "float": float(good),
-                          "below": minimum - 1}.items()],
+                          "below": minimum - 1, "unprintable-below": -10 ** 5000}.items()],
 ]
 
 
@@ -281,7 +327,9 @@ def test_scalar_misuse_raises_parameter_error(call, value):
     with pytest.raises(ParameterError) as e:
         call(value)
     assert e.value.exit_code == 2
-    assert repr(value) in str(e.value)   # the message names the value
+    # the message names the value; an int beyond the largest float, by its digit count
+    huge = isinstance(value, int) and abs(value) > sys.float_info.max
+    assert (f"int of {round(math.log10(abs(value))) + 1} digits" if huge else repr(value)) in str(e.value)
 
 
 @pytest.mark.parametrize("call, value, kind, name", [
@@ -330,10 +378,28 @@ EXEMPT = {
 }
 
 
+# the building blocks that the package does not export and README.md lists
+# as "module only"
+MODULE_ONLY = {entry.__name__: entry for entry in (
+    MarkovSampler, value_functions, td_errors, run_critic, CriticState, momentum_update,
+    SimplexWeights, uniform_weights, estimate_objective_gradients)}
+
+
+def test_module_only_names_are_those_readme_lists():
+    names = set()
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if "module only:" in line:
+            listed = line.split("module only:", 1)[1]
+            while re.search(r"\([^()]*\)", listed):   # drop the notes in parentheses, inner first
+                listed = re.sub(r"\([^()]*\)", "", listed)
+            names.update(re.findall(r"`(\w+)`", listed))
+    assert names == MODULE_ONLY.keys()
+
+
 def test_every_public_callable_has_rows():
     row_ids = [row for row, *_ in ROWS + FLOATS + INTEGERS + OBJECTS]
     covered = {row.split(".")[0] for row in row_ids}
-    public = {name for name, value in vars(morlab).items()
+    public = {name for name, value in {**vars(morlab), **MODULE_ONLY}.items()
               if not name.startswith("_") and callable(value) and not isinstance(value, types.ModuleType)
               and inspect.signature(value).parameters}
     assert sorted(public - covered - EXEMPT.keys()) == []
@@ -397,6 +463,26 @@ REPORTED = [
         ("None-candidate", lambda: ncis_scores(DATASET, None)),
         ("None-run_moac-env", lambda: run_moac(None, CONFIG)),
     )],
+    # the cases that returned a number, built a model, or escaped as a bare
+    # Python error before the one range contract and the module-only rows
+    *[pytest.param(call, ParameterError, id=case) for case, call in (
+        ("rows-summing-to-1.2-and-0.8-kernel",
+         lambda: compute_stationary_distribution([[0.6, 0.6], [0.4, 0.4]])),
+        ("rows-summing-to-1.1-and-1-kernel",
+         lambda: compute_stationary_distribution([[0.5, 0.6], [0.5, 0.5]])),
+        ("transition-entry-above-1", lambda: TabularMomdp(
+            1, 1, 1, [[[1 + 5e-13]]], [[[0.0]]], [0.9], [1.0])),
+        ("initial-entry-above-1", lambda: TabularMomdp(
+            2, 1, 1, [[[0.0, 1.0]], [[1.0, 0.0]]], [[[0.0], [0.0]]], [0.9], [1 + 5e-13, 0.0])),
+        ("unprintable-float", lambda: check_float("x", 10 ** 5000, 0, INF)),
+        ("unprintable-integer", lambda: check_integer("seed", -10 ** 5000, 0)),
+        ("None-sampler-env", lambda: MarkovSampler(None, 0)),
+        ("None-momentum-prev", lambda: momentum_update(None, LAM, 0.5)),
+        ("str-uniform-weights", lambda: uniform_weights("3")),
+        ("zero-uniform-weights", lambda: uniform_weights(0)),
+        ("str-critic-zeros", lambda: CriticState.zeros("2", 3, 0.1, 1, 1)),
+        ("int-metadata", lambda: TabularMomdp(4, 2, 2, **ARRAYS, metadata=5)),
+    )],
 ]
 
 
@@ -405,6 +491,13 @@ def test_reported_case_raises(call, error):
     with pytest.raises(error) as e:
         call()
     assert e.value.exit_code == 2
+
+
+@pytest.mark.parametrize("within", [(0, 4, "[)"), (0, 1, "(]")], ids=str)
+def test_an_empty_array_is_inside_any_interval(within):
+    # a 0-step draw is legal, and min() of an empty array raises
+    for dtype, integer in ((np.int64, True), (float, False)):
+        assert check_array("x", np.zeros(0, dtype), (None,), integer=integer, within=within).size == 0
 
 
 def test_lists_read_as_the_arrays_they_hold():

@@ -209,6 +209,15 @@ class TestValidation:
             TabularMomdp(**counts, transition=env.transition, reward=env.reward,
                          discounts=env.discounts, initial_distribution=env.initial_distribution)
 
+    @pytest.mark.parametrize("field", ["transition", "initial_distribution"])
+    def test_rejects_a_probability_above_1_whose_row_sums_to_1_within_tolerance(self, field):
+        env = two_state_env()
+        arrays = {name: getattr(env, name).copy()
+                  for name in ("transition", "reward", "discounts", "initial_distribution")}
+        arrays[field][..., 0], arrays[field][..., 1] = 1 + 5e-13, 0.0
+        with pytest.raises(ParameterError, match=rf"{field} must lie in \[0, 1\], got 0.0 to 1.0000000000005"):
+            TabularMomdp(2, 2, 2, **arrays)
+
     def test_json_missing_key_raises_parameter_error(self):
         doc = build_fishwood(0.3, 0.7).to_json_dict()
         del doc["reward"]
@@ -572,6 +581,21 @@ class TestStationary:
         d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
         assert np.allclose(d, [5.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
+    def test_a_certain_move_whose_policy_sums_past_1_reads_1(self):
+        # state 1 returns to state 0 under both actions, and this softmax row
+        # sums to 1 + ulp in floating point, so P_pi(1, 0) did too and the
+        # kernel check refused the chain's own stationary law
+        P = np.zeros((2, 2, 2))
+        P[0, 0], P[0, 1], P[1, :, 0] = [0.5, 0.5], [0.2, 0.8], 1.0
+        env = TabularMomdp(2, 2, 1, P, np.zeros((1, 2, 2)), np.array([0.9]), np.array([1.0, 0.0]))
+        policy = PolicyParams(np.array([-1.3230560436304382, 1.8700999762280441,
+                                        0.09810922765062331, 4.00478516729051]), 2, 2)
+        probs = policy.probability_matrix()
+        assert probs[1, 0] + probs[1, 1] > 1.0
+        evaluation = PolicyEvaluation(env, policy, AVERAGE)
+        assert evaluation.P[1, 0] == 1.0
+        assert np.allclose(evaluation.d @ evaluation.P, evaluation.d, atol=1e-12)
+
     def test_residual_bound_for_built_envs(self):
         rng = np.random.default_rng(2024)
         for env in (build_fishwood(0.3, 0.7), build_resource_gathering(), two_state_env()):
@@ -663,8 +687,9 @@ class TestStationary:
     @pytest.mark.parametrize("P, problem", [
         (np.full((2, 3), 1.0 / 3.0), "square"),
         (np.array([0.5, 0.5]), r"kernel must have shape \(\*, \*\)"),
-        (np.array([[1.5, -0.5], [0.5, 0.5]]), "non-negative"),
-    ], ids=["non-square", "one-dim", "negative-entry"])
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), r"kernel must lie in \[0, 1\], got -0.5 to 1.5"),
+        (np.array([[0.6, 0.6], [0.4, 0.4]]), "each row of kernel must sum to 1 within 1e-12"),
+    ], ids=["non-square", "one-dim", "negative-entry", "rows-not-summing-to-1"])
     def test_bad_kernel_raises_parameter_error(self, P, problem):
         with pytest.raises(ParameterError, match=problem):
             compute_stationary_distribution(P)
