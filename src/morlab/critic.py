@@ -38,8 +38,13 @@ class CriticState:
               batch_size: int, n_iterations: int) -> "CriticState":
         check_integer("n_objectives", n_objectives, 1)
         check_integer("feature_dim", feature_dim, 1)
-        return cls(np.zeros((n_objectives, feature_dim)), np.zeros(n_objectives), step_size,
-                   batch_size, n_iterations)
+        return cls(
+            weights=np.zeros((n_objectives, feature_dim)),
+            avg_reward=np.zeros(n_objectives),
+            step_size=step_size,
+            batch_size=batch_size,
+            n_iterations=n_iterations,
+        )
 
 
 @dataclass
@@ -137,25 +142,26 @@ def td_errors(env: TabularMomdp, features: FeatureMap, weights: np.ndarray, batc
     check_setting(setting)
     _check_features(env, features)
     weights = check_array("critic weights", weights, (env.n_objectives, features.dim))
-    batch = _check_batch(batch)
+    batch = _check_batch(batch, env.n_states, env.n_actions)
     mu = check_array("reward trackers", mu, (env.n_objectives,))
     pairs = np.concatenate((batch[0], batch[2]))
-    r = _rewards(env, batch, pairs)
+    r = _rewards(env, batch)
     base = r - mu[:, None] if setting == AVERAGE else r
     return _add_values(base, features.values(weights).T, pairs, _discount(env, setting, r.shape[1])), r
 
 
-def _check_batch(batch) -> tuple:
+def _check_batch(batch, n_states: int, n_actions: int) -> tuple:
     """A (states, actions, next_states) batch as three index arrays;
-    ParameterError unless it is three integer arrays of one length."""
+    ParameterError unless it is three integer arrays of one length, the states
+    in [0, n_states) and the actions in [0, n_actions)."""
     try:
         s, a, ns = batch
     except (TypeError, ValueError):   # None, a number, or not three parts
         raise ParameterError("a batch is a (states, actions, next_states) triple") from None
     # written out: a generator over the names costs a third more
-    batch = (check_array("batch states", s, (None,), integer=True),
-             check_array("batch actions", a, (None,), integer=True),
-             check_array("batch next states", ns, (None,), integer=True))
+    batch = (check_array("batch states", s, (None,), integer=True, within=(0, n_states, "[)")),
+             check_array("batch actions", a, (None,), integer=True, within=(0, n_actions, "[)")),
+             check_array("next batch states", ns, (None,), integer=True, within=(0, n_states, "[)")))
     if not len(batch[0]) == len(batch[1]) == len(batch[2]):
         raise ParameterError("a batch needs states, actions and next states of one "
                              f"length, got {[len(x) for x in batch]}")
@@ -169,15 +175,11 @@ def _discount(env: TabularMomdp, setting: str, D: int):
     return None if setting == AVERAGE else np.full((D, env.n_objectives), env.discounts).T
 
 
-def _rewards(env: TabularMomdp, batch, pairs: np.ndarray) -> np.ndarray:
-    """The (M, D) rewards of a batch whose states and next states are ``pairs``;
-    ParameterError unless those lie in [0, S) and the actions in [0, A)."""
-    _, a_arr, _ = batch
-    check_array("batch states", pairs.ravel(), (None,), integer=True, within=(0, env.n_states, "[)"))
-    check_array("batch actions", a_arr, (None,), integer=True, within=(0, env.n_actions, "[)"))
+def _rewards(env: TabularMomdp, batch) -> np.ndarray:
+    """The (M, D) rewards of a batch that ``_check_batch`` has checked."""
     # (M, D) with the objective axis contiguous, the layout env.reward[:, s, a]
     # has: later sums and products over it keep their bits
-    return env.reward_rows.take(batch[0] * env.n_actions + a_arr, axis=0).T
+    return env.reward_rows.take(batch[0] * env.n_actions + batch[1], axis=0).T
 
 
 def _centred_rewards(r: np.ndarray, mu: np.ndarray, step_size: float):
@@ -229,13 +231,13 @@ def run_critic(
     check_setting(setting)
     _check_features(env, features)
     N, D = critic.n_iterations, critic.batch_size
-    batch = _check_batch(batch)
+    batch = _check_batch(batch, env.n_states, env.n_actions)
     if len(batch[0]) != N * D:
         raise ParameterError(f"the critic takes {N} x {D} steps, got {len(batch[0])}")
     check_array("critic weights", critic.weights, (env.n_objectives, features.dim))
     # slice k's states then next states as row k, one gather per slice
     pairs = np.concatenate((batch[0].reshape(N, D), batch[2].reshape(N, D)), axis=1)
-    r = _rewards(env, batch, pairs)
+    r = _rewards(env, batch)
     base, mu = (_centred_rewards(r, critic.avg_reward, critic.step_size) if setting == AVERAGE
                 else (r, critic.avg_reward.copy()))
     discount, step = _discount(env, setting, D), critic.step_size / D

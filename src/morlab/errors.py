@@ -42,8 +42,11 @@ def _shown(value) -> str:
     """The type and repr of ``value``, but the digit count of an int beyond the
     largest float: Python refuses the repr of one of more than 4,300 digits."""
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        n, k = abs(value), int(math.log10(abs(value)))   # k: floor(log10 n), or one off either way
-        return f"{'negative ' * (value < 0)}int of {k + 1 + (10 ** (k + 1) <= n) - (10 ** k > n)} digits"
+        n = abs(value)
+        digits = int(math.log10(n)) + 1   # the count, or one off next to a power of 10
+        digits += (10 ** digits <= n) - (10 ** (digits - 1) > n)
+        sign = "negative " if value < 0 else ""
+        return f"{sign}int of {digits} digits"
     return f"{type(value).__name__} {value!r}"
 
 
@@ -105,7 +108,8 @@ def check_array(name: str, value, shape: tuple, integer: bool = False,
     if not integer and np.count_nonzero(np.isfinite(array)) != array.size:   # half the time of .all()
         raise error(f"{name} must be finite")
     if within and array.size:   # an empty array, a 0-step draw say, has no min()
-        (low, high, ends), lo, hi = within, array.min().item(), array.max().item()
+        low, high, ends = within
+        lo, hi = array.min(), array.max()
         if not _inside(lo, hi, low, high, ends):
             raise error(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {lo} to {hi}")
     return array
@@ -118,9 +122,9 @@ def check_distribution(name: str, value, shape: tuple) -> np.ndarray:
     """``check_array`` of a probability table: entries in [0, 1], each row along
     the last axis summing to 1 within 1e-12."""
     array = check_array(name, value, shape, within=(0, 1, "[]"))
-    off = np.abs(array.sum(axis=-1) - 1.0)
-    if off.size and off.max() > _ROW_SUM_TOL:
-        raise ParameterError(f"each row of {name} must sum to 1 within 1e-12, got one off by {off.max():.2g}")
+    off = np.abs(array.sum(axis=-1) - 1.0).max()
+    if off > _ROW_SUM_TOL:
+        raise ParameterError(f"each row of {name} must sum to 1 within 1e-12, got one off by {off:.2g}")
     return array
 
 

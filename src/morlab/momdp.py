@@ -41,14 +41,15 @@ class TabularMomdp:
 
     def __init__(self, n_states: int, n_actions: int, n_objectives: int, transition: np.ndarray,
                  reward: np.ndarray, discounts: np.ndarray, initial_distribution: np.ndarray,
-                 r_max: float = 1.0, metadata: dict = {}):
+                 r_max: float = 1.0, metadata: dict | None = None):
         for name, count in (("n_states", n_states), ("n_actions", n_actions),
                             ("n_objectives", n_objectives)):
             check_integer(name, count, 1)
         check_float("r_max", r_max, 0, np.inf)
-        check_types(("metadata", metadata, dict))
+        if metadata is not None:
+            check_types(("metadata", metadata, dict))
         self.n_states, self.n_actions, self.n_objectives = S, A, M = n_states, n_actions, n_objectives
-        self.r_max, self.metadata = r_max, dict(metadata)
+        self.r_max, self.metadata = r_max, {} if metadata is None else dict(metadata)
         # the transition is validated, read into rows and dropped; the rest are private copies
         self.transition_rows = _padded_rows(check_distribution("transition", transition, (S, A, S)))
         self.reward = _read_only(check_array("reward", reward, (M, S, A), within=(0, r_max, "[]")).copy())
@@ -442,9 +443,10 @@ def compute_stationary_distribution(P: np.ndarray) -> np.ndarray:
     steps. ModelError if the pattern of P is reducible, if the solve finds
     the equations singular (a chain reducible in floating point) or if the
     residual max|d P - d| is above 1e-10. ParameterError if P is not a
-    non-empty square table of probabilities (``check_distribution``).
+    non-empty square matrix or has a negative entry; its row sums go
+    unchecked, as the P_pi it is given carries the model's row error.
     """
-    P = check_distribution("kernel", P, (None, None))
+    P = check_array("kernel", P, (None, None), within=(0, np.inf, "[)"))
     if P.shape[0] != P.shape[1] or P.size == 0:
         raise ParameterError(f"kernel must be a non-empty square matrix, got shape {P.shape}")
     # a softmax policy never changes the non-zero pattern of P_pi, so the
@@ -499,13 +501,12 @@ class PolicyEvaluation:
         if self.probs.shape != (env.n_states, env.n_actions):
             raise ParameterError("policy dimensions do not match the environment")
         # each P_pi(s, s') adds pi(a|s) P(s'|s, a) over the slots of
-        # ``transition_rows`` in increasing a from +0.0; padding adds +0.0. A
-        # sum of 1 can round to 1 + ulp, above a probability: it reads 1
+        # ``transition_rows`` in increasing a from +0.0; padding adds +0.0
         next_states, cell_probs = env.transition_rows
         S = env.n_states
         bins = np.arange(S).repeat(next_states.size // S) * S + next_states.ravel()
-        self.P = np.minimum(np.bincount(bins, (self.probs.reshape(-1, 1) * cell_probs).ravel(),
-                                        minlength=S * S).reshape(S, S), 1.0)
+        self.P = np.bincount(bins, (self.probs.reshape(-1, 1) * cell_probs).ravel(),
+                             minlength=S * S).reshape(S, S)
         self.r = np.einsum("sa,msa->ms", self.probs, env.reward)
         self._lead_values: dict[int, np.ndarray] = {}
 

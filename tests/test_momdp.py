@@ -581,10 +581,10 @@ class TestStationary:
         d = PolicyEvaluation(env, uniform_policy(env), AVERAGE).d
         assert np.allclose(d, [5.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
-    def test_a_certain_move_whose_policy_sums_past_1_reads_1(self):
+    def test_a_certain_move_whose_policy_sums_past_1_has_a_stationary_law(self):
         # state 1 returns to state 0 under both actions, and this softmax row
-        # sums to 1 + ulp in floating point, so P_pi(1, 0) did too and the
-        # kernel check refused the chain's own stationary law
+        # sums to 1 + ulp in floating point, so P_pi(1, 0) does too: a kernel
+        # check of entries in [0, 1] would refuse the chain's own law
         P = np.zeros((2, 2, 2))
         P[0, 0], P[0, 1], P[1, :, 0] = [0.5, 0.5], [0.2, 0.8], 1.0
         env = TabularMomdp(2, 2, 1, P, np.zeros((1, 2, 2)), np.array([0.9]), np.array([1.0, 0.0]))
@@ -593,8 +593,20 @@ class TestStationary:
         probs = policy.probability_matrix()
         assert probs[1, 0] + probs[1, 1] > 1.0
         evaluation = PolicyEvaluation(env, policy, AVERAGE)
-        assert evaluation.P[1, 0] == 1.0
+        assert evaluation.P[1, 0] > 1.0
         assert np.allclose(evaluation.d @ evaluation.P, evaluation.d, atol=1e-12)
+
+    def test_rows_at_the_model_tolerance_have_a_stationary_law(self):
+        # transition rows 1e-12 off 1 build a model, and P_pi inherits that
+        # error plus rounding: a kernel check of row sums within 1e-12 refused
+        # the stationary law of 10 of these 50 policies
+        P = np.array([[[0.3, 0.7 + 9.999e-13], [0.6 + 9.999e-13, 0.4]],
+                      [[0.5 + 9.999e-13, 0.5], [0.1, 0.9 + 9.999e-13]]])
+        env = TabularMomdp(2, 2, 1, P, np.zeros((1, 2, 2)), np.array([0.9]), np.array([0.5, 0.5]))
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            evaluation = PolicyEvaluation(env, PolicyParams(rng.normal(0.0, 2.0, 4), 2, 2), AVERAGE)
+            assert np.max(np.abs(evaluation.d @ evaluation.P - evaluation.d)) <= 1e-10
 
     def test_residual_bound_for_built_envs(self):
         rng = np.random.default_rng(2024)
@@ -687,9 +699,8 @@ class TestStationary:
     @pytest.mark.parametrize("P, problem", [
         (np.full((2, 3), 1.0 / 3.0), "square"),
         (np.array([0.5, 0.5]), r"kernel must have shape \(\*, \*\)"),
-        (np.array([[1.5, -0.5], [0.5, 0.5]]), r"kernel must lie in \[0, 1\], got -0.5 to 1.5"),
-        (np.array([[0.6, 0.6], [0.4, 0.4]]), "each row of kernel must sum to 1 within 1e-12"),
-    ], ids=["non-square", "one-dim", "negative-entry", "rows-not-summing-to-1"])
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), r"kernel must lie in \[0, inf\), got -0.5 to 1.5"),
+    ], ids=["non-square", "one-dim", "negative-entry"])
     def test_bad_kernel_raises_parameter_error(self, P, problem):
         with pytest.raises(ParameterError, match=problem):
             compute_stationary_distribution(P)
